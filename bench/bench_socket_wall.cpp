@@ -56,11 +56,10 @@ int main() {
   obs::MetricsRegistry lossy_reg;
   core::SocketWallOptions lo;
   lo.metrics = &lossy_reg;
-  lo.impair = true;
-  lo.impair_cfg.seed = 42;
-  lo.impair_cfg.loss = 0.02;
-  lo.impair_cfg.delay = 0.05;
-  lo.impair_cfg.delay_s = 0.001;
+  lo.impair.seed = 42;
+  lo.impair.loss = 0.02;
+  lo.impair.delay = 0.05;
+  lo.impair.delay_s = 0.001;
   const core::ClusterStats l = core::run_socket_wall(geo, k, es, nullptr, lo);
 
   // Telemetry overhead: the same wall streaming its metric/span sideband to

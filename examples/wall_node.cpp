@@ -22,7 +22,6 @@
 // Impairment (--loss/--dup/--delay, root only) routes every fabric datagram
 // through the deterministic UDP impairment proxy: the rendezvous listener
 // hands out the proxy's front addresses instead of the real endpoints.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -42,7 +41,6 @@
 #include "core/pipeline.h"
 #include "core/root_splitter.h"
 #include "enc/encoder.h"
-#include "mem/pool.h"
 #include "net/impair.h"
 #include "net/rendezvous.h"
 #include "net/socket_fabric.h"
@@ -390,13 +388,7 @@ int run_node(const Options& o) {
   const std::vector<uint8_t> es = make_stream(o);
   pdw::core::RootSplitter root(es);
   const int total_pictures = root.picture_count();
-  {
-    size_t max_pic = 0;
-    for (int i = 0; i < total_pictures; ++i)
-      max_pic = std::max(max_pic, root.picture(i).size());
-    pdw::mem::BufferPool::wire().prewarm(max_pic * 2,
-                                         2 * nodes + geo.tiles() + 8);
-  }
+  pdw::core::prewarm_wire_pool(root, topo);
 
   const pdw::core::ProtocolConfig cfg;
   pdw::net::SocketFabric fabric(o.node, nodes);
@@ -412,19 +404,13 @@ int run_node(const Options& o) {
   std::unique_ptr<pdw::net::ImpairProxy> proxy;
   if (o.node == topo.root()) {
     rv = std::make_unique<pdw::net::RendezvousServer>(nodes, o.rv_port);
-    if (o.loss > 0 || o.dup > 0 || o.delay > 0) {
-      pdw::net::ImpairConfig ic;
-      ic.seed = o.impair_seed;
-      ic.loss = o.loss;
-      ic.dup = o.dup;
-      ic.delay = o.delay;
-      ic.delay_s = o.delay_s;
-      rv->set_map_transform(
-          [&proxy, ic](const std::vector<pdw::net::Endpoint>& real) {
-            proxy = std::make_unique<pdw::net::ImpairProxy>(real, ic);
-            return proxy->proxied();
-          });
-    }
+    pdw::net::ImpairConfig ic;
+    ic.seed = o.impair_seed;
+    ic.loss = o.loss;
+    ic.dup = o.dup;
+    ic.delay = o.delay;
+    ic.delay_s = o.delay_s;
+    pdw::net::impair_rendezvous(rv.get(), ic, &proxy);
     rv->serve_async(rv_cfg);
   }
 
@@ -435,12 +421,9 @@ int run_node(const Options& o) {
   DigestMap digests;
   pdw::WallTimer timer;
 
-  // Credits are receiver-local state: post them before the peer map even
-  // exists so the first inbound picture never finds the mailbox empty.
-  if (o.node != topo.root()) {
-    fabric.post_receive(o.node);
-    fabric.post_receive(o.node);
-  }
+  // Post before the peer map even exists, so the first inbound picture
+  // never finds the mailbox empty.
+  pdw::core::post_initial_credits(fabric, topo, o.node);
 
   std::vector<pdw::net::Endpoint> peers;
   const pdw::net::Endpoint server{pdw::net::kLoopbackIp, o.rv_port};
@@ -451,10 +434,6 @@ int run_node(const Options& o) {
     return 3;
   }
   fabric.set_peers(peers);
-
-  std::vector<pdw::proto::PictureMeta> metas{size_t(total_pictures)};
-  for (int i = 0; i < total_pictures; ++i)
-    metas[size_t(i)].has_gop_header = root.span(i).has_gop_header;
 
   pdw::net::ReliableStats final_stats;
   if (o.node == topo.root()) {
@@ -469,7 +448,7 @@ int run_node(const Options& o) {
     // reported (root_stop raised up front).
     shared.root_stop.store(true);
     pdw::core::RootHost host(&fabric, &shared, &timer, &root, topo,
-                             cfg.reliable, ro, std::move(metas), nullptr);
+                             cfg.reliable, ro, nullptr);
     host.run();
     // Absorb the tail: keep t-acking peers' retransmissions for the linger
     // window so nobody retries into a vanished mailbox.

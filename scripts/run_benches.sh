@@ -37,7 +37,6 @@ benches=(
   bench_ablation_mei
   bench_ablation_sph
   bench_ablation_zerocopy
-  bench_ablation_dynamic
   bench_ablation_adaptive
   bench_fault_recovery
   bench_overload

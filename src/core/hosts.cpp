@@ -1,8 +1,10 @@
 #include "core/hosts.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
+#include "mem/pool.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
 #include "proto/wire.h"
@@ -24,6 +26,21 @@ void accumulate_transport(net::ReliableStats* into,
   into->holes += s.holes;
   into->delivered += s.delivered;
   into->rtt_samples += s.rtt_samples;
+}
+
+void prewarm_wire_pool(const RootSplitter& root, const proto::Topology& topo) {
+  size_t max_pic = 0;
+  for (int i = 0; i < root.picture_count(); ++i)
+    max_pic = std::max(max_pic, root.picture(i).size());
+  mem::BufferPool::wire().prewarm(max_pic * 2,
+                                  2 * topo.nodes() + topo.tiles + 8);
+}
+
+void post_initial_credits(net::FabricBackend& fabric,
+                          const proto::Topology& topo, int node) {
+  if (node == topo.root()) return;
+  fabric.post_receive(node);
+  fabric.post_receive(node);
 }
 
 void emit(net::ReliableEndpoint& ep, HostShared& shared, int src, Outgoing o) {
@@ -82,6 +99,13 @@ net::ReliableConfig with_metrics(net::ReliableConfig rc,
   return rc;
 }
 
+std::vector<proto::PictureMeta> picture_metas(const RootSplitter& root) {
+  std::vector<proto::PictureMeta> metas(size_t(root.picture_count()));
+  for (size_t i = 0; i < metas.size(); ++i)
+    metas[i].has_gop_header = root.span(int(i)).has_gop_header;
+  return metas;
+}
+
 }  // namespace
 
 // --- RootHost --------------------------------------------------------------
@@ -90,7 +114,6 @@ RootHost::RootHost(net::FabricBackend* f, HostShared* sh, const WallTimer* t,
                    const RootSplitter* r, const proto::Topology& tp,
                    const net::ReliableConfig& rc,
                    const proto::RootNode::Options& ro,
-                   std::vector<proto::PictureMeta> metas,
                    obs::MetricsRegistry* metrics)
     : fabric(*f),
       shared(*sh),
@@ -98,7 +121,7 @@ RootHost::RootHost(net::FabricBackend* f, HostShared* sh, const WallTimer* t,
       root(*r),
       topo(tp),
       ep(f, tp.root(), with_metrics(rc, metrics)),
-      node(tp, ro, std::move(metas), t->seconds()) {
+      node(tp, ro, picture_metas(*r), t->seconds()) {
   node.set_metrics(metrics);
   inst.resolve(obs::registry_or_global(metrics), tp.root(), 0);
 }
@@ -187,11 +210,6 @@ SplitterHost::SplitterHost(net::FabricBackend* f, HostShared* sh,
   obs::MetricsRegistry& r = obs::registry_or_global(metrics);
   inst.resolve(r, self(), 0);
   queue_depth = &r.gauge(obs::family::kQueueDepth, obs::Labels{self(), 0});
-}
-
-void SplitterHost::post_initial_credits() {
-  fabric.post_receive(self());
-  fabric.post_receive(self());
 }
 
 void SplitterHost::apply(proto::SplitterNode::Step step) {
@@ -323,11 +341,6 @@ DecoderHost::DecoderHost(net::FabricBackend* f, HostShared* sh,
   obs::MetricsRegistry& r = obs::registry_or_global(metrics);
   inst.resolve(r, self(), 0);
   queue_depth = &r.gauge(obs::family::kQueueDepth, obs::Labels{self(), 0});
-}
-
-void DecoderHost::post_initial_credits() {
-  fabric.post_receive(self());
-  fabric.post_receive(self());
 }
 
 TileDecoder::DisplayFn DecoderHost::display_fn(int tile) {

@@ -5,16 +5,17 @@
 // runs the actual work (splitting, pixel extraction, tile decoding) when the
 // machine says the inputs are complete.
 //
-// Extracted from the threaded pipeline so the same hosts serve every
-// deployment shape:
-//   * ClusterPipeline (core/pipeline.h)  — one thread per node over one
-//     shared in-process Fabric (the fast, deterministic test path);
-//   * run_socket_wall (core/socket_wall.h) — one thread per node, each with
-//     its own SocketFabric over real UDP loopback;
-//   * wall_node (examples/wall_node.cpp)  — one OS process per node, the
+// Two places construct hosts:
+//   * run_wall (core/wall_runner.h) — the in-process wall, one thread per
+//     node. Its two fabric adapters are ClusterPipeline (core/pipeline.h:
+//     every node on one shared in-process Fabric, the fast, deterministic
+//     test path) and run_socket_wall (core/socket_wall.h: one SocketFabric
+//     per node over real UDP loopback, wired by a rendezvous);
+//   * wall_node (examples/wall_node.cpp) — one OS process per node, the
 //     paper's actual deployment shape.
-// The protocol machines cannot tell these apart, which is what the
-// ProtocolEquivalence suite proves.
+// Both size the wire pool and post the initial credits with the helpers
+// below. The protocol machines cannot tell the shapes apart, which is what
+// the ProtocolEquivalence suite proves.
 #pragma once
 
 #include <atomic>
@@ -75,6 +76,21 @@ struct HostShared {
 void accumulate_transport(net::ReliableStats* into,
                           const net::ReliableStats& s);
 
+// Prewarm the wire pool (the GM analog of pre-posting buffers): mint every
+// size class up to twice the largest coded picture so the steady state
+// never misses, whatever peaks thread scheduling produces. The count covers
+// the sub-picture classes, whose peak concurrency scales with tiles (every
+// in-flight picture fans out one body per tile); prewarm itself caps the
+// picture-sized classes by bytes.
+void prewarm_wire_pool(const RootSplitter& root, const proto::Topology& topo);
+
+// Every bulk receiver (all but the root) posts its two receive buffers
+// before the stream starts — in GM this happens during connection setup. A
+// credit is receiver-local state, so posting early keeps the root's first
+// dispatch from burning retransmit budget on a creditless receiver.
+void post_initial_credits(net::FabricBackend& fabric,
+                          const proto::Topology& topo, int node);
+
 // Map a state-machine emission onto the transport and record it.
 void emit(net::ReliableEndpoint& ep, HostShared& shared, int src,
           proto::Outgoing o);
@@ -104,7 +120,6 @@ struct RootHost {
   RootHost(net::FabricBackend* f, HostShared* sh, const WallTimer* t,
            const RootSplitter* r, const proto::Topology& tp,
            const net::ReliableConfig& rc, const proto::RootNode::Options& ro,
-           std::vector<proto::PictureMeta> metas,
            obs::MetricsRegistry* metrics);
 
   void apply(proto::RootNode::Step step);
@@ -135,11 +150,6 @@ struct SplitterHost {
                bool adaptive_enabled = false);
 
   int self() const { return topo.splitter(index); }
-
-  // Post this node's two receive buffers. The threaded pipeline posts them
-  // centrally before the threads start; a per-node fabric (sockets) has no
-  // central place, so the host does it itself at the top of run-of-node.
-  void post_initial_credits();
 
   void apply(proto::SplitterNode::Step step);
   void handle(net::Message& m);
@@ -178,9 +188,6 @@ struct DecoderHost {
               obs::MetricsRegistry* metrics);
 
   int self() const { return topo.decoder(home_tile); }
-
-  // See SplitterHost::post_initial_credits().
-  void post_initial_credits();
 
   TileDecoder::DisplayFn display_fn(int tile);
   TileDecoder& dec(int tile);

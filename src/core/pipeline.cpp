@@ -1,14 +1,8 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
 #include <vector>
 
-#include "common/timing.h"
-#include "core/hosts.h"
-#include "core/root_splitter.h"
-#include "mem/pool.h"
+#include "core/wall_runner.h"
 
 namespace pdw::core {
 
@@ -19,128 +13,11 @@ ClusterPipeline::ClusterPipeline(const wall::TileGeometry& geo, int k,
 }
 
 ClusterStats ClusterPipeline::run(const TileDisplayFn& on_display) {
-  RootSplitter root(es_);
-  const int tiles = geo_.tiles();
-  const int total_pictures = root.picture_count();
-  const ProtocolConfig cfg = ft_.protocol;
+  // Every node thread shares the one in-process fabric.
   net::Fabric fabric(nodes());
   if (ft_.injector) fabric.set_fault_injector(ft_.injector);
-  std::mutex display_mu;
-  HostShared shared;
-  shared.ep_stats.resize(size_t(nodes()));
-  shared.acct.reset(nodes());
-  if (ft_.per_picture_exchange) shared.acct.per_picture_tiles = tiles;
-
-  WallTimer timer;
-
-  // Setup: prewarm the wire pool (the GM analog of pre-posting buffers) —
-  // mint every size class up to twice the largest coded picture so the
-  // steady state never misses, whatever peaks thread scheduling produces.
-  // The count covers the sub-picture classes, whose peak concurrency
-  // scales with tiles (every in-flight picture fans out one body per
-  // tile); prewarm itself caps the picture-sized classes by bytes.
-  {
-    size_t max_pic = 0;
-    for (int i = 0; i < total_pictures; ++i)
-      max_pic = std::max(max_pic, root.picture(i).size());
-    mem::BufferPool::wire().prewarm(max_pic * 2, 2 * nodes() + tiles + 8);
-  }
-
-  // Every bulk receiver posts its two receive buffers before the stream
-  // starts (in GM this happens during connection establishment).
-  for (int s = 0; s < k_; ++s) {
-    fabric.post_receive(splitter_node(s));
-    fabric.post_receive(splitter_node(s));
-  }
-  for (int t = 0; t < tiles; ++t) {
-    fabric.post_receive(decoder_node(t));
-    fabric.post_receive(decoder_node(t));
-  }
-
-  std::vector<proto::PictureMeta> metas(static_cast<size_t>(total_pictures));
-  for (int i = 0; i < total_pictures; ++i)
-    metas[size_t(i)].has_gop_header = root.span(i).has_gop_header;
-
-  std::thread root_thread([&] {
-    proto::RootNode::Options ro;
-    ro.heartbeat_timeout_s = cfg.heartbeat_timeout_s;
-    ro.recovery = ft_.recovery;
-    ro.adaptive = ft_.adaptive;
-    ro.adaptive.geo = &geo_;
-    RootHost host(&fabric, &shared, &timer, &root, topo_, cfg.reliable, ro,
-                  std::move(metas), ft_.metrics);
-    host.run();
-  });
-
-  std::vector<std::thread> splitter_threads;
-  for (int s = 0; s < k_; ++s) {
-    splitter_threads.emplace_back([&, s] {
-      SplitterHost host(&fabric, &shared, topo_, s, cfg.reliable, geo_,
-                        root.stream_info(), ft_.metrics,
-                        ft_.adaptive.enabled);
-      host.run();
-    });
-  }
-
-  std::vector<std::thread> decoder_threads;
-  for (int t = 0; t < tiles; ++t) {
-    decoder_threads.emplace_back([&, t] {
-      proto::DecoderNode::Options dopts;
-      dopts.heartbeat_interval_s = cfg.heartbeat_interval_s;
-      dopts.total_pictures = uint32_t(total_pictures);
-      DecoderHost host(&fabric, &shared, &timer, topo_, t, cfg.reliable, geo_,
-                       root.stream_info(), on_display, &display_mu, dopts,
-                       ft_.metrics);
-      host.run(uint32_t(total_pictures));
-    });
-  }
-
-  // Decoders stay resident (t-acking) after finishing, so completion is
-  // signalled by a counter rather than join: every decoder thread counts
-  // itself done exactly once, whether it finished the stream or was killed.
-  while (shared.decoders_done.load(std::memory_order_acquire) < tiles)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  shared.root_stop.store(true);
-  root_thread.join();
-  // The root consumed every finished notice before exiting; what remains in
-  // flight is the tail of transport acks. Give those a bounded window to be
-  // consumed so shutdown discards nothing (keeps traffic accounting
-  // conserved); fault-delayed messages may legitimately never drain.
-  const auto drain_start = std::chrono::steady_clock::now();
-  while (!fabric.quiescent() &&
-         std::chrono::steady_clock::now() - drain_start <
-             std::chrono::milliseconds(250))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  fabric.shutdown();
-  for (auto& th : decoder_threads) th.join();
-  for (auto& th : splitter_threads) th.join();
-
-  ClusterStats stats;
-  stats.pictures = total_pictures;
-  stats.wall_seconds = timer.seconds();
-  stats.fps = double(total_pictures) / stats.wall_seconds;
-  stats.nodes = nodes();
-  for (int nid = 0; nid < nodes(); ++nid)
-    stats.node_counters.push_back(fabric.counters(nid));
-  stats.traffic_matrix = fabric.traffic_matrix();
-  for (const net::ReliableStats& s : shared.ep_stats)
-    accumulate_transport(&stats.ft.transport, s);
-  stats.ft.degraded_frames = shared.degraded.load();
-  stats.ft.skipped_pictures = shared.skipped.load();
-  {
-    std::lock_guard<std::mutex> lock(shared.mu);
-    stats.ft.recoveries = shared.recoveries;
-  }
-  {
-    std::lock_guard<std::mutex> lock(shared.acct_mu);
-    stats.wire = std::move(shared.acct);
-  }
-  // Control-plane overhead (heartbeat bytes) as a registry family, so a
-  // live dashboard sees it without digging into WireAccounting.
-  obs::registry_or_global(ft_.metrics)
-      .counter(obs::family::kControlBytes)
-      .add(stats.wire.control.total());
-  return stats;
+  const std::vector<net::FabricBackend*> per_node(size_t(nodes()), &fabric);
+  return run_wall(geo_, k_, es_, on_display, ft_, per_node);
 }
 
 }  // namespace pdw::core

@@ -6,13 +6,13 @@
 // ack redirection, one-picture-ahead go-ahead gating, heartbeat monitoring,
 // death detection, resynchronization-picture selection, adopt-vs-degrade
 // rerouting, skip broadcasts — lives in the proto/ node state machines
-// (proto/nodes.h). This file only *hosts* them: one thread per node pumps a
-// net::ReliableEndpoint, decodes incoming wire messages, feeds them to its
-// state machine and transmits whatever the machine returns, running the
-// actual compute (splitting, pixel extraction, tile decoding) when the
-// machine says the inputs are complete. The lockstep reference and the
-// discrete-event simulator drive the very same machines, which keeps the
-// three engines protocol-identical by construction.
+// (proto/nodes.h). The wall only *hosts* them (core/hosts.h): one thread
+// per node pumps a net::ReliableEndpoint, decodes incoming wire messages,
+// feeds them to its state machine and transmits whatever the machine
+// returns, running the actual compute (splitting, pixel extraction, tile
+// decoding) when the machine says the inputs are complete. The lockstep
+// reference and the discrete-event simulator drive the very same machines,
+// which keeps the engines protocol-identical by construction.
 //
 // Transport properties (net/):
 //   * two posted receive buffers per bulk receiver, recycled on receipt;
@@ -24,9 +24,11 @@
 //   * a node the root declares dead is fenced off (Fabric::kill) and dropped
 //     from every endpoint's retransmit queues (forget_peer).
 //
-// On this host the threads share one core, so this pipeline demonstrates
-// correctness and protocol liveness; scalability numbers come from the
-// discrete-event simulator (src/sim) replaying lockstep-measured costs.
+// ClusterPipeline is the in-process-fabric adapter of the one wall runner
+// (core/wall_runner.h); run_socket_wall (core/socket_wall.h) is the other.
+// Its frame rate is a measurement on real threads; the discrete-event
+// simulator (src/sim) predicts the same wall from lockstep-measured costs,
+// and those predictions are checked against such measurements.
 #pragma once
 
 #include <functional>
@@ -77,9 +79,9 @@ struct ProtocolConfig {
 // spelling for existing callers.
 using RecoveryPolicy = proto::RecoveryPolicy;
 
-struct FtOptions {
+// What every in-process wall is configured with, whatever its fabric.
+struct WallOptions {
   ProtocolConfig protocol;
-  const net::FaultInjector* injector = nullptr;  // borrowed; may be null
   RecoveryPolicy recovery = RecoveryPolicy::kAdopt;
   // Also record per-picture tile x tile exchange matrices in stats.wire
   // (test_parallel_equivalence compares them against the lockstep traces).
@@ -88,6 +90,10 @@ struct FtOptions {
   obs::MetricsRegistry* metrics = nullptr;
   // Adaptive per-GOP tile rebalancing. The engine fills in `geo` itself.
   proto::RootNode::AdaptivePartition adaptive;
+};
+
+struct FtOptions : WallOptions {
+  const net::FaultInjector* injector = nullptr;  // borrowed; may be null
 };
 
 class ClusterPipeline {

@@ -2,7 +2,9 @@
 // with its *own* SocketFabric, discovered through a genuine UDP rendezvous —
 // exactly the multi-process deployment shape (examples/wall_node.cpp) minus
 // fork/exec, so tests and CI can exercise the socket transport, the
-// rendezvous flow and real loopback loss without process management.
+// rendezvous flow and real loopback loss without process management. The
+// node threads are the one wall runner's (core/wall_runner.h); this engine
+// only adds the fabrics and the rendezvous bring-up.
 //
 // Loss/delay/duplication are applied by the deterministic UDP impairment
 // proxy (net/impair.h) when configured — the datagrams really do vanish on
@@ -16,18 +18,10 @@
 
 namespace pdw::core {
 
-struct SocketWallOptions {
-  ProtocolConfig protocol;
-  RecoveryPolicy recovery = RecoveryPolicy::kAdopt;
-  // Also record per-picture tile x tile exchange matrices in stats.wire.
-  bool per_picture_exchange = false;
-  obs::MetricsRegistry* metrics = nullptr;
-  // Route every datagram through the impairment proxy with this schedule.
-  bool impair = false;
-  net::ImpairConfig impair_cfg;
-  double rendezvous_timeout_s = 20.0;
-  // Adaptive per-GOP tile rebalancing. The engine fills in `geo` itself.
-  proto::RootNode::AdaptivePartition adaptive;
+struct SocketWallOptions : WallOptions {
+  // Route every datagram through the impairment proxy with this schedule;
+  // the proxy runs only when some rate is above zero.
+  net::ImpairConfig impair;
   // Telemetry sideband: when telemetry_port != 0, one process-wide exporter
   // streams metric/span deltas to a collector at 127.0.0.1:telemetry_port.
   uint16_t telemetry_port = 0;

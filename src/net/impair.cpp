@@ -13,6 +13,7 @@
 #include <queue>
 
 #include "common/check.h"
+#include "net/rendezvous.h"
 
 namespace pdw::net {
 
@@ -149,6 +150,15 @@ void ImpairProxy::run() {
       }
     }
   }
+}
+
+void impair_rendezvous(RendezvousServer* server, const ImpairConfig& cfg,
+                       std::unique_ptr<ImpairProxy>* proxy) {
+  if (cfg.loss <= 0 && cfg.dup <= 0 && cfg.delay <= 0) return;
+  server->set_map_transform([cfg, proxy](const std::vector<Endpoint>& real) {
+    *proxy = std::make_unique<ImpairProxy>(real, cfg);
+    return (*proxy)->proxied();
+  });
 }
 
 }  // namespace pdw::net

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -72,5 +73,16 @@ class ImpairProxy {
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };
+
+class RendezvousServer;
+
+// Impair a rendezvous-wired wall when `cfg` sets any rate above zero: the
+// server then hands out the fronts of a proxy over the real endpoints, so
+// every node (the root joining its own listener too) sends through the
+// lossy path. The proxy lands in `*proxy` on the server's thread when the
+// last node joins; read it only after server->result(). Call before
+// serving.
+void impair_rendezvous(RendezvousServer* server, const ImpairConfig& cfg,
+                       std::unique_ptr<ImpairProxy>* proxy);
 
 }  // namespace pdw::net

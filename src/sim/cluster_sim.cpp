@@ -165,14 +165,7 @@ SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
 
     int s = 0;
     if (params.two_level) {
-      if (params.schedule == RootSchedule::kRoundRobin) {
-        s = topo.splitter_for_picture(uint32_t(i));
-      } else {
-        // Least-loaded: the root tracks outstanding work and picks the
-        // splitter that will free up first (§6 future work).
-        for (int j = 1; j < k; ++j)
-          if (splitter_free[size_t(j)] < splitter_free[size_t(s)]) s = j;
-      }
+      s = topo.splitter_for_picture(uint32_t(i));
       result.traffic[size_t(splitter_node(s))].recv_bytes +=
           double(tr.picture_bytes) + kMsgHeader;
       result.traffic[size_t(splitter_node(s))].sent_bytes += kAckBytes;

@@ -1,12 +1,14 @@
 // Discrete-event cluster simulator.
 //
-// The host has a single CPU core, so the threaded pipeline cannot exhibit
-// real speedups. Instead, the lockstep pipeline measures the true cost of
-// every protocol operation on real data (split time, per-tile decode time,
-// serve time, every message size), and this simulator replays the paper's
-// Table-3 protocol on a modeled cluster: one node per PC, sequential compute
-// per node, and a Myrinet-class link model (per-node NIC serialization at a
-// configurable bandwidth plus a fixed per-message latency).
+// A machine running the threaded wall has far fewer cores than the paper's
+// 25-PC cluster has nodes, so this simulator predicts what the cluster would
+// do. The lockstep pipeline measures the true cost of every protocol
+// operation on real data (split time, per-tile decode time, serve time,
+// every message size), and this simulator replays the paper's Table-3
+// protocol on a modeled cluster: one node per PC, sequential compute per
+// node, and a Myrinet-class link model (per-node NIC serialization at a
+// configurable bandwidth plus a fixed per-message latency). Its figures are
+// predictions, to be checked against the measured threaded and socket walls.
 //
 // The protocol's dependency structure is acyclic per picture (all SENDs
 // precede all remote-block consumption), so the "simulation" is an exact
@@ -41,13 +43,6 @@ struct LinkModel {
   double transfer_s(size_t bytes) const {
     return double(bytes) * 8.0 / bandwidth_bps;
   }
-};
-
-// How the root assigns pictures to second-level splitters. The paper uses
-// round-robin and names dynamic load balancing as future work (§6).
-enum class RootSchedule {
-  kRoundRobin,
-  kLeastLoaded,  // send to the splitter that will go idle first
 };
 
 // Fault schedule replayed by the DES — mirrors the threaded runtime's fault
@@ -94,7 +89,6 @@ struct SimParams {
   int k = 1;              // second-level splitters
   bool two_level = true;  // false: 1-(m,n), the root splits macroblocks itself
   LinkModel link;
-  RootSchedule schedule = RootSchedule::kRoundRobin;
   // Scale all measured compute times by this factor (1.0 = this host's
   // speed). Exposed so experiments can model slower/faster node CPUs.
   double cpu_scale = 1.0;

@@ -217,11 +217,10 @@ TEST(AdaptivePartitioning, SocketWallBitExactUnderRealLossAcrossEpochs) {
 
   core::SocketWallOptions so;
   so.adaptive = eager_adaptive();
-  so.impair = true;
-  so.impair_cfg.seed = 23;
-  so.impair_cfg.loss = 0.05;
-  so.impair_cfg.delay = 0.05;
-  so.impair_cfg.delay_s = 0.002;
+  so.impair.seed = 23;
+  so.impair.loss = 0.05;
+  so.impair.delay = 0.05;
+  so.impair.delay_s = 0.002;
 
   EpochAssembler wall{geo, lockstep.partitions()};
   const core::ClusterStats stats = core::run_socket_wall(

@@ -338,12 +338,11 @@ TEST(ProtocolEquivalence, SocketWallBitExactUnderRealLoss) {
   wall::TileGeometry geo(w, h, 2, 2, 0);
 
   core::SocketWallOptions so;
-  so.impair = true;
-  so.impair_cfg.seed = 11;
-  so.impair_cfg.loss = 0.05;
-  so.impair_cfg.dup = 0.02;
-  so.impair_cfg.delay = 0.05;
-  so.impair_cfg.delay_s = 0.002;
+  so.impair.seed = 11;
+  so.impair.loss = 0.05;
+  so.impair.dup = 0.02;
+  so.impair.delay = 0.05;
+  so.impair.delay_s = 0.002;
 
   std::map<int, std::unique_ptr<wall::WallAssembler>> pending;
   std::map<int, int> tiles_seen;

@@ -7,6 +7,7 @@
 #include <map>
 
 #include "core/pipeline.h"
+#include "core/socket_wall.h"
 #include "enc/encoder.h"
 #include "mpeg2/decoder.h"
 #include "video/generator.h"
@@ -48,9 +49,11 @@ struct ThreadedRun {
   ClusterStats stats;
 };
 
+enum class Engine { kThreaded, kSocket };
+
 ThreadedRun threaded_decode(const std::vector<uint8_t>& es,
-                            const wall::TileGeometry& geo, int k) {
-  ClusterPipeline pipeline(geo, k, es);
+                            const wall::TileGeometry& geo, int k,
+                            Engine engine = Engine::kThreaded) {
   struct Pending {
     std::unique_ptr<wall::WallAssembler> assembler;
     int tiles = 0;
@@ -59,8 +62,9 @@ ThreadedRun threaded_decode(const std::vector<uint8_t>& es,
   std::map<int, Frame> finished;
 
   ThreadedRun run;
-  run.stats = pipeline.run([&](int tile, const mpeg2::TileFrame& tf,
-                               const TileDisplayInfo& info) {
+  const core::TileDisplayFn on_display = [&](int tile,
+                                             const mpeg2::TileFrame& tf,
+                                             const TileDisplayInfo& info) {
     Pending& p = pending[info.display_index];
     if (!p.assembler) p.assembler = std::make_unique<wall::WallAssembler>(geo);
     p.assembler->add_tile(tile, tf);
@@ -69,7 +73,10 @@ ThreadedRun threaded_decode(const std::vector<uint8_t>& es,
       finished.emplace(info.display_index, p.assembler->frame());
       pending.erase(info.display_index);
     }
-  });
+  };
+  run.stats = engine == Engine::kSocket
+                  ? core::run_socket_wall(geo, k, es, on_display)
+                  : ClusterPipeline(geo, k, es).run(on_display);
   EXPECT_TRUE(pending.empty());
   int next = 0;
   while (finished.count(next)) {
@@ -112,21 +119,31 @@ INSTANTIATE_TEST_SUITE_P(Configs, ThreadedPipeline,
                                   "k" + std::to_string(std::get<2>(info.param));
                          });
 
-TEST(ThreadedPipelineStats, TrafficAccountingIsConserved) {
+// Both engines run through the one wall runner, which assembles the traffic
+// matrix from each node's send row.
+class WallStats : public ::testing::TestWithParam<Engine> {};
+
+TEST_P(WallStats, TrafficAccountingIsConserved) {
   const int w = 256, h = 192;
   const auto es = make_stream(w, h, 6);
   wall::TileGeometry geo(w, h, 2, 2, 0);
-  const auto run = threaded_decode(es, geo, 2);
+  const auto run = threaded_decode(es, geo, 2, GetParam());
+  // The in-process fabric sees both ends of every message; a socket fabric
+  // only counts what arrived, and a receiver drops what it cannot take.
+  const bool in_process = GetParam() == Engine::kThreaded;
 
   uint64_t sent = 0, recv = 0;
   for (const auto& c : run.stats.node_counters) {
     sent += c.sent_bytes;
     recv += c.recv_bytes;
   }
-  EXPECT_EQ(sent, recv);
+  if (in_process) {
+    EXPECT_EQ(sent, recv);
+  }
   EXPECT_GT(sent, 0u);
 
-  // Traffic matrix row/column sums equal node counters.
+  // Traffic matrix row sums equal node counters (column sums too in
+  // process).
   const int nodes = run.stats.nodes;
   for (int n = 0; n < nodes; ++n) {
     uint64_t row = 0, col = 0;
@@ -135,9 +152,19 @@ TEST(ThreadedPipelineStats, TrafficAccountingIsConserved) {
       col += run.stats.traffic_matrix.at(d, n);
     }
     EXPECT_EQ(row, run.stats.node_counters[size_t(n)].sent_bytes);
-    EXPECT_EQ(col, run.stats.node_counters[size_t(n)].recv_bytes);
+    if (in_process) {
+      EXPECT_EQ(col, run.stats.node_counters[size_t(n)].recv_bytes);
+    }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, WallStats,
+                         ::testing::Values(Engine::kThreaded, Engine::kSocket),
+                         [](const auto& info) {
+                           return info.param == Engine::kSocket
+                                      ? std::string("socket")
+                                      : std::string("threaded");
+                         });
 
 TEST(ThreadedPipelineStats, RootSendsOnlyToSplitters) {
   const int w = 256, h = 192;
