@@ -54,12 +54,13 @@ int main() {
   merge_hist(clean_reg, obs::family::kRttJitterNs, nodes, &jitter);
 
   obs::MetricsRegistry lossy_reg;
+  net::FaultRates lossy_rates;
+  lossy_rates.drop = 0.02;
+  lossy_rates.delay = 0.05;
+  const net::FaultInjector lossy(/*seed=*/42, lossy_rates);
   core::SocketWallOptions lo;
   lo.metrics = &lossy_reg;
-  lo.impair.seed = 42;
-  lo.impair.loss = 0.02;
-  lo.impair.delay = 0.05;
-  lo.impair.delay_s = 0.001;
+  lo.injector = &lossy;
   const core::ClusterStats l = core::run_socket_wall(geo, k, es, nullptr, lo);
 
   // Telemetry overhead: the same wall streaming its metric/span sideband to

@@ -19,9 +19,10 @@
 //   wall_node --node 3 --k 2 --m 2 --n 2 --rv-port 47313 --report /tmp/r3
 //   wall_node --check --k 2 --m 2 --n 2 --reports /tmp/r0 /tmp/r1 ...
 //
-// Impairment (--loss/--dup/--delay, root only) routes every fabric datagram
-// through the deterministic UDP impairment proxy: the rendezvous listener
-// hands out the proxy's front addresses instead of the real endpoints.
+// Impairment (--loss/--dup/--delay/--impair-seed) builds a seeded
+// FaultInjector that this process's SocketFabric applies to every datagram
+// it receives. Each process impairs only what it receives, so pass the same
+// flags to every node to impair the whole wall.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -41,7 +42,7 @@
 #include "core/pipeline.h"
 #include "core/root_splitter.h"
 #include "enc/encoder.h"
-#include "net/impair.h"
+#include "net/fault.h"
 #include "net/rendezvous.h"
 #include "net/socket_fabric.h"
 #include "obs/flight.h"
@@ -65,7 +66,7 @@ struct Options {
   uint16_t rv_port = 0;
   std::string report;
   std::vector<std::string> reports;
-  double loss = 0, dup = 0, delay = 0, delay_s = 0.002;
+  double loss = 0, dup = 0, delay = 0;
   uint64_t impair_seed = 1;
   double timeout_s = 30;
   double linger_s = 1.0;
@@ -85,12 +86,14 @@ int usage() {
       "wall_node --node N --k K --m M --n N [--overlap O]\n"
       "          [--width W --height H --frames F --scene S --seed X]\n"
       "          --rv-port P --report FILE\n"
-      "          [--loss p --dup p --delay p --delay-s s --impair-seed X]\n"
+      "          [--loss p --dup p --delay p --impair-seed X]\n"
       "          [--timeout s --linger s]\n"
       "          [--telemetry-port P --telemetry-interval s]\n"
       "          [--flight-dir DIR --hb-timeout s --die-after N]\n"
       "wall_node --check --k K --m M --n N [...stream args]\n"
-      "          --reports FILE...\n");
+      "          --reports FILE...\n"
+      "Each node impairs the datagrams it receives: pass the same --loss,\n"
+      "--dup, --delay and --impair-seed to every node.\n");
   return 2;
 }
 
@@ -123,7 +126,6 @@ bool parse(int argc, char** argv, Options* o) {
       else if (a == "--loss") o->loss = std::atof(v);
       else if (a == "--dup") o->dup = std::atof(v);
       else if (a == "--delay") o->delay = std::atof(v);
-      else if (a == "--delay-s") o->delay_s = std::atof(v);
       else if (a == "--impair-seed") o->impair_seed = uint64_t(std::atoll(v));
       else if (a == "--timeout") o->timeout_s = std::atof(v);
       else if (a == "--linger") o->linger_s = std::atof(v);
@@ -391,26 +393,24 @@ int run_node(const Options& o) {
   pdw::core::prewarm_wire_pool(root, topo);
 
   const pdw::core::ProtocolConfig cfg;
-  pdw::net::SocketFabric fabric(o.node, nodes);
+  // Every process builds the same seeded schedule and applies it to what it
+  // receives; decisions key on (sender, receiver), so the processes
+  // together impair every link.
+  pdw::net::FaultRates rates;
+  rates.drop = o.loss;
+  rates.dup = o.dup;
+  rates.delay = o.delay;
+  const pdw::net::FaultInjector injector(o.impair_seed, rates);
+  pdw::net::SocketFabricConfig fab_cfg;
+  if (o.loss > 0 || o.dup > 0 || o.delay > 0) fab_cfg.injector = &injector;
+  pdw::net::SocketFabric fabric(o.node, nodes, fab_cfg);
   pdw::net::RendezvousConfig rv_cfg;
   rv_cfg.timeout_s = o.timeout_s;
 
-  // The root hosts the rendezvous listener on the well-known port. With
-  // impairment requested, the listener hands out the impairment proxy's
-  // front addresses instead of the real endpoints — every process
-  // (including the root itself, which joins like everyone else) then sends
-  // through the lossy path.
+  // The root hosts the rendezvous listener on the well-known port.
   std::unique_ptr<pdw::net::RendezvousServer> rv;
-  std::unique_ptr<pdw::net::ImpairProxy> proxy;
   if (o.node == topo.root()) {
     rv = std::make_unique<pdw::net::RendezvousServer>(nodes, o.rv_port);
-    pdw::net::ImpairConfig ic;
-    ic.seed = o.impair_seed;
-    ic.loss = o.loss;
-    ic.dup = o.dup;
-    ic.delay = o.delay;
-    ic.delay_s = o.delay_s;
-    pdw::net::impair_rendezvous(rv.get(), ic, &proxy);
     rv->serve_async(rv_cfg);
   }
 
@@ -434,6 +434,20 @@ int run_node(const Options& o) {
     return 3;
   }
   fabric.set_peers(peers);
+
+  // A splitter or decoder runs its host on a thread until the role's done
+  // counter rises, then lingers so peers' tail retransmissions are still
+  // t-acked, and stops the fabric.
+  auto run_role = [&](const std::atomic<int>& done, auto host_body) {
+    std::thread th(host_body);
+    while (done.load(std::memory_order_acquire) < 1)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(int(o.linger_s * 1000)));
+    fabric.shutdown();
+    th.join();
+    return shared.ep_stats[size_t(o.node)];
+  };
 
   pdw::net::ReliableStats final_stats;
   if (o.node == topo.root()) {
@@ -461,19 +475,12 @@ int run_node(const Options& o) {
     }
     final_stats = host.ep.stats();
   } else if (o.node <= o.k) {
-    const int s = o.node - 1;
-    std::thread th([&] {
-      pdw::core::SplitterHost host(&fabric, &shared, topo, s, cfg.reliable,
-                                   geo, root.stream_info(), nullptr);
+    final_stats = run_role(shared.splitters_done, [&] {
+      pdw::core::SplitterHost host(&fabric, &shared, topo, o.node - 1,
+                                   cfg.reliable, geo, root.stream_info(),
+                                   nullptr);
       host.run();
     });
-    while (shared.splitters_done.load(std::memory_order_acquire) < 1)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(int(o.linger_s * 1000)));
-    fabric.shutdown();
-    th.join();
-    final_stats = shared.ep_stats[size_t(o.node)];
   } else {
     const int tile = topo.tile_of(o.node);
     int displayed = 0;
@@ -486,7 +493,7 @@ int run_node(const Options& o) {
           if (o.die_after > 0 && ++displayed >= o.die_after)
             std::raise(SIGTERM);
         };
-    std::thread th([&] {
+    final_stats = run_role(shared.decoders_done, [&] {
       pdw::proto::DecoderNode::Options dopts;
       dopts.heartbeat_interval_s = cfg.heartbeat_interval_s;
       dopts.total_pictures = uint32_t(total_pictures);
@@ -495,17 +502,9 @@ int run_node(const Options& o) {
                                   on_display, &display_mu, dopts, nullptr);
       host.run(uint32_t(total_pictures));
     });
-    while (shared.decoders_done.load(std::memory_order_acquire) < 1)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(int(o.linger_s * 1000)));
-    fabric.shutdown();
-    th.join();
-    final_stats = shared.ep_stats[size_t(o.node)];
   }
 
   fabric.shutdown();
-  if (proxy) proxy->stop();
   if (telemetry) telemetry->stop();  // final flush + Bye, after all spans
   write_report(o.report, o.node, nodes, shared, final_stats, digests);
   std::printf("node %d done: %llu sent, %llu retransmits, %.2fs\n", o.node,

@@ -8,9 +8,10 @@
 # Two legs:
 #   clean — plain loopback; the equivalence gate (socket-host wire
 #           accounting must match the in-process engine's).
-#   lossy — the root's deterministic impairment proxy drops 5% / dups 2% /
-#           delays 5% of every datagram; the gate is still bit-exact output
-#           (retransmission must recover everything, abandon nothing).
+#   lossy — every node's seeded fault injector drops 5% / dups 2% / delays
+#           5% of the datagrams it receives (the same flags go to every
+#           node); the gate is still bit-exact output (retransmission must
+#           recover everything, abandon nothing).
 #
 # Usage: scripts/socket_smoke.sh [build_dir]
 set -euo pipefail
@@ -39,8 +40,8 @@ run_leg() {
     pids+=($!)
     reports+=("$dir/r$node")
   done
-  # Node 0 hosts the rendezvous listener (and the impairment proxy, if any);
-  # run it in the foreground so its exit code gates the leg.
+  # Node 0 hosts the rendezvous listener; run it in the foreground so its
+  # exit code gates the leg.
   timeout 120 "$bin" --node 0 "${stream[@]}" --rv-port "$port" \
     --report "$dir/r0" "$@"
   local rc=0
@@ -51,7 +52,6 @@ run_leg() {
 }
 
 run_leg clean 47381
-run_leg lossy 47391 --loss 0.05 --dup 0.02 --delay 0.05 --delay-s 0.002 \
-  --impair-seed 11
+run_leg lossy 47391 --loss 0.05 --dup 0.02 --delay 0.05 --impair-seed 11
 
 echo "socket smoke: both legs PASS"

@@ -90,16 +90,18 @@ struct WallOptions {
   obs::MetricsRegistry* metrics = nullptr;
   // Adaptive per-GOP tile rebalancing. The engine fills in `geo` itself.
   proto::RootNode::AdaptivePartition adaptive;
+  // Faults on every node's fabric (borrowed; may be null): per message on
+  // the in-process fabric, per received datagram on socket fabrics.
+  const net::FaultInjector* injector = nullptr;
 };
 
-struct FtOptions : WallOptions {
-  const net::FaultInjector* injector = nullptr;  // borrowed; may be null
-};
+// Kept for callers that spell the options FtOptions.
+using FtOptions = WallOptions;
 
 class ClusterPipeline {
  public:
   ClusterPipeline(const wall::TileGeometry& geo, int k,
-                  std::span<const uint8_t> es, FtOptions ft = {});
+                  std::span<const uint8_t> es, WallOptions opts = {});
 
   // Thread-safe display callback (called with an internal mutex held).
   using TileDisplayFn = core::TileDisplayFn;
@@ -116,7 +118,7 @@ class ClusterPipeline {
   int k_;
   proto::Topology topo_;
   std::span<const uint8_t> es_;
-  FtOptions ft_;
+  WallOptions opts_;
 };
 
 }  // namespace pdw::core

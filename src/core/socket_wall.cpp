@@ -43,10 +43,8 @@ ClusterStats run_socket_wall(const wall::TileGeometry& geo, int k,
   }
 
   // The rendezvous listener hands out the endpoint map exactly as it would
-  // across machines — or the impairment proxy's fronts standing in for it.
+  // across machines.
   net::RendezvousServer rv(n);
-  std::unique_ptr<net::ImpairProxy> proxy;
-  net::impair_rendezvous(&rv, opts.impair, &proxy);
   net::RendezvousConfig rv_cfg;
   rv_cfg.timeout_s = kRendezvousTimeoutS;
   rv.serve_async(rv_cfg);
@@ -56,6 +54,7 @@ ClusterStats run_socket_wall(const wall::TileGeometry& geo, int k,
   std::vector<net::FabricBackend*> fabrics;
   net::SocketFabricConfig fab_cfg;
   fab_cfg.metrics = opts.metrics;
+  fab_cfg.injector = opts.injector;
   for (int node = 0; node < n; ++node) {
     sockets.push_back(std::make_unique<net::SocketFabric>(node, n, fab_cfg));
     fabrics.push_back(sockets.back().get());
@@ -73,7 +72,6 @@ ClusterStats run_socket_wall(const wall::TileGeometry& geo, int k,
       });
   PDW_CHECK(rv.result() == net::RendezvousStatus::kOk)
       << " rendezvous listener timed out";
-  if (proxy) proxy->stop();
   if (telemetry) telemetry->stop();  // final flush + Bye, after all spans
   return stats;
 }

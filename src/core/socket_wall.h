@@ -2,26 +2,23 @@
 // with its *own* SocketFabric, discovered through a genuine UDP rendezvous —
 // exactly the multi-process deployment shape (examples/wall_node.cpp) minus
 // fork/exec, so tests and CI can exercise the socket transport, the
-// rendezvous flow and real loopback loss without process management. The
+// rendezvous flow and datagram loss without process management. The
 // node threads are the one wall runner's (core/wall_runner.h); this engine
 // only adds the fabrics and the rendezvous bring-up.
 //
-// Loss/delay/duplication are applied by the deterministic UDP impairment
-// proxy (net/impair.h) when configured — the datagrams really do vanish on
-// the socket path, unlike the in-process fabric's injected faults.
+// WallOptions::injector reaches every node's SocketFabric, which applies it
+// to each datagram that node receives: a dropped datagram never reaches
+// reassembly, so to the transport it is as lost as one the kernel dropped,
+// while the schedule stays a pure function of the seed.
 #pragma once
 
 #include <span>
 
 #include "core/pipeline.h"
-#include "net/impair.h"
 
 namespace pdw::core {
 
 struct SocketWallOptions : WallOptions {
-  // Route every datagram through the impairment proxy with this schedule;
-  // the proxy runs only when some rate is above zero.
-  net::ImpairConfig impair;
   // Telemetry sideband: when telemetry_port != 0, one process-wide exporter
   // streams metric/span deltas to a collector at 127.0.0.1:telemetry_port.
   uint16_t telemetry_port = 0;

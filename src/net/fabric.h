@@ -86,8 +86,8 @@ enum class RecvStatus {
 //   * Fabric       — the in-process GM-like fabric below (one instance shared
 //                    by every node thread; the fast, deterministic test path);
 //   * SocketFabric — net/socket_fabric.h, real nonblocking UDP datagrams (one
-//                    instance per node; loss, reordering and peer death are
-//                    physical phenomena, not injected ones).
+//                    instance per node; besides whatever the network does,
+//                    the same FaultInjector applies per received datagram).
 // ReliableEndpoint and the core/ node hosts are written against this
 // interface, which is what lets the same protocol machines run in one
 // process or across many.

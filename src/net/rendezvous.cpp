@@ -185,19 +185,14 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
     if (std::all_of(joined_.begin(), joined_.end(),
                     [](bool b) { return b; }) &&
         t >= next_push) {
-      if (!transformed_) {
-        handout_ = transform_ ? transform_(map_) : map_;
-        PDW_CHECK_EQ(int(handout_.size()), nodes_);
-        transformed_ = true;
-      }
       // Push MAP to every unacked joiner (initial send and loss recovery).
       uint8_t map[12 + 8 * 512];
       put_u32(map + 0, kRvMagic);
       put_u32(map + 4, kMap);
       put_u32(map + 8, uint32_t(nodes_));
       for (int i = 0; i < nodes_; ++i) {
-        put_u32(map + 12 + size_t(i) * 8, handout_[size_t(i)].ip);
-        put_u32(map + 16 + size_t(i) * 8, handout_[size_t(i)].port);
+        put_u32(map + 12 + size_t(i) * 8, map_[size_t(i)].ip);
+        put_u32(map + 16 + size_t(i) * 8, map_[size_t(i)].port);
       }
       const size_t map_len = 12 + size_t(nodes_) * 8;
       for (int i = 0; i < nodes_; ++i) {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -59,21 +58,11 @@ class RendezvousServer {
   // The collected map (valid once serve() returned kOk).
   const std::vector<Endpoint>& map() const { return map_; }
 
-  // Transform the collected map before it is handed out — e.g. substitute
-  // impairment-proxy fronts for the real endpoints. Called exactly once,
-  // when the last JOIN lands. Must be set before serve().
-  using MapTransform =
-      std::function<std::vector<Endpoint>(const std::vector<Endpoint>&)>;
-  void set_map_transform(MapTransform fn) { transform_ = std::move(fn); }
-
  private:
   int fd_ = -1;
   Endpoint local_;
   int nodes_;
   std::vector<Endpoint> map_;
-  std::vector<Endpoint> handout_;  // transformed map actually distributed
-  MapTransform transform_;
-  bool transformed_ = false;
   // Source address of each node's JOIN — where MAP replies go (the joiner's
   // rendezvous socket, distinct from its fabric endpoint in map_).
   std::vector<Endpoint> join_source_;

@@ -45,6 +45,9 @@ constexpr size_t kDgramHeaderBytes = 48;
 // under the 64 KiB UDP limit. Receive buffers are sized for this maximum
 // whatever this node's configured send-side fragment size is.
 constexpr size_t kFragBytes = size_t(kMaxFragmentBytes);
+// The largest message must fit the u16 fragment count at the smallest
+// fragment size.
+static_assert(kMaxMessageBytes / kMinFragmentBytes < 65536);
 
 void put_u32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
 void put_u16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, 2); }
@@ -103,6 +106,7 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
   obs::MetricsRegistry& reg = obs::registry_or_global(cfg_.metrics);
   const obs::Labels l{self_, -1};
   m_dgram_tx_ = &reg.counter(obs::family::kSocketDatagramsTx, l);
+  m_send_failures_ = &reg.counter(obs::family::kSocketSendFailures, l);
   m_dgram_rx_ = &reg.counter(obs::family::kSocketDatagramsRx, l);
   m_rx_drops_ = &reg.counter(obs::family::kSocketRxDrops, l);
   m_peer_unreachable_ = &reg.counter(obs::family::kSocketPeerUnreachable, l);
@@ -143,6 +147,7 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
   msg.src = src;  // stamped by the fabric, exactly as the in-process one does
   const uint32_t msg_id = next_msg_id_++;
   const size_t total = msg.payload.size();
+  PDW_CHECK_LE(total, kMaxMessageBytes);
   const uint16_t frag_count =
       uint16_t(total == 0 ? 1 : (total + frag_bytes_ - 1) / frag_bytes_);
   sockaddr_in sa = to_sockaddr(peers_[size_t(dst)]);
@@ -169,9 +174,13 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
     put_u32(dgram + 44,
             crc32(std::span<const uint8_t>(dgram, kDgramHeaderBytes - 4)));
     if (n > 0) std::memcpy(dgram + kDgramHeaderBytes, msg.payload.data() + off, n);
-    ::sendto(fd_, dgram, kDgramHeaderBytes + n, 0,
-             reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
-    m_dgram_tx_->add();
+    // A failed send (full buffer, unroutable peer) is ordinary loss to the
+    // transport, recovered by retransmission; it is counted, not reported.
+    if (::sendto(fd_, dgram, kDgramHeaderBytes + n, 0,
+                 reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) < 0)
+      m_send_failures_->add();
+    else
+      m_dgram_tx_->add();
   }
 
   {
@@ -209,88 +218,130 @@ void SocketFabric::finish_message(Message msg) {
   queued_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SocketFabric::ingest(const uint8_t* data, size_t len) {
+void SocketFabric::ingest(uint8_t* data, size_t len) {
   if (len < kDgramHeaderBytes || get_u32(data + 0) != kMagic ||
       get_u32(data + 44) !=
           crc32(std::span<const uint8_t>(data, kDgramHeaderBytes - 4))) {
     m_rx_drops_->add();
     return;
   }
-  Message msg;
-  msg.src = int(get_u32(data + 4));
-  msg.type = int(get_u32(data + 8));
-  msg.seq = get_u32(data + 12);
-  msg.aux = get_u16(data + 16);
-  msg.stream = data[18];
-  msg.bulk = data[19] != 0;
-  msg.tseq = get_u32(data + 20);
-  msg.crc = get_u32(data + 24);
-  const uint32_t msg_id = get_u32(data + 28);
-  const uint16_t frag_index = get_u16(data + 32);
-  const uint16_t frag_count = get_u16(data + 34);
-  const size_t total = get_u32(data + 36);
-  const size_t frag_off = get_u32(data + 40);
-  const size_t frag_bytes = len - kDgramHeaderBytes;
-  if (msg.src < 0 || msg.src >= nodes_ || frag_count == 0 ||
-      frag_index >= frag_count || frag_off + frag_bytes > total) {
+  Fragment f;
+  Message& h = f.header;
+  h.src = int(get_u32(data + 4));
+  h.type = int(get_u32(data + 8));
+  h.seq = get_u32(data + 12);
+  h.aux = get_u16(data + 16);
+  h.stream = data[18];
+  h.bulk = data[19] != 0;
+  h.tseq = get_u32(data + 20);
+  h.crc = get_u32(data + 24);
+  f.msg_id = get_u32(data + 28);
+  f.index = get_u16(data + 32);
+  f.count = get_u16(data + 34);
+  f.total = get_u32(data + 36);
+  f.off = get_u32(data + 40);
+  uint8_t* bytes = data + kDgramHeaderBytes;
+  const size_t n = len - kDgramHeaderBytes;
+  if (h.src < 0 || h.src >= nodes_ || f.count == 0 || f.index >= f.count ||
+      f.total > kMaxMessageBytes || f.off + n > f.total ||
+      (f.count == 1 && n != f.total)) {
     m_rx_drops_->add();
     return;
   }
 
-  if (frag_count == 1) {
-    if (frag_bytes != total) {
-      m_rx_drops_->add();
+  // Faults, handled the way Fabric::send handles a message's fate.
+  const FaultInjector* inj = cfg_.injector;
+  if (inj) {
+    const uint64_t ordinal =
+        fault_ordinal_[(uint32_t(h.src) << 8) | h.stream]++;
+    const FaultDecision fate =
+        inj->decide(h.src, self_, ordinal, deliveries_, n, h.stream);
+    if (fate.crash_dst) {
+      kill(self_);
       return;
     }
-    msg.payload = mem::Bytes::copy_of({data + kDgramHeaderBytes, frag_bytes});
+    if (fate.drop) {
+      std::lock_guard<std::mutex> lock(traffic_mu_);
+      ++counters_[size_t(self_)].dropped_messages;
+      return;
+    }
+    // Only the fragment bytes: the header stays routable, and
+    // ReliableEndpoint's payload CRC catches the damage end to end.
+    if (fate.corrupt)
+      inj->corrupt_payload(h.src, self_, ordinal, {bytes, n}, h.stream);
+    if (fate.dup) reassemble(f, bytes, n);
+    if (fate.delay_hold > 0) {
+      parked_.push_back(
+          Parked{f, std::vector<uint8_t>(bytes, bytes + n), fate.delay_hold});
+      parked_count_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
+  reassemble(f, bytes, n);
+  if (inj) release_parked(/*force=*/false);
+}
+
+void SocketFabric::reassemble(const Fragment& f, const uint8_t* bytes,
+                              size_t n) {
+  ++deliveries_;
+  if (f.count == 1) {
+    Message msg = f.header;
+    msg.payload = mem::Bytes::copy_of({bytes, n});
     finish_message(std::move(msg));
     return;
   }
 
-  const uint64_t key = partial_key(msg.src, msg_id);
+  const uint64_t key = partial_key(f.header.src, f.msg_id);
   auto it = partial_.find(key);
   if (it == partial_.end()) {
-    // Evict stale partials (all their remaining fragments were lost; the
-    // sender's retransmission arrives under a fresh msg_id) so the map
-    // cannot grow without bound under sustained loss.
-    if (partial_.size() >= 64) {
-      const double t = now();
-      for (auto p = partial_.begin(); p != partial_.end();) {
-        if (t - p->second.first_seen > 2.0) {
-          partial_count_.fetch_sub(1, std::memory_order_relaxed);
-          p = partial_.erase(p);
-        } else {
-          ++p;
-        }
-      }
+    // Evict the oldest reassembly to admit this one, so the map stays
+    // bounded whatever arrives. Under loss the oldest is one whose missing
+    // fragments never came (the sender retransmits under a fresh msg_id).
+    if (partial_.size() >= kMaxPartials) {
+      partial_.erase(std::min_element(
+          partial_.begin(), partial_.end(), [](const auto& a, const auto& b) {
+            return a.second.admitted < b.second.admitted;
+          }));
+      partial_count_.fetch_sub(1, std::memory_order_relaxed);
     }
     Reassembly r;
-    r.body = mem::Bytes::alloc(total);
-    r.have.assign(frag_count, false);
-    r.missing = frag_count;
-    r.header = msg;
-    r.first_seen = now();
+    r.body = mem::Bytes::alloc(f.total);
+    r.have.assign(f.count, false);
+    r.missing = f.count;
+    r.header = f.header;
+    r.admitted = admitted_++;
     it = partial_.emplace(key, std::move(r)).first;
     partial_count_.fetch_add(1, std::memory_order_relaxed);
   }
   Reassembly& r = it->second;
-  if (r.body.size() != total || r.have.size() != frag_count) {
+  if (r.body.size() != f.total || r.have.size() != f.count) {
     // A msg_id collision with inconsistent framing: distrust both.
     partial_.erase(it);
     partial_count_.fetch_sub(1, std::memory_order_relaxed);
     m_rx_drops_->add();
     return;
   }
-  if (r.have[frag_index]) return;  // duplicated fragment
-  std::memcpy(r.body.mutable_data() + frag_off, data + kDgramHeaderBytes,
-              frag_bytes);
-  r.have[frag_index] = true;
+  if (r.have[f.index]) return;  // duplicated fragment
+  std::memcpy(r.body.mutable_data() + f.off, bytes, n);
+  r.have[f.index] = true;
   if (--r.missing == 0) {
     Message out = r.header;
     out.payload = std::move(r.body);
     partial_.erase(it);
     partial_count_.fetch_sub(1, std::memory_order_relaxed);
     finish_message(std::move(out));
+  }
+}
+
+void SocketFabric::release_parked(bool force) {
+  for (auto it = parked_.begin(); it != parked_.end();) {
+    if (!force && --it->hold > 0) {
+      ++it;
+      continue;
+    }
+    reassemble(it->frag, it->bytes.data(), it->bytes.size());
+    it = parked_.erase(it);
+    parked_count_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -370,6 +421,12 @@ RecvStatus SocketFabric::receive_for(int node, double timeout_s,
       return RecvStatus::kOk;
     }
     if (shutdown_.load(std::memory_order_acquire)) return RecvStatus::kShutdown;
+    // Nothing ready: fault-delayed datagrams arrive now, late, rather than
+    // leave the receiver waiting on them.
+    if (!parked_.empty()) {
+      release_parked(/*force=*/true);
+      if (!ready_.empty()) continue;
+    }
     const double remaining = deadline - now();
     if (remaining <= 0) return RecvStatus::kTimeout;
     // Short poll slices so a cross-thread kill()/shutdown() is observed
@@ -405,7 +462,8 @@ TrafficMatrix SocketFabric::traffic_matrix() const {
 
 bool SocketFabric::quiescent() const {
   return queued_.load(std::memory_order_relaxed) == 0 &&
-         partial_count_.load(std::memory_order_relaxed) == 0;
+         partial_count_.load(std::memory_order_relaxed) == 0 &&
+         parked_count_.load(std::memory_order_relaxed) == 0;
 }
 
 void SocketFabric::shutdown() { shutdown_.store(true, std::memory_order_release); }

@@ -21,11 +21,23 @@
 //    IP_RECVERR surfaces on the sender's error queue. take_peer_errors()
 //    reports the mapped node ids so the root's heartbeat monitor can treat
 //    a killed process exactly like a killed thread.
+//  * Faults: an attached FaultInjector (the same one the in-process Fabric
+//    takes) decides the fate of every datagram this node receives, after
+//    the header check and before reassembly: drop, duplicate, corrupt the
+//    fragment bytes, hold back for later delivery, or crash this node. Each
+//    process impairs what it receives, so every node of a wall gets the
+//    same injector (or one built from the same seed and rates).
 //  * Local view: counters()/traffic_matrix() report this node's own sends
 //    and receives (message-level wire bytes, comparable with the in-process
 //    fabric's accounting); datagram-level counts go to obs
-//    (socket_datagrams_tx/rx, socket_rx_drops, socket_peer_unreachable,
-//    labeled {node = self}).
+//    (socket_datagrams_tx/rx, socket_send_failures, socket_rx_drops,
+//    socket_peer_unreachable, labeled {node = self}).
+//
+// Reassembly memory is bounded against forged datagrams: a message may
+// carry at most kMaxMessageBytes, and at most kMaxPartials messages are in
+// reassembly at once (the oldest is evicted to admit a new one), so one
+// node's reassembly state never exceeds kMaxPartials * kMaxMessageBytes =
+// 64 * 8 MiB = 512 MiB of bodies, whatever arrives on its port.
 #pragma once
 
 #include <atomic>
@@ -33,6 +45,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "net/fabric.h"
@@ -57,6 +70,15 @@ inline constexpr uint32_t kLoopbackIp = 0x7f000001u;
 inline constexpr int kMinFragmentBytes = 4096;
 inline constexpr int kMaxFragmentBytes = 56 * 1024;
 
+// Largest message payload a SocketFabric sends or reassembles. The largest
+// message the catalog streams send is a coded orion4 (3840x2912) I picture
+// on its way to a splitter: 1,182,445 bytes in the default 48-frame stream.
+// 8 MiB leaves a 7x margin while refusing the 4 GiB a forged payload_total
+// could otherwise ask for.
+inline constexpr size_t kMaxMessageBytes = size_t(8) << 20;
+// Messages in reassembly at once per node; a new one evicts the oldest.
+inline constexpr size_t kMaxPartials = 64;
+
 struct SocketFabricConfig {
   // Socket buffer depth requested via SO_RCVBUF/SO_SNDBUF. Loopback bursts
   // (a whole picture fans out as dozens of 56 KiB fragments) overflow the
@@ -69,6 +91,9 @@ struct SocketFabricConfig {
   int fragment_bytes = kMaxFragmentBytes;
   // Registry for the datagram-level counters (nullptr: process-global).
   obs::MetricsRegistry* metrics = nullptr;
+  // Faults applied to every datagram this node receives (borrowed; must
+  // outlive the fabric; nullptr: none).
+  const FaultInjector* injector = nullptr;
 };
 
 class SocketFabric final : public FabricBackend {
@@ -86,8 +111,8 @@ class SocketFabric final : public FabricBackend {
   // The clamped per-datagram fragment payload size in effect.
   size_t fragment_bytes() const { return frag_bytes_; }
 
-  // Install the node -> endpoint map (from rendezvous, or an impairment
-  // proxy's front addresses). Must be called before send().
+  // Install the node -> endpoint map (from rendezvous). Must be called
+  // before send().
   void set_peers(std::vector<Endpoint> peers);
 
   // FabricBackend. post_receive()/receive_for() only operate on this
@@ -116,19 +141,38 @@ class SocketFabric final : public FabricBackend {
   }
 
  private:
+  // The framing fields of one datagram that passed the header check.
+  struct Fragment {
+    Message header;  // payload left empty
+    uint32_t msg_id = 0;
+    uint16_t index = 0;
+    uint16_t count = 0;
+    size_t total = 0;  // whole-message payload bytes
+    size_t off = 0;    // this fragment's offset into the payload
+  };
   struct Reassembly {
     mem::Bytes body;
     std::vector<bool> have;  // per-fragment arrival mask
     size_t missing = 0;      // fragments still outstanding
     Message header;          // fields from the first fragment seen
-    double first_seen = 0;   // for stale-entry eviction
+    uint64_t admitted = 0;   // admission order, for oldest-first eviction
+  };
+  // A fault-delayed datagram, re-ingested without a second decision.
+  struct Parked {
+    Fragment frag;
+    std::vector<uint8_t> bytes;
+    int hold = 0;  // later datagrams still to pass before release
   };
 
   double now() const;
   // Nonblocking drain of every datagram currently queued on the socket.
   void drain_socket();
-  // Parse one datagram; queue the (possibly reassembled) message.
-  void ingest(const uint8_t* data, size_t len);
+  // Header-check one datagram, apply the injector's decision to it, and
+  // queue the (possibly reassembled) message.
+  void ingest(uint8_t* data, size_t len);
+  void reassemble(const Fragment& f, const uint8_t* bytes, size_t len);
+  // Re-ingest parked datagrams whose hold expired (all of them if `force`).
+  void release_parked(bool force);
   void finish_message(Message msg);
   // Pull ICMP errors off the error queue into peer_errors_.
   void drain_errqueue();
@@ -147,18 +191,25 @@ class SocketFabric final : public FabricBackend {
   // Receive-side state: only the owning node's thread touches these.
   std::deque<Message> ready_;
   std::map<uint64_t, Reassembly> partial_;  // (src << 32 | msg_id)
+  uint64_t admitted_ = 0;                   // reassemblies ever started
   uint32_t next_msg_id_ = 1;
   int credits_ = 0;
+  // Fault state: datagram ordinals per (src << 8 | stream), datagrams
+  // delivered to this node, and the parked (delayed) datagrams.
+  std::unordered_map<uint32_t, uint64_t> fault_ordinal_;
+  uint64_t deliveries_ = 0;
+  std::vector<Parked> parked_;
 
   // Cross-thread state: a coordinator may kill()/shutdown()/read counters
   // while the node thread pumps.
   std::atomic<bool> shutdown_{false};
   std::vector<std::atomic<bool>> fenced_;
   std::atomic<uint64_t> credit_drops_{0};
-  // Mirrors of ready_/partial_ sizes so quiescent() is safe to call from a
-  // coordinating thread while the owner thread pumps.
+  // Mirrors of ready_/partial_/parked_ sizes so quiescent() is safe to call
+  // from a coordinating thread while the owner thread pumps.
   std::atomic<size_t> queued_{0};
   std::atomic<size_t> partial_count_{0};
+  std::atomic<size_t> parked_count_{0};
 
   mutable std::mutex traffic_mu_;
   TrafficMatrix traffic_;
@@ -168,6 +219,7 @@ class SocketFabric final : public FabricBackend {
   std::vector<int> peer_errors_;
 
   obs::Counter* m_dgram_tx_ = nullptr;
+  obs::Counter* m_send_failures_ = nullptr;
   obs::Counter* m_dgram_rx_ = nullptr;
   obs::Counter* m_rx_drops_ = nullptr;
   obs::Counter* m_peer_unreachable_ = nullptr;

@@ -157,13 +157,10 @@ void Collector::handle_datagram(const uint8_t* data, size_t len,
     reply.replies.push_back(
         ClockReplyRecord{p.seq, p.t0, t_recv, now_ns()});
     const std::vector<uint8_t> wire = encode_frame(reply);
-    const TelemetryEndpoint to =
-        p.reply_to.port != 0 ? p.reply_to
-                             : TelemetryEndpoint{src_ip, src_port};
     sockaddr_in dst{};
     dst.sin_family = AF_INET;
-    dst.sin_addr.s_addr = htonl(to.ip);
-    dst.sin_port = htons(to.port);
+    dst.sin_addr.s_addr = htonl(src_ip);
+    dst.sin_port = htons(src_port);
     ::sendto(fd_, wire.data(), wire.size(), 0,
              reinterpret_cast<sockaddr*>(&dst), sizeof(dst));
   }

@@ -254,6 +254,7 @@ inline constexpr char kTenantDeadlineChecks[] = "tenant_deadline_checks";
 inline constexpr char kRttNs[] = "rtt_ns";                  // histogram
 inline constexpr char kRttJitterNs[] = "rtt_jitter_ns";     // histogram
 inline constexpr char kSocketDatagramsTx[] = "socket_datagrams_tx";
+inline constexpr char kSocketSendFailures[] = "socket_send_failures";
 inline constexpr char kSocketDatagramsRx[] = "socket_datagrams_rx";
 inline constexpr char kSocketRxDrops[] = "socket_rx_drops";
 inline constexpr char kSocketPeerUnreachable[] = "socket_peer_unreachable";

@@ -129,8 +129,6 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
     const size_t at = begin_record(TelemetryRecordType::kClockProbe);
     put_u32(body, pr.seq);
     put_u64(body, pr.t0);
-    put_u32(body, pr.reply_to.ip);
-    put_u16(body, pr.reply_to.port);
     end_record(at);
   }
   for (const auto& rp : f.replies) {
@@ -251,8 +249,6 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
         ClockProbeRecord p;
         p.seq = pr.u32();
         p.t0 = pr.u64();
-        p.reply_to.ip = pr.u32();
-        p.reply_to.port = pr.u16();
         if (!pr.fail) out->probes.push_back(p);
         break;
       }
@@ -374,10 +370,6 @@ TelemetryExporter::TelemetryExporter(TelemetryExporterConfig cfg)
     return;
   }
   ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL, 0) | O_NONBLOCK);
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &blen) == 0)
-    local_ = TelemetryEndpoint{kTelemetryLoopbackIp, ntohs(bound.sin_port)};
 }
 
 TelemetryExporter::~TelemetryExporter() {
@@ -498,7 +490,6 @@ void TelemetryExporter::flush() {
       while (outstanding_.size() >= 64)
         outstanding_.erase(outstanding_.begin());
     }
-    p.reply_to = cfg_.reply_to;
     p.t0 = local_now_ns();
     {
       std::lock_guard<std::mutex> lock(mu_);

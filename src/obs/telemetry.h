@@ -56,14 +56,14 @@ inline constexpr uint32_t kTelemetryLoopbackIp = 0x7F000001u;
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kTelemetryMagic = 0x54574450u;  // "PDWT"
-inline constexpr uint16_t kTelemetryVersion = 1;
+inline constexpr uint16_t kTelemetryVersion = 2;
 
 enum class TelemetryRecordType : uint8_t {
   kStrings = 1,     // per-frame string table (must precede users)
   kHello = 2,       // process identity: os pid, wall shape, hosted nodes
   kMetric = 3,      // one metric, absolute value
   kSpans = 4,       // batch of trace events (local clock domain)
-  kClockProbe = 5,  // exporter -> collector: seq, t0, reply-to endpoint
+  kClockProbe = 5,  // exporter -> collector: seq, t0
   kClockReply = 6,  // collector -> exporter: seq, t0 echo, t1, t2
   kOffset = 7,      // exporter's current offset estimate
   kBye = 8,         // graceful shutdown marker
@@ -103,12 +103,7 @@ struct SpanRecord {
 
 struct ClockProbeRecord {
   uint32_t seq = 0;
-  uint64_t t0 = 0;               // exporter clock at send
-  TelemetryEndpoint reply_to{};  // zero: reply to the datagram source. Set
-                                 // when the forward path runs through an
-                                 // ImpairProxy (proxies forward one way
-                                 // only — a reply to the proxy's front
-                                 // socket would dead-end).
+  uint64_t t0 = 0;  // exporter clock at send
 };
 
 struct ClockReplyRecord {
@@ -178,9 +173,6 @@ class ClockEstimator {
 
 struct TelemetryExporterConfig {
   TelemetryEndpoint collector{};  // where frames go
-  // Where the collector should send probe replies; zero means "the source
-  // address of the probe datagram" (the normal case).
-  TelemetryEndpoint reply_to{};
   double interval_s = 0.2;          // background flush period
   double probe_wait_s = 0.01;       // how long flush() blocks for a reply
   size_t max_datagram_bytes = 32 * 1024;
@@ -216,11 +208,6 @@ class TelemetryExporter {
 
   ClockEstimator clock() const;
   uint64_t token() const { return token_; }
-  TelemetryEndpoint local_endpoint() const { return local_; }
-  // Redirect the collector's probe replies (e.g. straight at our socket when
-  // the forward path runs through a one-way impairment proxy). Call before
-  // start(); flush() snapshots it without locking.
-  void set_reply_to(TelemetryEndpoint ep) { cfg_.reply_to = ep; }
   uint64_t datagrams_sent() const;
   uint64_t bytes_sent() const;
   // Exporter clock (the tracer's domain — spans and probes agree).
@@ -239,7 +226,6 @@ class TelemetryExporter {
   TelemetryExporterConfig cfg_;
   uint64_t token_ = 0;
   int fd_ = -1;
-  TelemetryEndpoint local_{};
 
   mutable std::mutex mu_;
   ClockEstimator clock_;

@@ -202,7 +202,7 @@ TEST(AdaptivePartitioning, ThreadedBitExactAndWireEqualToLockstep) {
 }
 
 // ---------------------------------------------------------------------------
-// Real-socket wall under genuine 5% datagram loss: partition updates and
+// Real-socket wall under 5% seeded datagram loss: partition updates and
 // epoch-stamped pictures ride the same reliable links, so the rebalanced
 // wall still comes out bit-exact.
 
@@ -215,12 +215,13 @@ TEST(AdaptivePartitioning, SocketWallBitExactUnderRealLossAcrossEpochs) {
   lockstep.run(nullptr, nullptr);
   ASSERT_GE(lockstep.partitions().latest_epoch(), 1u);
 
+  net::FaultRates rates;
+  rates.drop = 0.05;
+  rates.delay = 0.05;
+  const net::FaultInjector injector(/*seed=*/23, rates);
   core::SocketWallOptions so;
   so.adaptive = eager_adaptive();
-  so.impair.seed = 23;
-  so.impair.loss = 0.05;
-  so.impair.delay = 0.05;
-  so.impair.delay_s = 0.002;
+  so.injector = &injector;
 
   EpochAssembler wall{geo, lockstep.partitions()};
   const core::ClusterStats stats = core::run_socket_wall(

@@ -328,21 +328,25 @@ TEST(ProtocolEquivalence, SocketMatchesThreadedWireForWire) {
   EXPECT_EQ(sstats.ft.degraded_frames, 0u);
 }
 
-// Datagrams really lost on the socket path (5% loss, plus duplication and
-// delay, via the deterministic impairment proxy) must change nothing about
-// the output: retransmission recovers every message and the assembled wall
-// stays bit-exact with the serial reference decoder.
+// Datagrams lost, duplicated, delayed and corrupted on the socket path (5%
+// loss, 2% dup, 5% delay, 2% corruption, applied per received datagram by
+// the seeded fault injector) must change nothing about the output: the
+// end-to-end CRC rejects corrupted messages, retransmission recovers every
+// message and the assembled wall stays bit-exact with the serial reference
+// decoder.
 TEST(ProtocolEquivalence, SocketWallBitExactUnderRealLoss) {
   const int w = 192, h = 128, k = 2;
   const auto es = make_stream(w, h, SceneKind::kMovingObjects, 8);
   wall::TileGeometry geo(w, h, 2, 2, 0);
 
+  net::FaultRates rates;
+  rates.drop = 0.05;
+  rates.dup = 0.02;
+  rates.delay = 0.05;
+  rates.corrupt = 0.02;
+  const net::FaultInjector injector(/*seed=*/11, rates);
   core::SocketWallOptions so;
-  so.impair.seed = 11;
-  so.impair.loss = 0.05;
-  so.impair.dup = 0.02;
-  so.impair.delay = 0.05;
-  so.impair.delay_s = 0.002;
+  so.injector = &injector;
 
   std::map<int, std::unique_ptr<wall::WallAssembler>> pending;
   std::map<int, int> tiles_seen;
@@ -361,7 +365,7 @@ TEST(ProtocolEquivalence, SocketWallBitExactUnderRealLoss) {
       },
       so);
 
-  // Enough datagrams crossed the proxy that a silent no-loss run is
+  // Enough datagrams were received that a silent no-loss run is
   // statistically impossible; losses surface as retransmissions.
   EXPECT_GT(stats.ft.transport.retransmits, 0u);
   EXPECT_EQ(stats.ft.transport.abandoned, 0u);
