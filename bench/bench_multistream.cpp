@@ -1,5 +1,5 @@
 // Multi-stream sessions: N independent elementary streams decoded through
-// one wall, pictures interleaved round-robin (proto::StreamSession — the
+// one wall, pictures interleaved round-robin (core::StreamSession — the
 // wire format's `stream` byte at work).
 //
 // Not a paper table: the paper decodes one stream per wall. This measures
@@ -10,8 +10,8 @@
 
 #include "bench/bench_util.h"
 #include "common/text_table.h"
+#include "core/session.h"
 #include "enc/encoder.h"
-#include "proto/session.h"
 #include "video/generator.h"
 
 using namespace pdw;
@@ -60,7 +60,7 @@ int main() {
                    "per-stream fps"});
   double single_fps = 0;
   for (int n = 1; n <= int(streams.size()); ++n) {
-    proto::StreamSession session(geo, k);
+    core::StreamSession session(geo, k);
     for (int s = 0; s < n; ++s) session.add_stream(streams[size_t(s)]);
     const auto r = session.run(nullptr);
     if (n == 1) single_fps = r.aggregate_fps;

@@ -45,11 +45,11 @@
 
 #include "common/text_table.h"
 #include "core/pipeline.h"
+#include "core/session.h"
 #include "enc/encoder.h"
 #include "obs/collector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "proto/session.h"
 #include "video/catalog.h"
 #include "video/generator.h"
 
@@ -226,7 +226,7 @@ int run_tenant_mode(int tenants, int refresh_ms) {
   spec.fps = 24;
 
   wall::TileGeometry geo(width, height, 2, 2, /*overlap=*/40);
-  proto::StreamSession session(geo, /*k=*/2);
+  core::StreamSession session(geo, /*k=*/2);
   proto::AdmissionController::Config acfg;
   // Room for roughly half the tenants at full rate: the ladder must engage.
   acfg.capacity.mb_per_s = 0.5 * tenants * proto::tenant_cost(spec);
@@ -247,7 +247,7 @@ int run_tenant_mode(int tenants, int refresh_ms) {
   }
 
   std::atomic<bool> done{false};
-  proto::StreamSession::Result result;
+  core::StreamSession::Result result;
   std::thread runner([&] {
     result = session.run(nullptr);
     done.store(true);

@@ -83,5 +83,32 @@ int main(int argc, char** argv) {
   write_seed(dir, "death_degraded", proto::pack(dn));
 
   write_seed(dir, "skip", proto::pack(proto::SkipBroadcast{4, 1, 0}));
+
+  proto::PartitionUpdateMsg pu;
+  pu.epoch = 2;
+  pu.apply_from_pic = 12;
+  pu.col_cuts_mb = {5, 11};
+  pu.row_cuts_mb = {4};
+  write_seed(dir, "partition_update", proto::pack(pu));
+
+  proto::CostReportMsg cr;
+  cr.pic_index = 7;
+  cr.col_cost = {10, 20, 30, 40};
+  cr.row_cost = {25, 75};
+  write_seed(dir, "cost_report", proto::pack(cr));
+
+  proto::StreamRequest req;
+  req.width_mb = 45;
+  req.height_mb = 30;
+  req.fps = 24;
+  req.priority = proto::PriorityClass::kPremium;
+  req.stream = 3;
+  write_seed(dir, "stream_request", proto::pack(req));
+
+  proto::StreamReply rep;
+  rep.verdict = proto::AdmissionVerdict::kRenegotiate;
+  rep.level = proto::DegradeLevel::kSkipB;
+  rep.stream = 3;
+  write_seed(dir, "stream_reply", proto::pack(rep));
   return 0;
 }

@@ -36,5 +36,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   try_typed<proto::Finished>(body);
   try_typed<proto::DeathNotice>(body);
   try_typed<proto::SkipBroadcast>(body);
+  try_typed<proto::PartitionUpdateMsg>(body);
+  try_typed<proto::CostReportMsg>(body);
+  try_typed<proto::StreamRequest>(body);
+  try_typed<proto::StreamReply>(body);
   return 0;
 }

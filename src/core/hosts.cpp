@@ -43,52 +43,6 @@ void post_initial_credits(net::FabricBackend& fabric,
   fabric.post_receive(node);
 }
 
-void emit(net::ReliableEndpoint& ep, HostShared& shared, int src, Outgoing o) {
-  {
-    std::lock_guard<std::mutex> lock(shared.acct_mu);
-    shared.acct.record(src, o.dst, o.msg.type, o.msg.body.size());
-  }
-  obs::FlightRecorder::global().note_wire(true, src, o.dst, int(o.msg.type),
-                                          o.msg.seq, o.msg.aux,
-                                          o.msg.body.size());
-  net::Message m;
-  m.type = int(o.msg.type);
-  m.seq = o.msg.seq;
-  m.aux = o.msg.aux;
-  m.stream = o.msg.stream;
-  m.bulk = o.msg.bulk;
-  m.payload = std::move(o.msg.body);
-  if (o.reliable)
-    ep.send(o.dst, std::move(m));
-  else
-    ep.send_unreliable(o.dst, std::move(m));
-}
-
-void emit_exchange(net::ReliableEndpoint& ep, HostShared& shared, int src,
-                   int dst, const proto::ExchangeMsg& msg) {
-  {
-    std::lock_guard<std::mutex> lock(shared.acct_mu);
-    shared.acct.record_exchange(src, dst, msg);
-  }
-  proto::Packed p = proto::pack(msg);
-  obs::FlightRecorder::global().note_wire(true, src, dst, int(p.type), p.seq,
-                                          p.aux, p.body.size());
-  net::Message m;
-  m.type = int(p.type);
-  m.seq = p.seq;
-  m.aux = p.aux;
-  m.stream = p.stream;
-  m.bulk = p.bulk;
-  m.payload = std::move(p.body);
-  ep.send(dst, std::move(m));
-}
-
-AnyMsg decode_trusted(const net::Message& m) {
-  std::optional<AnyMsg> msg = proto::decode_any(m.payload);
-  PDW_CHECK(msg.has_value()) << " undecodable wire message type " << m.type;
-  return std::move(*msg);
-}
-
 namespace {
 
 // The endpoint's transport instruments (retransmits, RTT histograms) must
@@ -99,6 +53,52 @@ net::ReliableConfig with_metrics(net::ReliableConfig rc,
   return rc;
 }
 
+// The one host send tail: a packed body onto the transport, noted in the
+// flight recorder. Callers do the accounting.
+void send_packed(net::ReliableEndpoint& ep, int src, int dst, proto::Packed p,
+                 bool reliable = true) {
+  obs::FlightRecorder::global().note_wire(true, src, dst, int(p.type), p.seq,
+                                          p.aux, p.body.size());
+  net::Message m;
+  m.type = int(p.type);
+  m.seq = p.seq;
+  m.aux = p.aux;
+  m.stream = p.stream;
+  m.bulk = p.bulk;
+  m.payload = std::move(p.body);
+  if (reliable)
+    ep.send(dst, std::move(m));
+  else
+    ep.send_unreliable(dst, std::move(m));
+}
+
+// Exchanges are built by the host (they carry extracted pixels), so they
+// are recorded with their typed form to feed the per-picture matrices.
+void emit_exchange(net::ReliableEndpoint& ep, HostShared& shared, int src,
+                   int dst, const proto::ExchangeMsg& msg) {
+  {
+    std::lock_guard<std::mutex> lock(shared.acct_mu);
+    shared.acct.record_exchange(src, dst, msg);
+  }
+  send_packed(ep, src, dst, proto::pack(msg));
+}
+
+}  // namespace
+
+void emit(net::ReliableEndpoint& ep, HostShared& shared, int src, Outgoing o) {
+  {
+    std::lock_guard<std::mutex> lock(shared.acct_mu);
+    shared.acct.record(src, o.dst, o.msg.type, o.msg.body.size());
+  }
+  send_packed(ep, src, o.dst, std::move(o.msg), o.reliable);
+}
+
+AnyMsg decode_trusted(const net::Message& m) {
+  std::optional<AnyMsg> msg = proto::decode_any(m.payload);
+  PDW_CHECK(msg.has_value()) << " undecodable wire message type " << m.type;
+  return std::move(*msg);
+}
+
 std::vector<proto::PictureMeta> picture_metas(const RootSplitter& root) {
   std::vector<proto::PictureMeta> metas(size_t(root.picture_count()));
   for (size_t i = 0; i < metas.size(); ++i)
@@ -106,7 +106,164 @@ std::vector<proto::PictureMeta> picture_metas(const RootSplitter& root) {
   return metas;
 }
 
-}  // namespace
+// --- SplitterBody ----------------------------------------------------------
+
+SplitterBody::SplitterBody(const wall::PartitionTable& t, int node_id,
+                           uint8_t stream_id, bool adaptive_enabled,
+                           const StreamInfo& info,
+                           obs::MetricsRegistry& metrics)
+    : table(t),
+      node(node_id),
+      stream(stream_id),
+      adaptive(adaptive_enabled),
+      splitter(t.geometry(0)) {
+  splitter.set_stream_info(info);
+  inst.resolve(metrics, node, stream);
+}
+
+SplitResult SplitterBody::split(const proto::PictureMsg& pic) {
+  const uint32_t i = pic.pic_index;
+  PDW_CHECK(table.has_epoch(pic.epoch))
+      << "picture " << i << " stamped with unknown epoch " << pic.epoch;
+  SplitResult result;
+  {
+    PDW_TRACE_SPAN(obs::span::kSplitPic, node, i);
+    WallTimer t;
+    result = splitter.split(pic.coded, i, table.geometry(pic.epoch));
+    if (inst.split_ns) inst.split_ns->observe(uint64_t(t.seconds() * 1e9));
+  }
+  if (result.status.ok() && inst.pictures_split) inst.pictures_split->add();
+  return result;
+}
+
+std::optional<proto::Packed> SplitterBody::cost_report(
+    uint32_t i, const SplitStats& stats) const {
+  if (!adaptive) return std::nullopt;
+  proto::CostReportMsg cr;
+  cr.pic_index = i;
+  cr.stream = stream;
+  cr.col_cost = stats.cost_col;
+  cr.row_cost = stats.cost_row;
+  return proto::pack(cr);
+}
+
+proto::Packed SplitterBody::pack(const proto::PictureMsg& pic,
+                                 const SplitResult& result, int tile) {
+  const SubPicture& sub = result.subpictures[size_t(tile)];
+  const uint16_t t = uint16_t(tile);
+  proto::Packed p =
+      proto::pack_sp(pic.pic_index, t, stream, sub, result.mei[t], pic.epoch);
+  if (inst.sp_bytes_sent) inst.sp_bytes_sent->add(p.body.size());
+  return p;
+}
+
+// --- TileDecoderSet --------------------------------------------------------
+
+TileDecoderSet::TileDecoderSet(const wall::PartitionTable& t,
+                               const StreamInfo& si, HaloPolicy halo_policy,
+                               int node_id, uint8_t stream_id,
+                               obs::MetricsRegistry& metrics)
+    : table(t),
+      info(si),
+      policy(halo_policy),
+      node(node_id),
+      stream(stream_id) {
+  inst.resolve(metrics, node, stream);
+}
+
+TileDecoder& TileDecoderSet::at(int tile, std::optional<uint32_t> epoch) {
+  const wall::TileGeometry& geo = table.geometry(epoch.value_or(0));
+  auto& slot = decs[tile];
+  if (!slot)
+    slot = std::make_unique<TileDecoder>(geo, tile, info, policy);
+  else if (epoch && slot->epoch() != *epoch)
+    slot->rebase(geo);
+  return *slot;
+}
+
+double TileDecoderSet::serve(int tile, uint32_t i, const proto::SpMsg& sp,
+                             const RouteFn& route) {
+  PDW_TRACE_SPAN(obs::span::kServeSp, node, i);
+  WallTimer t;
+  TileDecoder& d = at(tile, sp.epoch);
+  subs[tile] = SubPicture::deserialize(sp.subpicture);
+  const PicInfo& pic = subs[tile].info;
+
+  std::map<int, proto::ExchangeMsg> outgoing;  // by destination tile
+  for (const MeiInstruction& instr : sp.mei) {
+    if (instr.op == MeiOp::kConceal) {
+      // Damaged-slice macroblock: stage for the decode phase (the peer
+      // field carries fill bytes, not a tile).
+      d.stage_conceal(instr);
+      continue;
+    }
+    if (instr.op != MeiOp::kSend) continue;
+    proto::ExchangeEntry e;
+    e.px = d.extract_for_send(pic, instr, &e.tainted);
+    e.instr = instr;
+    e.instr.op = MeiOp::kRecv;
+    e.instr.peer = uint16_t(tile);
+    proto::ExchangeMsg& m = outgoing[int(instr.peer)];
+    if (m.entries.empty()) {
+      m.pic_index = i;
+      m.src_tile = uint16_t(tile);
+      m.dst_tile = instr.peer;
+      m.stream = stream;
+    }
+    m.entries.push_back(std::move(e));
+  }
+  for (auto& [peer, m] : outgoing) {
+    const size_t bytes = proto::exchange_msg_wire_bytes(m.entries.size());
+    if (route(peer, m) && inst.exchange_bytes_sent)
+      inst.exchange_bytes_sent->add(bytes);
+  }
+  const double seconds = t.seconds();
+  if (inst.serve_ns) inst.serve_ns->observe(uint64_t(seconds * 1e9));
+  return seconds;
+}
+
+void TileDecoderSet::add_halos(int tile, uint32_t epoch,
+                               const proto::ExchangeMsg& m) {
+  TileDecoder& d = at(tile, epoch);
+  for (const proto::ExchangeEntry& e : m.entries)
+    d.add_halo_mb(e.instr, e.px, e.tainted);
+}
+
+double TileDecoderSet::decode(int tile, uint32_t i,
+                              const std::vector<proto::ExchangeMsg>& exchanges,
+                              const TileDecoder::DisplayFn& display) {
+  TileDecoder& d = at(tile);
+  for (const proto::ExchangeMsg& m : exchanges) {
+    if (inst.exchange_bytes_recv)
+      inst.exchange_bytes_recv->add(
+          proto::exchange_msg_wire_bytes(m.entries.size()));
+    for (const proto::ExchangeEntry& e : m.entries)
+      d.add_halo_mb(e.instr, e.px, e.tainted);
+  }
+  double seconds = 0;
+  {
+    PDW_TRACE_SPAN(obs::span::kDecodeSp, node, i);
+    WallTimer t;
+    d.decode(subs.at(tile), display);
+    seconds = t.seconds();
+  }
+  if (inst.decode_ns) inst.decode_ns->observe(uint64_t(seconds * 1e9));
+  if (inst.pictures_decoded) inst.pictures_decoded->add();
+  if (inst.concealed_mbs)
+    inst.concealed_mbs->add(uint64_t(d.concealed_mbs_last_picture()));
+  return seconds;
+}
+
+void TileDecoderSet::skip(int tile, uint32_t i,
+                          const TileDecoder::DisplayFn& display) {
+  if (inst.pictures_skipped) inst.pictures_skipped->add();
+  at(tile).skip_picture(i, display);
+}
+
+void TileDecoderSet::flush(int tile, const TileDecoder::DisplayFn& display) {
+  const auto it = decs.find(tile);
+  if (it != decs.end()) it->second->flush(display);
+}
 
 // --- RootHost --------------------------------------------------------------
 
@@ -202,13 +359,11 @@ SplitterHost::SplitterHost(net::FabricBackend* f, HostShared* sh,
       index(s),
       ep(f, tp.splitter(s), with_metrics(rc, metrics)),
       node(tp, s),
-      splitter(geo),
       table(geo),
-      adaptive(adaptive_enabled) {
-  splitter.set_stream_info(info);
+      body(table, tp.splitter(s), /*stream=*/0, adaptive_enabled, info,
+           obs::registry_or_global(metrics)) {
   node.set_metrics(metrics);
   obs::MetricsRegistry& r = obs::registry_or_global(metrics);
-  inst.resolve(r, self(), 0);
   queue_depth = &r.gauge(obs::family::kQueueDepth, obs::Labels{self(), 0});
 }
 
@@ -248,32 +403,9 @@ void SplitterHost::run() {
     proto::PictureMsg pic = node.pop_picture(&go_ahead);
     emit(ep, shared, self(), std::move(go_ahead));
     const uint32_t i = pic.pic_index;
-
-    // The picture is split against its stamped epoch's geometry. The update
-    // installing that epoch was broadcast before the picture on the same
-    // in-order link, so the table always already has it.
-    PDW_CHECK(table.has_epoch(pic.epoch))
-        << "picture " << i << " stamped with unknown epoch " << pic.epoch;
-    SplitResult result;
-    {
-      PDW_TRACE_SPAN(obs::span::kSplitPic, self(), i);
-      WallTimer split_timer;
-      result = splitter.split(pic.coded, i, table.geometry(pic.epoch));
-      if (inst.split_ns)
-        inst.split_ns->observe(uint64_t(split_timer.seconds() * 1e9));
-    }
-    if (result.status.ok() && inst.pictures_split) inst.pictures_split->add();
-
-    // Cost report for the planner — one per popped picture, empty vectors
-    // when the split failed, so the root's completeness count holds.
-    if (adaptive) {
-      proto::CostReportMsg cr;
-      cr.pic_index = i;
-      cr.col_cost = result.stats.cost_col;
-      cr.row_cost = result.stats.cost_row;
-      emit(ep, shared, self(),
-           Outgoing{topo.root(), true, proto::pack(cr)});
-    }
+    const SplitResult result = body.split(pic);
+    if (std::optional<proto::Packed> cr = body.cost_report(i, result.stats))
+      emit(ep, shared, self(), Outgoing{topo.root(), true, std::move(*cr)});
 
     // ANID gating: wait for the previous picture's ack from every live
     // decoder (redirection made them land here).
@@ -289,14 +421,8 @@ void SplitterHost::run() {
     }
     PDW_TRACE_SPAN(obs::span::kRouteSp, self(), i);
     for (const proto::SplitterNode::SpRoute& rt : node.routes(i)) {
-      // Serialize the sub-picture straight into the pooled wire body — no
-      // intermediate SpMsg byte vector.
-      proto::Packed p =
-          proto::pack_sp(i, uint16_t(rt.tile), /*stream=*/0,
-                         result.subpictures[size_t(rt.tile)],
-                         result.mei[size_t(rt.tile)], pic.epoch);
-      if (inst.sp_bytes_sent) inst.sp_bytes_sent->add(p.body.size());
-      emit(ep, shared, self(), Outgoing{rt.dst_node, true, std::move(p)});
+      proto::Packed sp = body.pack(pic, result, rt.tile);
+      emit(ep, shared, self(), Outgoing{rt.dst_node, true, std::move(sp)});
     }
   }
 
@@ -329,17 +455,16 @@ DecoderHost::DecoderHost(net::FabricBackend* f, HostShared* sh,
       timer(*t),
       topo(tp),
       home_tile(tile),
-      geo(g),
-      info(si),
       on_display(display),
       display_mu(*dmu),
       heartbeat_interval_s(dopts.heartbeat_interval_s),
       ep(f, tp.decoder(tile), with_metrics(rc, metrics)),
       node(tp, tile, dopts),
-      table(g) {
+      table(g),
+      decs(table, si, HaloPolicy::kConceal, tp.decoder(tile), /*stream=*/0,
+           obs::registry_or_global(metrics)) {
   node.set_metrics(metrics);
   obs::MetricsRegistry& r = obs::registry_or_global(metrics);
-  inst.resolve(r, self(), 0);
   queue_depth = &r.gauge(obs::family::kQueueDepth, obs::Labels{self(), 0});
 }
 
@@ -352,13 +477,6 @@ TileDecoder::DisplayFn DecoderHost::display_fn(int tile) {
         std::lock_guard<std::mutex> lock(display_mu);
         on_display(tile, tf, di);
       });
-}
-
-TileDecoder& DecoderHost::dec(int tile) {
-  auto& slot = decs[tile];
-  if (!slot)
-    slot = std::make_unique<TileDecoder>(geo, tile, info, HaloPolicy::kConceal);
-  return *slot;
 }
 
 void DecoderHost::apply(proto::DecoderNode::Step step) {
@@ -409,73 +527,34 @@ void DecoderHost::serve(const proto::DecoderNode::OwnedTile& ot, uint32_t i) {
     }
   }
   if (gone || st != proto::DecoderNode::SpState::kReady) return;
-  PDW_TRACE_SPAN(obs::span::kServeSp, self(), i);
-  WallTimer serve_timer;
-  TileDecoder& d = dec(ot.tile);
-  const proto::SpMsg& sp = node.sp(ot.tile);
   // poll_sp held the sub-picture until its epoch's update arrived, so the
-  // geometry is guaranteed present. Rebase before any staging or halo
-  // delivery touches the decoder — rebase drops staged per-picture state.
-  if (d.epoch() != sp.epoch) d.rebase(table.geometry(sp.epoch));
-  subs[ot.tile] = SubPicture::deserialize(sp.subpicture);
-  const PicInfo& pic_info = subs[ot.tile].info;
-
-  std::map<int, proto::ExchangeMsg> outgoing;  // by destination tile
-  for (const MeiInstruction& instr : sp.mei) {
-    if (instr.op == MeiOp::kSend) {
-      proto::ExchangeEntry e;
-      e.px = d.try_extract_for_send(pic_info, instr, &e.tainted);
-      e.instr = instr;
-      e.instr.op = MeiOp::kRecv;
-      e.instr.peer = uint16_t(ot.tile);
-      proto::ExchangeMsg& m = outgoing[int(instr.peer)];
-      if (m.entries.empty()) {
-        m.pic_index = i;
-        m.src_tile = uint16_t(ot.tile);
-        m.dst_tile = instr.peer;
-      }
-      m.entries.push_back(std::move(e));
-    } else if (instr.op == MeiOp::kConceal) {
-      // Damaged-slice macroblock: stage for the decode phase (the peer
-      // field carries fill bytes, not a tile).
-      d.stage_conceal(instr);
-    }
-  }
-  for (auto& [peer, m] : outgoing) {
-    const proto::DecoderNode::ExchangeRoute rt = node.route_exchange(peer, i);
+  // geometry is guaranteed present.
+  const proto::SpMsg& sp = node.sp(ot.tile);
+  decs.serve(ot.tile, i, sp, [this, &sp](int peer, proto::ExchangeMsg& m) {
+    const uint32_t pic = m.pic_index;
+    const proto::DecoderNode::ExchangeRoute rt = node.route_exchange(peer, pic);
     switch (rt.kind) {
       case proto::DecoderNode::ExchangeRoute::Kind::kDrop:
-        break;  // nobody serves that picture
+        return false;  // nobody serves that picture
       case proto::DecoderNode::ExchangeRoute::Kind::kLocal:
         // Tiles hosted on this very node exchange halos in memory.
-        for (const proto::DecoderNode::OwnedTile& ot2 : node.owned()) {
-          if (ot2.tile != peer || !node.tile_active(ot2, i)) continue;
-          TileDecoder& d2 = dec(ot2.tile);
-          // Same picture => same epoch: rebase the co-hosted tile *before*
-          // handing it halos (its own serve would otherwise drop them).
-          if (d2.epoch() != sp.epoch) d2.rebase(table.geometry(sp.epoch));
-          for (const proto::ExchangeEntry& e : m.entries)
-            d2.add_halo_mb(e.instr, e.px, e.tainted);
-        }
-        break;
+        for (const proto::DecoderNode::OwnedTile& ot2 : node.owned())
+          if (ot2.tile == peer && node.tile_active(ot2, pic))
+            decs.add_halos(peer, sp.epoch, m);
+        return false;
       case proto::DecoderNode::ExchangeRoute::Kind::kRemote:
-        if (inst.exchange_bytes_sent)
-          inst.exchange_bytes_sent->add(
-              proto::exchange_msg_wire_bytes(m.entries.size()));
         emit_exchange(ep, shared, self(), rt.dst_node, m);
-        break;
+        return true;
     }
-  }
-  if (inst.serve_ns)
-    inst.serve_ns->observe(uint64_t(serve_timer.seconds() * 1e9));
+    return false;
+  });
 }
 
 void DecoderHost::work(const proto::DecoderNode::OwnedTile& ot, uint32_t i) {
   if (!node.have_sp(ot.tile)) {
     if (node.skipped(ot.tile)) {
       shared.skipped.fetch_add(1, std::memory_order_relaxed);
-      if (inst.pictures_skipped) inst.pictures_skipped->add();
-      dec(ot.tile).skip_picture(i, display_fn(ot.tile));
+      decs.skip(ot.tile, i, display_fn(ot.tile));
     }
     return;
   }
@@ -485,24 +564,7 @@ void DecoderHost::work(const proto::DecoderNode::OwnedTile& ot, uint32_t i) {
     }
   }
   if (gone) return;
-  for (const proto::ExchangeMsg& m : node.take_exchanges(ot.tile, i)) {
-    if (inst.exchange_bytes_recv)
-      inst.exchange_bytes_recv->add(
-          proto::exchange_msg_wire_bytes(m.entries.size()));
-    for (const proto::ExchangeEntry& e : m.entries)
-      dec(ot.tile).add_halo_mb(e.instr, e.px, e.tainted);
-  }
-  {
-    PDW_TRACE_SPAN(obs::span::kDecodeSp, self(), i);
-    WallTimer decode_timer;
-    dec(ot.tile).decode(subs.at(ot.tile), display_fn(ot.tile));
-    if (inst.decode_ns)
-      inst.decode_ns->observe(uint64_t(decode_timer.seconds() * 1e9));
-  }
-  if (inst.pictures_decoded) inst.pictures_decoded->add();
-  if (inst.concealed_mbs)
-    inst.concealed_mbs->add(
-        uint64_t(dec(ot.tile).concealed_mbs_last_picture()));
+  decs.decode(ot.tile, i, node.take_exchanges(ot.tile, i), display_fn(ot.tile));
   if (ot.tile != home_tile && i == ot.active_from) {
     // First adopted picture decoded: stamp the recovery latency.
     std::lock_guard<std::mutex> lock(shared.mu);
@@ -538,7 +600,7 @@ void DecoderHost::run(uint32_t total_pictures) {
 
   if (!gone) {
     for (const proto::DecoderNode::OwnedTile& ot : node.owned())
-      if (decs.count(ot.tile)) dec(ot.tile).flush(display_fn(ot.tile));
+      decs.flush(ot.tile, display_fn(ot.tile));
     apply({node.finished(), {}, std::nullopt});
   }
   shared.decoders_done.fetch_add(1, std::memory_order_release);

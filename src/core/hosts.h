@@ -1,11 +1,19 @@
 // Node hosts: the glue between the sans-io protocol machines (proto/nodes.h)
-// and a concrete transport + compute. One host per node role pumps a
-// net::ReliableEndpoint over any net::FabricBackend, feeds decoded wire
-// messages to its state machine, transmits whatever the machine returns and
-// runs the actual work (splitting, pixel extraction, tile decoding) when the
-// machine says the inputs are complete.
+// and a concrete transport + compute.
 //
-// Two places construct hosts:
+// The compute of each Table-3 role lives in one body that both schedulers
+// call: SplitterBody (split a picture, pack its sub-pictures) and
+// TileDecoderSet (serve the SENDs, apply the halos, decode). A host adds
+// only its own part: how it waits for inputs, where an emission goes, and
+// what it records. Two schedulers host the bodies:
+//   * LockstepPipeline (core/lockstep.h) — one picture at a time over a
+//     synchronous in-memory bus, the reference the engines are held to;
+//   * the per-node hosts below — each pumps a net::ReliableEndpoint over any
+//     net::FabricBackend, feeds decoded wire messages to its state machine,
+//     transmits whatever the machine returns and runs its body when the
+//     machine says the inputs are complete.
+//
+// Two places construct the per-node hosts:
 //   * run_wall (core/wall_runner.h) — the in-process wall, one thread per
 //     node. Its two fabric adapters are ClusterPipeline (core/pipeline.h:
 //     every node on one shared in-process Fabric, the fast, deterministic
@@ -23,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/timing.h"
@@ -47,7 +56,8 @@ struct RecoveryEvent {
   double resync_time_s = 0;  // adopter decoded resync_pic (0 if never)
 };
 
-// Thread-safe display callback (called with an internal mutex held).
+// Wall display callback. The threaded hosts call it with an internal mutex
+// held; the lockstep engine calls it from its one thread.
 using TileDisplayFn = std::function<void(int tile, const mpeg2::TileFrame&,
                                          const TileDisplayInfo&)>;
 
@@ -76,6 +86,9 @@ struct HostShared {
 void accumulate_transport(net::ReliableStats* into,
                           const net::ReliableStats& s);
 
+// The root's per-picture metadata, from the start-code scan.
+std::vector<proto::PictureMeta> picture_metas(const RootSplitter& root);
+
 // Prewarm the wire pool (the GM analog of pre-posting buffers): mint every
 // size class up to twice the largest coded picture so the steady state
 // never misses, whatever peaks thread scheduling produces. The count covers
@@ -95,14 +108,85 @@ void post_initial_credits(net::FabricBackend& fabric,
 void emit(net::ReliableEndpoint& ep, HostShared& shared, int src,
           proto::Outgoing o);
 
-// Exchanges are built by the host (they carry extracted pixels), so they
-// are recorded with their typed form to feed the per-picture matrices.
-void emit_exchange(net::ReliableEndpoint& ep, HostShared& shared, int src,
-                   int dst, const proto::ExchangeMsg& msg);
-
 // Decode a received wire body. The transport CRC-verified it, so a decode
 // failure is a local protocol bug, not damage — crash loudly.
 proto::AnyMsg decode_trusted(const net::Message& m);
+
+// --- Role bodies: the compute both schedulers share ------------------------
+
+// Splitter (Table 3): split a picture against its stamped epoch's geometry
+// and pack the sub-pictures. Borrows the host's partition table.
+struct SplitterBody {
+  const wall::PartitionTable& table;
+  int node;
+  uint8_t stream;
+  bool adaptive;  // build a cost report after every split
+  MacroblockSplitter splitter;
+  obs::SplitterInstruments inst;
+
+  SplitterBody(const wall::PartitionTable& t, int node_id, uint8_t stream_id,
+               bool adaptive_enabled, const StreamInfo& info,
+               obs::MetricsRegistry& metrics);
+
+  // The update installing the picture's epoch precedes it on the same
+  // in-order link, so the table always already has it (CHECKed). Observes
+  // split_ns; counts pictures_split when the split succeeds.
+  SplitResult split(const proto::PictureMsg& pic);
+  // The planner's cost report for picture `i` (nullopt unless adaptive):
+  // one per popped picture, empty vectors when the picture was not split,
+  // so the root's completeness count holds.
+  std::optional<proto::Packed> cost_report(uint32_t i,
+                                           const SplitStats& stats) const;
+  // Serialize one tile's sub-picture and MEI list straight into a pooled
+  // wire body; counts sp_bytes_sent.
+  proto::Packed pack(const proto::PictureMsg& pic, const SplitResult& result,
+                     int tile);
+};
+
+// Decoder (Table 3): the tile decoders one node hosts — its home tile plus
+// any it adopted. Borrows the host's partition table and stream info.
+struct TileDecoderSet {
+  const wall::PartitionTable& table;
+  const StreamInfo& info;
+  HaloPolicy policy;
+  int node;
+  uint8_t stream;
+  std::map<int, std::unique_ptr<TileDecoder>> decs;  // by tile
+  std::map<int, SubPicture> subs;  // current picture's sub-picture, by tile
+  obs::DecoderInstruments inst;
+
+  TileDecoderSet(const wall::PartitionTable& t, const StreamInfo& si,
+                 HaloPolicy halo_policy, int node_id, uint8_t stream_id,
+                 obs::MetricsRegistry& metrics);
+
+  // The decoder for `tile`, created on first use. Given an `epoch`, it is
+  // rebased to that epoch's geometry first: the one place a tile decoder
+  // changes partitions. Only serve and co-hosted halo delivery pass one —
+  // rebase drops staged per-picture state, so it must precede both.
+  TileDecoder& at(int tile, std::optional<uint32_t> epoch = std::nullopt);
+
+  // Routes one built exchange to peer tile `peer` (and may move from it).
+  // Returns whether the message left this node (counted in
+  // exchange_bytes_sent).
+  using RouteFn = std::function<bool(int peer, proto::ExchangeMsg& m)>;
+
+  // Serve: deserialize `sp`, stage its CONCEAL entries and extract its
+  // SENDs into one ExchangeMsg per peer tile, each handed to `route`.
+  // Observes serve_ns; returns the seconds it took.
+  double serve(int tile, uint32_t i, const proto::SpMsg& sp,
+               const RouteFn& route);
+  // Co-hosted halo delivery: a peer tile on this same node takes the
+  // exchange in memory, at the sender's epoch.
+  void add_halos(int tile, uint32_t epoch, const proto::ExchangeMsg& m);
+  // Decode: apply the received halos, then decode the served sub-picture.
+  // Returns the decode seconds (observed in decode_ns).
+  double decode(int tile, uint32_t i,
+                const std::vector<proto::ExchangeMsg>& exchanges,
+                const TileDecoder::DisplayFn& display);
+  void skip(int tile, uint32_t i, const TileDecoder::DisplayFn& display);
+  // End of stream: emit the tile's pending reference, if it has a decoder.
+  void flush(int tile, const TileDecoder::DisplayFn& display);
+};
 
 // --- Root host (Table 3, root) + health monitor ----------------------------
 
@@ -136,11 +220,8 @@ struct SplitterHost {
   int index;
   net::ReliableEndpoint ep;
   proto::SplitterNode node;
-  MacroblockSplitter splitter;
   wall::PartitionTable table;  // epochs learned from the root's updates
-  bool adaptive = false;       // emit a cost report after every split
-
-  obs::SplitterInstruments inst;
+  SplitterBody body;
   obs::Gauge* queue_depth = nullptr;
 
   SplitterHost(net::FabricBackend* f, HostShared* sh,
@@ -165,19 +246,14 @@ struct DecoderHost {
   const WallTimer& timer;
   proto::Topology topo;
   int home_tile;
-  const wall::TileGeometry& geo;
-  const StreamInfo& info;
   const TileDisplayFn& on_display;
   std::mutex& display_mu;
   double heartbeat_interval_s;
   net::ReliableEndpoint ep;
   proto::DecoderNode node;
   wall::PartitionTable table;  // epochs learned from the root's updates
-  std::map<int, std::unique_ptr<TileDecoder>> decs;  // by tile
-  std::map<int, SubPicture> subs;  // current picture's sub-picture, by tile
+  TileDecoderSet decs;
   bool gone = false;  // killed (or fabric torn down) — exit silently
-
-  obs::DecoderInstruments inst;
   obs::Gauge* queue_depth = nullptr;
 
   DecoderHost(net::FabricBackend* f, HostShared* sh, const WallTimer* t,
@@ -190,13 +266,12 @@ struct DecoderHost {
   int self() const { return topo.decoder(home_tile); }
 
   TileDecoder::DisplayFn display_fn(int tile);
-  TileDecoder& dec(int tile);
   void apply(proto::DecoderNode::Step step);
   // Pump the transport once; returns false when this node is dead.
   bool pump(double timeout);
-  // Phase 1 for one tile: resolve the sub-picture and execute its MEI SENDs.
+  // Phase 1 for one tile: wait for the sub-picture, then serve it.
   void serve(const proto::DecoderNode::OwnedTile& ot, uint32_t i);
-  // Phase 2 for one tile: collect the halos it still expects, then decode.
+  // Phase 2 for one tile: wait for the halos it still expects, then decode.
   void work(const proto::DecoderNode::OwnedTile& ot, uint32_t i);
   void run(uint32_t total_pictures);
 };

@@ -149,15 +149,6 @@ void SubPicture::serialize(std::vector<uint8_t>* out) const {
   serialize_into(&w);
 }
 
-mem::Bytes SubPicture::serialize_pooled() const {
-  const size_t n = wire_bytes();
-  mem::Bytes out = mem::Bytes::alloc(n);
-  ByteWriter w(out.mutable_data(), n);
-  serialize_into(&w);
-  PDW_CHECK_EQ(w.size(), n);
-  return out;
-}
-
 SubPicture SubPicture::deserialize(std::span<const uint8_t> data) {
   return deserialize_impl(data, nullptr);
 }

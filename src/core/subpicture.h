@@ -77,9 +77,6 @@ struct SubPicture {
   size_t payload_bytes() const;  // raw slice bytes only (no SPH overhead)
 
   void serialize(std::vector<uint8_t>* out) const;
-  // Exact-size pooled serialization (wire_bytes() sizes the buffer up
-  // front; no growth reallocations).
-  mem::Bytes serialize_pooled() const;
   // Append the wire encoding to an existing writer (proto::pack_sp encodes
   // straight into a pooled SpMsg body this way).
   void serialize_into(ByteWriter* w) const;

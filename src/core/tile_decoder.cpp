@@ -194,39 +194,22 @@ void TileDecoder::rebase(const wall::TileGeometry& geo) {
   staged_conceals_.clear();
 }
 
-MacroblockPixels TileDecoder::extract_for_send(
-    const PicInfo& pic, const MeiInstruction& instr) const {
+MacroblockPixels TileDecoder::extract_for_send(const PicInfo& pic,
+                                               const MeiInstruction& instr,
+                                               bool* tainted) const {
   PDW_CHECK(instr.op == MeiOp::kSend);
   // Map the instruction's logical reference to a physical frame for the
   // picture about to be decoded: P uses (fwd = newest I/P); B uses
   // (fwd = older, bwd = newest).
-  const TileFrame* src = nullptr;
-  if (pic.type == PicType::B)
-    src = instr.ref == 0 ? ref_old_.get() : ref_new_.get();
-  else
-    src = ref_new_.get();
-  PDW_CHECK(src != nullptr) << "SEND before reference frames exist";
-  return src->extract_mb(instr.mb_x, instr.mb_y);
-}
-
-MacroblockPixels TileDecoder::try_extract_for_send(const PicInfo& pic,
-                                                   const MeiInstruction& instr,
-                                                   bool* degraded) const {
-  PDW_CHECK(instr.op == MeiOp::kSend);
-  const TileFrame* src = nullptr;
-  bool taint = false;
-  if (pic.type == PicType::B) {
-    src = instr.ref == 0 ? ref_old_.get() : ref_new_.get();
-    taint = instr.ref == 0 ? taint_old_ : taint_new_;
-  } else {
-    src = ref_new_.get();
-    taint = taint_new_;
-  }
+  const bool old_ref = pic.type == PicType::B && instr.ref == 0;
+  const TileFrame* src = old_ref ? ref_old_.get() : ref_new_.get();
   if (src == nullptr) {
-    *degraded = true;
+    PDW_CHECK(policy_ == HaloPolicy::kConceal)
+        << "SEND before reference frames exist";
+    if (tainted) *tainted = true;
     return gray_mb();
   }
-  *degraded = taint;
+  if (tainted) *tainted = old_ref ? taint_old_ : taint_new_;
   return src->extract_mb(instr.mb_x, instr.mb_y);
 }
 

@@ -94,17 +94,13 @@ class TileDecoder {
 
   // SEND execution: extract the requested reference macroblock from this
   // decoder's local reference frames (instr.ref: 0 = forward reference of
-  // the picture about to be decoded, 1 = backward). CHECK-fails if the
-  // reference does not exist (lockstep invariant).
+  // the picture about to be decoded, 1 = backward). A missing reference
+  // CHECK-fails under kStrict (the lockstep invariant) and yields mid-gray
+  // pixels under kConceal. `tainted`, when given, reports whether the pixels
+  // are degraded: gray, or read from a tainted reference.
   mpeg2::MacroblockPixels extract_for_send(const PicInfo& pic,
-                                           const MeiInstruction& instr) const;
-
-  // Fault-tolerant SEND: a missing reference yields mid-gray pixels and
-  // *degraded = true; a tainted reference yields its (wrong but valid)
-  // pixels and *degraded = true.
-  mpeg2::MacroblockPixels try_extract_for_send(const PicInfo& pic,
-                                               const MeiInstruction& instr,
-                                               bool* degraded) const;
+                                           const MeiInstruction& instr,
+                                           bool* tainted = nullptr) const;
 
   // RECV delivery: store a remote macroblock into the halo for the upcoming
   // picture.

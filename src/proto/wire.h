@@ -7,9 +7,10 @@
 // returns false on truncated, oversized, version-skewed or otherwise
 // malformed bytes and never crashes (fuzz/fuzz_wire.cpp holds it to that).
 //
-// The `stream` byte is the StreamSession multiplexing tag (proto/session.h):
-// one wall can interleave pictures from several independent elementary
-// streams, and every protocol message names the stream it belongs to.
+// The `stream` byte is the multiplexing tag of core::StreamSession
+// (core/session.h): one wall can interleave pictures from several
+// independent elementary streams, each a LockstepPipeline constructed with
+// its own tag, and every protocol message names the stream it belongs to.
 // Single-stream engines use stream 0 throughout.
 //
 // Transport mapping: a packed message also carries envelope fields (type,

@@ -8,8 +8,8 @@
 #include "common/check.h"
 #include "common/stats.h"
 #include "core/pipeline.h"
+#include "core/session.h"
 #include "mem/pool.h"
-#include "proto/session.h"
 #include "sim/traffic_model.h"
 
 namespace pdw::sim {
@@ -104,7 +104,7 @@ void run_shed_leg(const ChaosSchedule& sched, ChaosReport* rep) {
   acfg.capacity.mb_per_s =
       proto::tenant_cost(spec) * sched.shed_capacity_tenants;
   acfg.capacity.admit_headroom = 1.0;
-  proto::StreamSession session(*sched.geo, 2);
+  core::StreamSession session(*sched.geo, 2);
   session.enable_admission(acfg);
   spec.priority = proto::PriorityClass::kPremium;
   std::vector<int> attached;
@@ -119,7 +119,7 @@ void run_shed_leg(const ChaosSchedule& sched, ChaosReport* rep) {
   }
 
   std::map<std::pair<int, int>, uint64_t> emissions;  // per (stream, tile)
-  const proto::StreamSession::Result result =
+  const core::StreamSession::Result result =
       session.run([&](int stream, int tile, const mpeg2::TileFrame&,
                       const core::TileDisplayInfo&) {
         ++emissions[{stream, tile}];

@@ -16,10 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/lockstep.h"
 #include "enc/encoder.h"
 #include "net/fabric.h"
 #include "proto/admission.h"
-#include "proto/session.h"
 #include "video/generator.h"
 
 namespace pdw::proto {
@@ -359,7 +359,7 @@ TEST(AdmissionResync, RevertIsBitExactFromClosedGopOnward) {
 
   FrameMap ref;
   {
-    SerialStream ss(geo, 2, stream_es());
+    core::LockstepPipeline ss(geo, 2, stream_es());
     const auto fn = capture(&ref);
     while (!ss.done()) ss.step(fn, nullptr);
     ss.finish(fn);
@@ -371,7 +371,7 @@ TEST(AdmissionResync, RevertIsBitExactFromClosedGopOnward) {
   ASSERT_EQ(adm.offer(to_request(spec, 0)).verdict, AdmissionVerdict::kAccept);
   uint64_t shed_count = 0;
   {
-    SerialStream ss(geo, 2, stream_es());
+    core::LockstepPipeline ss(geo, 2, stream_es());
     const auto fn = capture(&gated);
     while (!ss.done()) {
       const uint32_t pic = ss.next_picture();

@@ -392,9 +392,8 @@ TEST(ProtocolEquivalence, PooledMatchesUnpooledWireForWire) {
   const auto es = make_stream(w, h, SceneKind::kMovingObjects, 8);
   wall::TileGeometry geo(w, h, 2, 2, 0);
 
-  // Byte-for-byte: the same split sub-picture serialized through the legacy
-  // vector path and the pooled path, then packed through pack() and the
-  // direct-into-body pack_sp().
+  // Byte-for-byte: the same split sub-picture serialized through the vector
+  // path, then packed through pack() and the direct-into-body pack_sp().
   core::RootSplitter root(es);
   core::MacroblockSplitter splitter(geo);
   splitter.set_stream_info(root.stream_info());
@@ -405,13 +404,11 @@ TEST(ProtocolEquivalence, PooledMatchesUnpooledWireForWire) {
     const core::SubPicture& sub = sr.subpictures[size_t(t)];
     std::vector<uint8_t> vec;
     sub.serialize(&vec);
-    const mem::Bytes pooled = sub.serialize_pooled();
-    EXPECT_EQ(pooled, mem::Bytes::borrow(vec)) << "tile " << t;
 
     proto::SpMsg m;
     m.pic_index = 0;
     m.tile = uint16_t(t);
-    m.subpicture = pooled;
+    m.subpicture = mem::Bytes::borrow(vec);
     m.mei = sr.mei[size_t(t)];
     const proto::Packed a = proto::pack(m);
     const proto::Packed b =

@@ -8,15 +8,16 @@
 #include <memory>
 #include <vector>
 
+#include "core/session.h"
 #include "enc/encoder.h"
 #include "mpeg2/decoder.h"
-#include "proto/session.h"
 #include "video/generator.h"
 #include "wall/assembler.h"
 
 namespace pdw::proto {
 namespace {
 
+using core::StreamSession;
 using mpeg2::Frame;
 
 constexpr int kW = 256, kH = 192;

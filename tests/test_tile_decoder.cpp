@@ -191,5 +191,49 @@ TEST(TileDecoder, FlushWithoutPicturesIsANoOp) {
   EXPECT_EQ(calls, 0);
 }
 
+// A SEND for a P picture on a decoder that holds no reference frame yet.
+MeiInstruction send_without_reference(PicInfo* pic) {
+  pic->type = mpeg2::PicType::P;
+  MeiInstruction send;
+  send.op = MeiOp::kSend;
+  send.ref = 0;
+  send.peer = 1;
+  return send;
+}
+
+TEST(TileDecoder, ConcealedSendWithoutReferenceIsGrayAndTainted) {
+  const auto es = make_stream(192, 160, 2);
+  wall::TileGeometry geo(192, 160, 2, 1, 0);
+  RootSplitter root(es);
+  TileDecoder dec(geo, 0, root.stream_info(), HaloPolicy::kConceal);
+  PicInfo pic;
+  const MeiInstruction send = send_without_reference(&pic);
+  bool tainted = false;
+  const mpeg2::MacroblockPixels px = dec.extract_for_send(pic, send, &tainted);
+  EXPECT_TRUE(tainted);
+  for (uint8_t v : px.y) ASSERT_EQ(v, 128);
+  for (uint8_t v : px.cb) ASSERT_EQ(v, 128);
+  for (uint8_t v : px.cr) ASSERT_EQ(v, 128);
+}
+
+TEST(TileDecoder, StrictSendWithoutReferenceIsAHardError) {
+  const auto es = make_stream(192, 160, 2);
+  wall::TileGeometry geo(192, 160, 2, 1, 0);
+  RootSplitter root(es);
+  TileDecoder dec(geo, 0, root.stream_info());  // kStrict
+  PicInfo pic;
+  const MeiInstruction send = send_without_reference(&pic);
+  bool tainted = false;
+  bool threw = false;
+  try {
+    (void)dec.extract_for_send(pic, send, &tainted);
+  } catch (const CheckError& e) {
+    threw = true;
+    EXPECT_NE(std::string(e.what()).find("SEND before reference frames exist"),
+              std::string::npos);
+  }
+  EXPECT_TRUE(threw) << "expected the missing-reference CHECK failure";
+}
+
 }  // namespace
 }  // namespace pdw::core
