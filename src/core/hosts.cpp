@@ -175,7 +175,7 @@ TileDecoder& TileDecoderSet::at(int tile, std::optional<uint32_t> epoch) {
   const wall::TileGeometry& geo = table.geometry(epoch.value_or(0));
   auto& slot = decs[tile];
   if (!slot)
-    slot = std::make_unique<TileDecoder>(geo, tile, info, policy);
+    slot = std::make_unique<TileDecoder>(geo, tile, info, policy, node);
   else if (epoch && slot->epoch() != *epoch)
     slot->rebase(geo);
   return *slot;

@@ -47,6 +47,7 @@ ClusterStats run_socket_wall(const wall::TileGeometry& geo, int k,
   net::RendezvousServer rv(n);
   net::RendezvousConfig rv_cfg;
   rv_cfg.timeout_s = kRendezvousTimeoutS;
+  rv_cfg.metrics = opts.metrics;
   rv.serve_async(rv_cfg);
 
   // Every node gets its own socket fabric.

@@ -1,12 +1,17 @@
 #include "core/tile_decoder.h"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstring>
 
 #include "bitstream/bit_reader.h"
+#include "common/work_pool.h"
 #include "mpeg2/conceal.h"
 #include "mpeg2/mb_parser.h"
 #include "mpeg2/motion.h"
 #include "mpeg2/recon.h"
+#include "obs/trace.h"
 
 namespace pdw::core {
 
@@ -31,18 +36,28 @@ MacroblockPixels gray_mb() {
 //
 // Under HaloPolicy::kConceal a missing halo macroblock is filled with
 // mid-gray instead of aborting, and the source records that it concealed;
-// reading a tainted halo entry also marks the source. The decoder folds
-// these flags (together with whether the source was read at all) into the
-// reconstructed frame's taint bit.
+// reading a tainted halo entry also marks the source. A reference frame
+// that does not exist (lost to a skip or a fresh adoption; `tf` null) reads
+// as all gray: any actual read taints the output, but if the syntax never
+// reads it (e.g. backward-only B pictures right after a closed-GOP I), the
+// output stays bit-exact — exactly the property the recovery invariant
+// relies on. The flags are per instance: every band builds its own sources
+// over the shared, read-only frames and halo, and the decoder folds them
+// into the reconstructed frame's taint bit.
 class TileDecoder::TileRefSource final : public RefSource {
  public:
-  TileRefSource(const TileFrame& tf, const HaloCache& halo, HaloPolicy policy,
+  TileRefSource(const TileFrame* tf, const HaloCache& halo, HaloPolicy policy,
                 bool ref_tainted)
-      : tf_(&tf), halo_(&halo), policy_(policy), ref_tainted_(ref_tainted) {}
+      : tf_(tf), halo_(&halo), policy_(policy), ref_tainted_(ref_tainted) {}
 
   void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
              int stride) const override {
     read_ = true;
+    if (tf_ == nullptr) {
+      for (int r = 0; r < h; ++r)
+        std::memset(dst + size_t(r) * stride, 128, size_t(w));
+      return;
+    }
     const int mb_edge = c == 0 ? 16 : 8;  // macroblock edge in this plane
     for (int r = 0; r < h; ++r) {
       const int gy = y + r;
@@ -84,10 +99,12 @@ class TileDecoder::TileRefSource final : public RefSource {
     }
   }
 
-  bool read() const { return read_; }
   // True if this source delivered any pixels that are not bit-exact: a
-  // concealed/tainted halo entry, or any read of a tainted reference frame.
-  bool tainted() const { return concealed_ || (read_ && ref_tainted_); }
+  // concealed/tainted halo entry, or any read of a missing or tainted
+  // reference frame.
+  bool tainted() const {
+    return concealed_ || (read_ && (ref_tainted_ || tf_ == nullptr));
+  }
 
  private:
   const TileFrame* tf_;
@@ -98,36 +115,26 @@ class TileDecoder::TileRefSource final : public RefSource {
   mutable bool concealed_ = false;
 };
 
-// Stand-in for a reference frame that does not exist (lost to a skip or a
-// fresh adoption). All-gray; any actual read taints the output. If the
-// syntax never reads it (e.g. backward-only B pictures right after a
-// closed-GOP I), the output stays bit-exact — exactly the property the
-// recovery invariant relies on.
-class TileDecoder::GrayRefSource final : public RefSource {
- public:
-  void fetch(int, int, int, int w, int h, uint8_t* dst,
-             int stride) const override {
-    read_ = true;
-    for (int r = 0; r < h; ++r)
-      std::memset(dst + size_t(r) * stride, 128, size_t(w));
-  }
-  bool read() const { return read_; }
-
- private:
-  mutable bool read_ = false;
-};
-
 namespace {
 
-// Sink reconstructing macroblocks into the tile frame. Only macroblocks
-// inside the tile rect are materialized; the syntax decoder may synthesize
-// interior skips that belong to this tile by construction, so everything the
-// sink sees is in-rect (CHECKed).
+// Sink reconstructing one band's macroblocks into the tile frame. Only
+// macroblocks inside the band's rows of the tile rect are materialized; the
+// syntax decoder may synthesize interior skips that belong to this tile by
+// construction, so everything the sink sees is in-rect and, since runs are
+// row-local, in-band (both CHECKed: no band writes another band's rows).
 class TileReconSink final : public MbSink {
  public:
   TileReconSink(const PictureContext& ctx, const wall::MbRect& rect,
-                TileFrame* cur, const RefSource* fwd, const RefSource* bwd)
-      : ctx_(ctx), rect_(rect), cur_(cur), fwd_(fwd), bwd_(bwd) {}
+                int band_y0, int band_y1, TileFrame* cur, uint8_t* seen,
+                const RefSource* fwd, const RefSource* bwd)
+      : ctx_(ctx),
+        rect_(rect),
+        band_y0_(band_y0),
+        band_y1_(band_y1),
+        cur_(cur),
+        seen_(seen),
+        fwd_(fwd),
+        bwd_(bwd) {}
 
   void on_macroblock(const Macroblock& mb, const MbState&, size_t,
                      size_t) override {
@@ -136,6 +143,9 @@ class TileReconSink final : public MbSink {
     PDW_CHECK(rect_.contains(mbx, mby))
         << "sub-picture macroblock (" << mbx << "," << mby
         << ") outside tile rect";
+    PDW_CHECK(mby >= band_y0_ && mby < band_y1_)
+        << "sub-picture macroblock (" << mbx << "," << mby
+        << ") outside its run's row band";
     MacroblockPixels px;
     reconstruct_mb(mb, fwd_, bwd_, mbx, mby, &px);
     cur_->insert_mb(mbx, mby, px);
@@ -143,10 +153,10 @@ class TileReconSink final : public MbSink {
     // an earlier slice already delivered. The serial decoder just overwrites
     // (last slice wins), so the tile does too, and completeness is about
     // coverage, not delivery count.
-    const size_t idx = size_t(mby - rect_.y0) * size_t(rect_.x1 - rect_.x0) +
-                       size_t(mbx - rect_.x0);
-    if (!seen_[idx]) {
-      seen_[idx] = true;
+    uint8_t& seen = seen_[size_t(mby - rect_.y0) * size_t(rect_.x1 - rect_.x0) +
+                          size_t(mbx - rect_.x0)];
+    if (!seen) {
+      seen = 1;
       ++count_;
     }
   }
@@ -156,23 +166,57 @@ class TileReconSink final : public MbSink {
  private:
   const PictureContext& ctx_;
   const wall::MbRect& rect_;
+  int band_y0_, band_y1_;
   TileFrame* cur_;
+  uint8_t* seen_;
   const RefSource* fwd_;
   const RefSource* bwd_;
-  std::vector<bool> seen_ = std::vector<bool>(size_t(rect_.count()), false);
   int count_ = 0;
 };
+
+// First macroblock address a run touches; every macroblock of a run lies in
+// this address's row.
+int first_addr(const SpRun& run) {
+  if (run.lead_skip_count > 0) return int(run.lead_skip_addr);
+  if (run.num_coded > 0) return int(run.first_coded_addr);
+  return int(run.trail_skip_addr);
+}
+
+// The splitter scan-validated exactly these bits: a parse failure here is
+// an internal invariant violation (splitter/decoder divergence), not stream
+// damage, so it stays a hard CHECK.
+void decode_run(const SpRun& run, MbSyntaxDecoder& syntax, MbSink& sink) {
+  syntax.load_state(run.state);
+  if (run.lead_skip_count > 0)
+    PDW_CHECK(syntax.synthesize_skipped(int(run.lead_skip_addr),
+                                        int(run.lead_skip_count), sink));
+  if (run.num_coded > 0) {
+    BitReader r(run.payload, run.skip_bits);
+    const DecodeStatus st = syntax.parse_run(r, int(run.first_coded_addr),
+                                             int(run.num_coded), sink);
+    PDW_CHECK(st.ok()) << "sub-picture run failed to parse: " << st;
+  }
+  if (run.trail_skip_count > 0)
+    PDW_CHECK(syntax.synthesize_skipped(int(run.trail_skip_addr),
+                                        int(run.trail_skip_count), sink));
+}
+
+// Bands per pool thread: enough that a band of detailed rows holds up only
+// the thread that claimed it while the others take the rest.
+constexpr int kBandsPerThread = 4;
+constexpr int kMaxBands = 64;
 
 }  // namespace
 
 TileDecoder::TileDecoder(const wall::TileGeometry& geo, int tile,
-                         const StreamInfo& info, HaloPolicy policy)
+                         const StreamInfo& info, HaloPolicy policy, int node)
     : geo_(&geo),
       tile_(tile),
       seq_(info.seq),
       rect_(geo.tile_mbs(tile)),
       epoch_(geo.epoch()),
-      policy_(policy) {
+      policy_(policy),
+      node_(node) {
   PDW_CHECK_EQ(seq_.mb_width(), geo.mb_width());
   PDW_CHECK_EQ(seq_.mb_height(), geo.mb_height());
 }
@@ -273,66 +317,76 @@ void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
   if (!cur_)
     cur_ = std::make_unique<TileFrame>(rect_.x0, rect_.y0, rect_.x1, rect_.y1);
 
-  // Build reference sources. Under kConceal a missing reference frame is
-  // replaced by an all-gray stand-in instead of aborting.
-  std::unique_ptr<TileRefSource> fwd, bwd;
-  GrayRefSource gray_fwd, gray_bwd;
-  const RefSource* fwd_src = nullptr;
-  const RefSource* bwd_src = nullptr;
+  // The references this picture reads: [0] forward, [1] backward. Under
+  // kConceal a missing frame reads as gray instead of aborting.
+  const TileFrame* ref[2] = {nullptr, nullptr};
+  bool ref_taint[2] = {false, false};
   if (sp.info.type == PicType::P) {
     if (policy_ == HaloPolicy::kStrict) PDW_CHECK(ref_new_) << "P without ref";
-    if (ref_new_) {
-      fwd = std::make_unique<TileRefSource>(*ref_new_, halo_[0], policy_,
-                                            taint_new_);
-      fwd_src = fwd.get();
-    } else {
-      fwd_src = &gray_fwd;
-    }
+    ref[0] = ref_new_.get();
+    ref_taint[0] = taint_new_;
   } else if (sp.info.type == PicType::B) {
     if (policy_ == HaloPolicy::kStrict)
       PDW_CHECK(ref_old_ && ref_new_) << "B without two references";
-    if (ref_old_) {
-      fwd = std::make_unique<TileRefSource>(*ref_old_, halo_[0], policy_,
-                                            taint_old_);
-      fwd_src = fwd.get();
-    } else {
-      fwd_src = &gray_fwd;
-    }
-    if (ref_new_) {
-      bwd = std::make_unique<TileRefSource>(*ref_new_, halo_[1], policy_,
-                                            taint_new_);
-      bwd_src = bwd.get();
-    } else {
-      bwd_src = &gray_bwd;
-    }
+    ref[0] = ref_old_.get();
+    ref_taint[0] = taint_old_;
+    ref[1] = ref_new_.get();
+    ref_taint[1] = taint_new_;
+  }
+  const bool has_fwd = sp.info.type != PicType::I;
+  const bool has_bwd = sp.info.type == PicType::B;
+
+  // Cut the tile's rows into bands of whole rows. A run belongs to the band
+  // of its row (clamped, so a run outside the rect still reaches the sink's
+  // rect CHECK); each band remembers the span of run indices holding its
+  // runs, and walks it in stream order.
+  WorkPool& pool = WorkPool::global();
+  const int rows = rect_.y1 - rect_.y0;
+  const int threads = pool.workers() + 1;
+  const int want =
+      threads == 1 ? 1 : std::min(kBandsPerThread * threads, kMaxBands);
+  const int target = std::min(rows, want);
+  const int band_rows = (rows + target - 1) / target;
+  const int bands = (rows + band_rows - 1) / band_rows;
+  const int mbw = seq_.mb_width();
+  auto band_of = [&](const SpRun& run) {
+    return std::clamp((first_addr(run) / mbw - rect_.y0) / band_rows, 0,
+                      bands - 1);
+  };
+  struct Band {
+    size_t first_run = SIZE_MAX, end_run = 0;
+    int count = 0;  // macroblock positions first covered by this band
+    bool tainted = false;
+  };
+  std::array<Band, kMaxBands> band{};
+  for (size_t k = 0; k < sp.runs.size(); ++k) {
+    Band& b = band[size_t(band_of(sp.runs[k]))];
+    b.first_run = std::min(b.first_run, k);
+    b.end_run = k + 1;
   }
 
-  MbSyntaxDecoder syntax(ctx, ParseMode::kFull);
-  TileReconSink sink(ctx, rect_, cur_.get(), fwd_src, bwd_src);
-
-  // The splitter scan-validated exactly these bits: a parse failure here is
-  // an internal invariant violation (splitter/decoder divergence), not
-  // stream damage, so it stays a hard CHECK.
-  for (const SpRun& run : sp.runs) {
-    syntax.load_state(run.state);
-    if (run.lead_skip_count > 0)
-      PDW_CHECK(syntax.synthesize_skipped(int(run.lead_skip_addr),
-                                          int(run.lead_skip_count), sink));
-    if (run.num_coded > 0) {
-      BitReader r(run.payload, run.skip_bits);
-      const DecodeStatus st =
-          syntax.parse_run(r, int(run.first_coded_addr), int(run.num_coded),
-                           sink);
-      PDW_CHECK(st.ok()) << "sub-picture run failed to parse: " << st;
-    }
-    if (run.trail_skip_count > 0)
-      PDW_CHECK(syntax.synthesize_skipped(int(run.trail_skip_addr),
-                                          int(run.trail_skip_count), sink));
-  }
+  seen_.assign(size_t(rect_.count()), 0);
+  auto decode_band = [&](int i) {
+    PDW_TRACE_SPAN(obs::span::kDecodeBand, node_, sp.info.pic_index);
+    Band& b = band[size_t(i)];
+    const TileRefSource fwd(ref[0], halo_[0], policy_, ref_taint[0]);
+    const TileRefSource bwd(ref[1], halo_[1], policy_, ref_taint[1]);
+    MbSyntaxDecoder syntax(ctx, ParseMode::kFull);
+    const int y0 = rect_.y0 + i * band_rows;
+    TileReconSink sink(ctx, rect_, y0, std::min(rect_.y1, y0 + band_rows),
+                       cur_.get(), seen_.data(), has_fwd ? &fwd : nullptr,
+                       has_bwd ? &bwd : nullptr);
+    for (size_t k = b.first_run; k < b.end_run; ++k)
+      if (band_of(sp.runs[k]) == i) decode_run(sp.runs[k], syntax, sink);
+    b.count = sink.count();
+    b.tainted = fwd.tainted() || bwd.tainted();
+  };
+  pool.run(bands, decode_band);
 
   // Execute the concealment plan for macroblocks no slice delivered. The
   // zero-MV window is the macroblock's own footprint, inside the tile rect,
   // so concealment never needs halo pixels.
+  const TileRefSource conceal_fwd(ref[0], halo_[0], policy_, ref_taint[0]);
   for (const MeiInstruction& instr : staged_conceals_) {
     ConcealSpec spec;
     spec.mb_x = instr.mb_x;
@@ -341,7 +395,7 @@ void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
     spec.fill_cb = conceal_fill_cb(instr);
     spec.fill_cr = conceal_fill_cr(instr);
     MacroblockPixels px;
-    conceal_mb(sp.info.type, fwd_src, spec, &px);
+    conceal_mb(sp.info.type, has_fwd ? &conceal_fwd : nullptr, spec, &px);
     cur_->insert_mb(spec.mb_x, spec.mb_y, px);
   }
   last_conceal_count_ = int(staged_conceals_.size());
@@ -349,19 +403,18 @@ void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
 
   // Completeness: the whole tile rect must have been reconstructed, whether
   // from parsed syntax or from the concealment plan.
-  PDW_CHECK_EQ(sink.count() + last_conceal_count_, rect_.count())
+  int count = 0;
+  bool tainted = conceal_fwd.tainted();
+  for (int i = 0; i < bands; ++i) {
+    count += band[size_t(i)].count;
+    tainted |= band[size_t(i)].tainted;
+  }
+  PDW_CHECK_EQ(count + last_conceal_count_, rect_.count())
       << "tile " << tile_ << " picture " << sp.info.pic_index;
-  last_mb_count_ = sink.count();
+  last_mb_count_ = count;
   last_halo_count_ = halo_[0].size() + halo_[1].size();
   halo_[0].clear();
   halo_[1].clear();
-
-  // Taint of the frame just reconstructed: anything concealed, plus any
-  // actual read of a missing (gray) or tainted reference.
-  bool tainted = false;
-  if (fwd) tainted |= fwd->tainted();
-  if (bwd) tainted |= bwd->tainted();
-  tainted |= gray_fwd.read() || gray_bwd.read();
 
   last_pic_index_ = int64_t(sp.info.pic_index);
 

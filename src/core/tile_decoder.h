@@ -21,6 +21,16 @@
 // reference frame or a tainted halo entry. I pictures read nothing, so
 // taint self-clears at the next I — the paper's GOP structure is what makes
 // degraded-mode recovery converge.
+//
+// Inside one picture the decoder is parallel. A sub-picture's runs are
+// independent: each carries its entry state in its SPH and stays inside one
+// macroblock row. decode() cuts the tile's rows into bands of whole rows,
+// and the calling thread and the process's WorkPool (common/work_pool.h)
+// decode the bands together, each with its own syntax decoder and reference
+// views. Runs of one row stay in stream order inside their band, so a row
+// that two slices claim still ends as the later one left it. Concealment,
+// the completeness check, display emission and the reference rotation run
+// on the caller after the bands.
 #pragma once
 
 #include <functional>
@@ -78,8 +88,9 @@ struct TileDisplayInfo {
 
 class TileDecoder {
  public:
+  // `node` is the trace pid of this decoder's decode_band spans.
   TileDecoder(const wall::TileGeometry& geo, int tile, const StreamInfo& info,
-              HaloPolicy policy = HaloPolicy::kStrict);
+              HaloPolicy policy = HaloPolicy::kStrict, int node = 0);
   ~TileDecoder();
 
   int tile() const { return tile_; }
@@ -116,7 +127,9 @@ class TileDecoder {
 
   // Decode one sub-picture. All halo entries for this picture must have been
   // added. Calls `display` zero or more times (display-order reordering, as
-  // in the serial decoder). Halo is cleared afterwards.
+  // in the serial decoder), on the calling thread. Halo is cleared
+  // afterwards. A CHECK failure in any band is rethrown here once every band
+  // has finished.
   //
   // Display slots are *stateless*: every emission triggered by the picture
   // at decode index j lands at display slot j - 1, and flush() emits at the
@@ -144,7 +157,6 @@ class TileDecoder {
 
  private:
   class TileRefSource;
-  class GrayRefSource;
 
   void emit(const mpeg2::TileFrame& frame, const TileDisplayInfo& info,
             const DisplayFn& display);
@@ -156,10 +168,14 @@ class TileDecoder {
   wall::MbRect rect_;
   uint32_t epoch_ = 0;
   HaloPolicy policy_;
+  int node_;
 
   std::unique_ptr<mpeg2::TileFrame> cur_, ref_old_, ref_new_;
   bool taint_old_ = false, taint_new_ = false;
   HaloCache halo_[2];  // [0] forward, [1] backward for the upcoming picture
+  // One byte per macroblock of rect_: reconstructed in this picture. Bands
+  // write disjoint rows of it, never a shared word.
+  std::vector<uint8_t> seen_;
 
   std::vector<MeiInstruction> staged_conceals_;
   int last_conceal_count_ = 0;

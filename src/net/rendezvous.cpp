@@ -9,9 +9,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace pdw::net {
 
@@ -57,14 +60,50 @@ double now_s() {
       .count();
 }
 
-// Wait up to timeout_s for one datagram. Returns its length, or -1.
+// Wait up to timeout_s for one datagram. Returns its length, or -1. The
+// poll timeout rounds up to whole milliseconds, so the last fraction of a
+// millisecond before a deadline waits instead of spinning.
 ssize_t recv_one(int fd, uint8_t* buf, size_t cap, double timeout_s,
                  sockaddr_in* from) {
   pollfd pfd{fd, POLLIN, 0};
-  if (::poll(&pfd, 1, std::max(0, int(timeout_s * 1000))) <= 0) return -1;
+  const int ms = std::max(0, int(std::ceil(timeout_s * 1000)));
+  if (::poll(&pfd, 1, ms) <= 0) return -1;
   socklen_t slen = sizeof(*from);
   return ::recvfrom(fd, buf, cap, 0, reinterpret_cast<sockaddr*>(from), &slen);
 }
+
+// Every sendto() of one side of the rendezvous goes through here: failures
+// are counted into rendezvous_send_failures and reported on timeout.
+class SendTally {
+ public:
+  SendTally(const RendezvousConfig& cfg, int node)
+      : failures_(&obs::registry_or_global(cfg.metrics)
+                       .counter(obs::family::kRendezvousSendFailures,
+                                obs::Labels{node, -1})) {}
+
+  void send(int fd, const void* buf, size_t len, const sockaddr_in& to) {
+    if (::sendto(fd, buf, len, 0, reinterpret_cast<const sockaddr*>(&to),
+                 sizeof(to)) >= 0)
+      return;
+    ++count_;
+    last_errno_ = errno;
+    failures_->add();
+  }
+
+  RendezvousStatus timed_out(const char* who) const {
+    if (count_ > 0)
+      std::fprintf(stderr,
+                   "rendezvous %s: timed out after %d failed sendto (last: "
+                   "%s)\n",
+                   who, count_, std::strerror(last_errno_));
+    return RendezvousStatus::kTimeout;
+  }
+
+ private:
+  obs::Counter* failures_;
+  int count_ = 0;
+  int last_errno_ = 0;
+};
 
 }  // namespace
 
@@ -82,14 +121,13 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
   put_u32(join + 12, local.ip);
   put_u32(join + 16, local.port);
 
+  SendTally tally(cfg, self);
   const double deadline = now_s() + cfg.timeout_s;
   double backoff = cfg.backoff_initial_s;
   bool have_map = false;
 
   while (now_s() < deadline) {
-    if (!have_map)
-      ::sendto(fd, join, sizeof(join), 0, reinterpret_cast<sockaddr*>(&srv),
-               sizeof(srv));
+    if (!have_map) tally.send(fd, join, sizeof(join), srv);
     // After the map arrived, linger briefly re-acking resends (our first
     // MAP_ACK may have been lost); a quiet window means the listener heard.
     const double wait = have_map
@@ -119,12 +157,11 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
     put_u32(ack + 0, kRvMagic);
     put_u32(ack + 4, kMapAck);
     put_u32(ack + 8, uint32_t(self));
-    ::sendto(fd, ack, sizeof(ack), 0, reinterpret_cast<sockaddr*>(&srv),
-             sizeof(srv));
+    tally.send(fd, ack, sizeof(ack), srv);
     have_map = true;
   }
   ::close(fd);
-  return have_map ? RendezvousStatus::kOk : RendezvousStatus::kTimeout;
+  return have_map ? RendezvousStatus::kOk : tally.timed_out("join");
 }
 
 RendezvousServer::RendezvousServer(int nodes, uint16_t port)
@@ -142,6 +179,7 @@ RendezvousServer::~RendezvousServer() {
 }
 
 RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
+  SendTally tally(cfg, -1);
   const double deadline = now_s() + cfg.timeout_s;
   double next_push = 0;  // MAP resend pacing once everyone joined
 
@@ -172,8 +210,7 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
             uint8_t wait[8];
             put_u32(wait + 0, kRvMagic);
             put_u32(wait + 4, kWait);
-            ::sendto(fd_, wait, sizeof(wait), 0,
-                     reinterpret_cast<sockaddr*>(&from), sizeof(from));
+            tally.send(fd_, wait, sizeof(wait), from);
           }
         }
       } else if (kind == kMapAck && n >= 12) {
@@ -200,13 +237,12 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
         // MAP goes to the joiner's rendezvous socket (the JOIN source), not
         // its fabric endpoint — they are different sockets.
         sockaddr_in to = to_sockaddr(join_source_[size_t(i)]);
-        ::sendto(fd_, map, map_len, 0, reinterpret_cast<sockaddr*>(&to),
-                 sizeof(to));
+        tally.send(fd_, map, map_len, to);
       }
       next_push = t + 0.05;
     }
   }
-  return RendezvousStatus::kTimeout;
+  return tally.timed_out("listener");
 }
 
 void RendezvousServer::serve_async(RendezvousConfig cfg) {

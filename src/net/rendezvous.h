@@ -10,6 +10,12 @@
 // Joiners never hang: rendezvous_join() retries JOIN under capped
 // exponential backoff and returns a typed kTimeout when the deadline
 // passes (a missing peer process is an operator error, not a livelock).
+//
+// A failed sendto() is counted, not ignored: both sides add it to
+// rendezvous_send_failures (joiners labeled {node = self}, the listener
+// {node = -1}) and, on timeout, log the count and the last errno to stderr,
+// so a rendezvous that could not send reads differently from one nobody
+// answered.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +32,7 @@ struct RendezvousConfig {
   double timeout_s = 10.0;          // overall join/serve deadline
   double backoff_initial_s = 0.02;  // first JOIN retry delay
   double backoff_max_s = 0.5;       // retry delay cap
+  obs::MetricsRegistry* metrics = nullptr;  // send failures (null: global)
 };
 
 // Register `self` (listening at `local`) with the listener at `server` and

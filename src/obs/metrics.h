@@ -258,6 +258,7 @@ inline constexpr char kSocketSendFailures[] = "socket_send_failures";
 inline constexpr char kSocketDatagramsRx[] = "socket_datagrams_rx";
 inline constexpr char kSocketRxDrops[] = "socket_rx_drops";
 inline constexpr char kSocketPeerUnreachable[] = "socket_peer_unreachable";
+inline constexpr char kRendezvousSendFailures[] = "rendezvous_send_failures";
 inline constexpr char kSplitNs[] = "split_ns";              // histogram
 inline constexpr char kDecodeNs[] = "decode_ns";            // histogram
 inline constexpr char kServeNs[] = "serve_ns";              // histogram

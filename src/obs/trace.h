@@ -189,7 +189,9 @@ class Span {
 
 // Canonical span names. The decoder five map 1:1 onto the paper's Fig. 7
 // categories (Work / Serve / Receive / Wait / Ack); every engine emits the
-// same names so one exporter serves all three.
+// same names so one exporter serves all three. decode_band nests inside
+// decode_sp, one per row band on whichever thread ran it; it is part of
+// Work, not a category of its own.
 namespace span {
 inline constexpr char kCopyPic[] = "copy_pic";          // root
 inline constexpr char kGoAheadWait[] = "goahead_wait";  // root
@@ -200,6 +202,7 @@ inline constexpr char kRecvSp[] = "recv_sp";            // decoder: Receive
 inline constexpr char kServeSp[] = "serve_sp";          // decoder: Serve
 inline constexpr char kWaitHalo[] = "wait_halo";        // decoder: Wait
 inline constexpr char kDecodeSp[] = "decode_sp";        // decoder: Work
+inline constexpr char kDecodeBand[] = "decode_band";    // decoder: in Work
 inline constexpr char kAckPic[] = "ack_pic";            // decoder: Ack
 inline constexpr char kRetransmit[] = "retransmit";     // transport instant
 inline constexpr char kAbandon[] = "abandon";           // transport instant

@@ -1,12 +1,20 @@
 // Common utility tests: CHECK macros, byte serialization, running stats,
-// text tables, RNG determinism.
+// text tables, RNG determinism, the fork-join work pool.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/stats.h"
 #include "common/text_table.h"
 #include "common/timing.h"
+#include "common/work_pool.h"
 
 namespace pdw {
 namespace {
@@ -135,6 +143,66 @@ TEST(ScopedAccumulator, AddsOnDestruction) {
     for (int i = 0; i < 1000; ++i) x = x + i;
   }
   EXPECT_GT(total, 0.0);
+}
+
+TEST(WorkPool, RunsEveryItemOnceAcrossThreads) {
+  WorkPool pool(3);
+  std::vector<std::atomic<int>> hits(64);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  auto fn = [&](int i) {
+    hits[size_t(i)].fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  };
+  pool.run(int(hits.size()), fn);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_GE(threads.size(), 2u) << "idle workers should have joined in";
+}
+
+TEST(WorkPool, WithoutWorkersTheCallerRunsEveryItem) {
+  WorkPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  int ran = 0;
+  auto fn = [&](int) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++ran;
+  };
+  pool.run(5, fn);
+  EXPECT_EQ(ran, 5);
+}
+
+TEST(WorkPool, ErrorIsRethrownOnTheCallerAfterEveryItemFinished) {
+  WorkPool pool(3);
+  std::atomic<int> finished{0};
+  auto fn = [&](int i) {
+    if (i == 0) PDW_CHECK(false) << "item zero";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    finished.fetch_add(1);
+  };
+  try {
+    pool.run(8, fn);
+    FAIL() << "expected the item's CHECK failure";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("item zero"), std::string::npos);
+  }
+  EXPECT_EQ(finished.load(), 7);
+}
+
+TEST(WorkPool, ConcurrentCallersShareTheWorkers) {
+  WorkPool pool(2);
+  std::atomic<int> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c)
+    callers.emplace_back([&] {
+      for (int round = 0; round < 50; ++round) {
+        auto fn = [&](int) { total.fetch_add(1); };
+        pool.run(6, fn);
+      }
+    });
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(total.load(), 4 * 50 * 6);
 }
 
 }  // namespace

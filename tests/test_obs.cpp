@@ -324,6 +324,9 @@ TEST(Export, Fig7BreakdownNormalizesShares) {
   t.add_complete(span::kWaitHalo, pid, 0, 0.9, 0.05);
   t.add_complete(span::kAckPic, pid, 0, 0.95, 0.05);
   t.add_complete(span::kDecodeSp, pid + 5, 0, 0.0, 1.0);  // outside range
+  // Row bands inside decode_sp, on two threads: already counted as Work.
+  t.add_complete(span::kDecodeBand, pid, 0, 0.0, 0.3);
+  t.add_complete(span::kDecodeBand, pid, 1, 0.0, 0.3);
   t.disable();
 
   const auto shares = fig7_breakdown(t, pid, pid);

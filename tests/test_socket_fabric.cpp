@@ -335,6 +335,23 @@ TEST(Rendezvous, JoinTimesOutWithoutAListener) {
             RendezvousStatus::kTimeout);
 }
 
+TEST(Rendezvous, FailedJoinSendsAreCounted) {
+  // As in FailedSendIsCountedAndNotTransmitted: sendto() to the limited
+  // broadcast address fails without SO_BROADCAST.
+  obs::MetricsRegistry reg;
+  RendezvousConfig cfg;
+  cfg.timeout_s = 0.2;
+  cfg.metrics = &reg;
+  std::vector<Endpoint> map;
+  EXPECT_EQ(rendezvous_join(Endpoint{0xffffffffu, 9}, 3,
+                            Endpoint{kLoopbackIp, 1000}, 4, &map, cfg),
+            RendezvousStatus::kTimeout);
+  EXPECT_GT(
+      reg.counter(obs::family::kRendezvousSendFailures, obs::Labels{3, -1})
+          .value(),
+      0u);
+}
+
 // --- Adaptive RTO over real sockets ----------------------------------------
 
 TEST(SocketReliable, AdaptiveRtoLearnsFromRttSamples) {

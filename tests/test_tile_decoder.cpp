@@ -1,6 +1,13 @@
 // Tile decoder unit tests: tile outputs equal the serial decoder's crop,
-// halo-driven MC, MEI completeness enforcement, display ordering, flush.
+// halo-driven MC, MEI completeness enforcement, display ordering, flush,
+// and the row-band parallel decode (stream order inside a row, concurrent
+// decoders sharing the pool, CHECKs surfacing on the calling thread).
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <thread>
 
 #include "core/mb_splitter.h"
 #include "core/root_splitter.h"
@@ -8,6 +15,24 @@
 #include "enc/encoder.h"
 #include "mpeg2/decoder.h"
 #include "video/generator.h"
+
+// Heap allocations made by any thread of this binary while counting is on.
+// Kept out of line so the compiler pairs callers with operator new/delete
+// rather than with the malloc/free inside them.
+std::atomic<bool> g_count_allocs{false};
+std::atomic<int> g_allocs{0};
+
+__attribute__((noinline)) void* operator new(size_t n) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) g_allocs.fetch_add(1);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace pdw::core {
 namespace {
@@ -104,6 +129,191 @@ TEST(TileDecoder, TileEqualsSerialCrop) {
     hn.decoders[size_t(t)]->flush(check(t));
   for (int t = 0; t < geo.tiles(); ++t)
     EXPECT_EQ(per_tile_count[size_t(t)], int(serial.size()));
+}
+
+// Every plane of `tf` equals the same region of the serial frame `ref`.
+::testing::AssertionResult tile_matches(const mpeg2::TileFrame& tf,
+                                        const mpeg2::Frame& ref) {
+  for (int c = 0; c < 3; ++c) {
+    const int s = c == 0 ? 1 : 2;
+    for (int y = tf.py0() / s; y < tf.py1() / s; ++y)
+      for (int x = tf.px0() / s; x < tf.px1() / s; ++x)
+        if (*tf.pixel(c, x, y) != ref.plane(c).at(x, y))
+          return ::testing::AssertionFailure()
+                 << "plane " << c << " differs at (" << x << "," << y << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<mpeg2::Frame> serial_frames(const std::vector<uint8_t>& es) {
+  std::vector<mpeg2::Frame> frames;
+  mpeg2::Mpeg2Decoder dec;
+  dec.decode(es, [&](const mpeg2::Frame& f, const mpeg2::DecodedPictureInfo&) {
+    frames.push_back(f);
+  });
+  return frames;
+}
+
+// Decodes `es` on `geo` through the harness and checks every emitted tile
+// against the serial decoder. With `concurrent`, each picture's tiles are
+// decoded on one thread per tile at once, so their bands share the pool.
+void expect_tiles_match_serial(const std::vector<uint8_t>& es,
+                               const wall::TileGeometry& geo,
+                               bool concurrent) {
+  const std::vector<mpeg2::Frame> serial = serial_frames(es);
+  Harness hn(es, geo);
+  const size_t tiles = size_t(geo.tiles());
+  // Per tile: (display slot, verdict), checked on this thread.
+  std::vector<std::vector<std::pair<int, bool>>> shown(tiles);
+  std::vector<TileDecoder::DisplayFn> display;
+  for (size_t t = 0; t < tiles; ++t)
+    display.push_back(
+        [&, t](const mpeg2::TileFrame& tf, const TileDisplayInfo& info) {
+          const size_t slot = size_t(info.display_index);
+          shown[t].emplace_back(
+              info.display_index,
+              slot < serial.size() && tile_matches(tf, serial[slot]));
+        });
+  for (int i = 0; i < hn.root.picture_count(); ++i) {
+    SplitResult r = hn.splitter.split(hn.root.picture(i), uint32_t(i));
+    for (size_t t = 0; t < tiles; ++t)
+      for (const MeiInstruction& instr : r.mei[t]) {
+        if (instr.op != MeiOp::kSend) continue;
+        const auto px = hn.decoders[t]->extract_for_send(r.info, instr);
+        MeiInstruction recv = instr;
+        recv.op = MeiOp::kRecv;
+        hn.decoders[size_t(instr.peer)]->add_halo_mb(recv, px);
+      }
+    if (concurrent) {
+      std::vector<std::thread> threads;
+      for (size_t t = 0; t < tiles; ++t)
+        threads.emplace_back([&, t] {
+          hn.decoders[t]->decode(r.subpictures[t], display[t]);
+        });
+      for (std::thread& th : threads) th.join();
+    } else {
+      for (size_t t = 0; t < tiles; ++t)
+        hn.decoders[t]->decode(r.subpictures[t], display[t]);
+    }
+  }
+  for (size_t t = 0; t < tiles; ++t) hn.decoders[t]->flush(display[t]);
+  for (size_t t = 0; t < tiles; ++t) {
+    ASSERT_EQ(shown[t].size(), serial.size()) << "tile " << t;
+    for (size_t k = 0; k < shown[t].size(); ++k) {
+      EXPECT_EQ(shown[t][k].first, int(k)) << "tile " << t;
+      EXPECT_TRUE(shown[t][k].second)
+          << "tile " << t << " display slot " << shown[t][k].first;
+    }
+  }
+}
+
+// Byte offsets of every start code (00 00 01 xx) in `es`.
+std::vector<size_t> start_codes(const std::vector<uint8_t>& es) {
+  std::vector<size_t> at;
+  for (size_t i = 0; i + 3 < es.size(); ++i)
+    if (es[i] == 0 && es[i + 1] == 0 && es[i + 2] == 1) at.push_back(i);
+  return at;
+}
+
+// `es` with one extra slice in the second I picture: row `row` of the first
+// I picture, placed after every slice of its new picture. The serial
+// decoder overwrites the row with it (last slice wins).
+std::vector<uint8_t> with_reclaimed_row(const std::vector<uint8_t>& es,
+                                        int row) {
+  const std::vector<size_t> sc = start_codes(es);
+  auto code = [&](size_t k) { return es[sc[k] + 3]; };
+  auto end_of = [&](size_t k) {
+    return k + 1 < sc.size() ? sc[k + 1] : es.size();
+  };
+  std::vector<size_t> i_pictures;  // start-code index of each I picture
+  for (size_t k = 0; k < sc.size(); ++k)
+    if (code(k) == 0x00 && ((es[sc[k] + 5] >> 3) & 7) == 1)
+      i_pictures.push_back(k);
+  EXPECT_GE(i_pictures.size(), 2u);
+  if (i_pictures.size() < 2) return es;
+
+  size_t donor = 0;  // the row's slice in the first I picture
+  for (size_t k = i_pictures[0] + 1; k < sc.size() && code(k) != 0x00; ++k)
+    if (code(k) == uint8_t(row + 1)) donor = k;
+  size_t insert_at = 0;  // end of the second I picture's last slice
+  for (size_t k = i_pictures[1] + 1; k < sc.size(); ++k) {
+    if (code(k) >= 0x01 && code(k) <= 0xAF)
+      insert_at = end_of(k);
+    else if (code(k) == 0x00 || code(k) == 0xB3 || code(k) == 0xB8 ||
+             code(k) == 0xB7)
+      break;
+  }
+  EXPECT_NE(donor, 0u);
+  EXPECT_NE(insert_at, 0u);
+  std::vector<uint8_t> out(es.begin(), es.begin() + ptrdiff_t(insert_at));
+  out.insert(out.end(), es.begin() + ptrdiff_t(sc[donor]),
+             es.begin() + ptrdiff_t(end_of(donor)));
+  out.insert(out.end(), es.begin() + ptrdiff_t(insert_at), es.end());
+  return out;
+}
+
+TEST(TileDecoder, ReclaimedRowKeepsTheLaterSlice) {
+  // The duplicate is a different picture's row, so the order the tile
+  // decodes the two slices of that row in shows in the output: decoding the
+  // original last would leave the original row where the serial decoder
+  // shows the duplicate.
+  const int w = 320, h = 240;
+  const auto es = make_stream(w, h, 12);
+  const auto dup = with_reclaimed_row(es, 2);
+  ASSERT_GT(dup.size(), es.size());
+  const std::vector<mpeg2::Frame> before = serial_frames(es);
+  const std::vector<mpeg2::Frame> after = serial_frames(dup);
+  ASSERT_EQ(before.size(), after.size());
+  size_t changed = 0;
+  for (size_t k = 0; k < before.size(); ++k)
+    changed += before[k].y == after[k].y ? 0 : 1;
+  ASSERT_GT(changed, 0u) << "the re-claimed row must change the output";
+
+  wall::TileGeometry geo(w, h, 2, 2, 0);
+  expect_tiles_match_serial(dup, geo, /*concurrent=*/false);
+}
+
+TEST(TileDecoder, ConcurrentDecodersShareThePoolBitExactly) {
+  const int w = 320, h = 240;
+  const auto es = make_stream(w, h, 12);
+  wall::TileGeometry geo(w, h, 2, 1, 0);
+  expect_tiles_match_serial(es, geo, /*concurrent=*/true);
+}
+
+TEST(TileDecoder, SteadyStateDecodeAllocatesNothing) {
+  // Once the pool is up and the reference frames exist, decoding a picture
+  // (bands, pool submission, reference views) touches no heap, on any
+  // thread.
+  const int w = 320, h = 240;
+  const auto es = make_stream(w, h, 12);
+  wall::TileGeometry geo(w, h, 2, 2, 0);
+  Harness hn(es, geo);
+  std::vector<SplitResult> split;
+  for (int i = 0; i < hn.root.picture_count(); ++i)
+    split.push_back(hn.splitter.split(hn.root.picture(i), uint32_t(i)));
+  int counted = 0;
+  for (int i = 0; i < hn.root.picture_count(); ++i) {
+    const SplitResult& r = split[size_t(i)];
+    for (int t = 0; t < geo.tiles(); ++t)
+      for (const MeiInstruction& instr : r.mei[size_t(t)]) {
+        if (instr.op != MeiOp::kSend) continue;
+        const auto px = hn.decoders[size_t(t)]->extract_for_send(r.info, instr);
+        MeiInstruction recv = instr;
+        recv.op = MeiOp::kRecv;
+        hn.decoders[size_t(instr.peer)]->add_halo_mb(recv, px);
+      }
+    const bool steady = i >= 3;  // I, P and a B decoded: frames allocated
+    g_allocs = 0;
+    g_count_allocs = steady;
+    for (int t = 0; t < geo.tiles(); ++t)
+      hn.decoders[size_t(t)]->decode(r.subpictures[size_t(t)], nullptr);
+    g_count_allocs = false;
+    if (steady) {
+      EXPECT_EQ(g_allocs.load(), 0) << "picture " << i;
+      ++counted;
+    }
+  }
+  EXPECT_GT(counted, 0);
 }
 
 TEST(TileDecoder, MissingHaloIsAHardError) {
