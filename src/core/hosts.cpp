@@ -116,7 +116,7 @@ SplitterBody::SplitterBody(const wall::PartitionTable& t, int node_id,
       node(node_id),
       stream(stream_id),
       adaptive(adaptive_enabled),
-      splitter(t.geometry(0)) {
+      splitter(t.geometry(0), node_id) {
   splitter.set_stream_info(info);
   inst.resolve(metrics, node, stream);
 }

@@ -1,12 +1,14 @@
 #include "core/mb_splitter.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "bitstream/start_code.h"
+#include "common/work_pool.h"
 #include "mpeg2/conceal.h"
 #include "mpeg2/headers.h"
 #include "mpeg2/mb_parser.h"
 #include "mpeg2/motion.h"
+#include "obs/trace.h"
 
 namespace pdw::core {
 
@@ -21,10 +23,36 @@ namespace {
 constexpr uint32_t kMbBaseCost = 32;  // recon/dequant floor, every macroblock
 constexpr uint32_t kMcCost = 24;      // per used prediction direction
 
+// Parts a picture's slices are cut into: up to one slice each, and enough
+// that on a few cores a part of detailed slices holds up only the thread
+// that claimed it while the others take the rest.
+constexpr size_t kMaxParts = 16;
+
+uint64_t exchange_key(int t, int s, int sx, int sy) {
+  return (uint64_t(t) << 42) | (uint64_t(s) << 40) | (uint64_t(sy) << 20) |
+         uint64_t(sx);
+}
+
 }  // namespace
 
-MacroblockSplitter::MacroblockSplitter(const wall::TileGeometry& geo)
-    : geo_(geo) {}
+// Sorting in place, rather than a hash set, lets the parts scan without
+// heap allocation once their vectors have grown.
+void MacroblockSplitter::keep_first_sightings(std::vector<Sighting>* v) {
+  std::sort(v->begin(), v->end(), [](const Sighting& a, const Sighting& b) {
+    return a.key != b.key ? a.key < b.key : a.order < b.order;
+  });
+  v->erase(std::unique(v->begin(), v->end(),
+                       [](const Sighting& a, const Sighting& b) {
+                         return a.key == b.key;
+                       }),
+           v->end());
+  std::sort(v->begin(), v->end(), [](const Sighting& a, const Sighting& b) {
+    return a.order < b.order;
+  });
+}
+
+MacroblockSplitter::MacroblockSplitter(const wall::TileGeometry& geo, int node)
+    : geo_(geo), node_(node) {}
 MacroblockSplitter::~MacroblockSplitter() = default;
 
 void MacroblockSplitter::set_stream_info(const StreamInfo& info) {
@@ -36,32 +64,70 @@ void MacroblockSplitter::set_stream_info(const StreamInfo& info) {
   have_seq_ = true;
 }
 
-// Sink that performs run building and MEI pre-calculation while the syntax
-// decoder scans the slice.
-struct MacroblockSplitter::SliceSplitter final : public MbSink {
-  SliceSplitter(const wall::TileGeometry& geo, const PictureContext& ctx,
-                const mem::Bytes& picture, ConcealPlanner* planner,
-                SplitResult* result)
-      : geo_(geo),
-        ctx_(ctx),
-        picture_(&picture),
-        span_(picture.span()),
-        planner_(planner),
-        result_(result) {
-    builders_.resize(size_t(geo.tiles()));
-    result_->stats.mbs_per_tile.assign(size_t(geo.tiles()), 0);
-    result_->stats.cost_col.assign(size_t(geo.mb_width()), 0);
-    result_->stats.cost_row.assign(size_t(geo.mb_height()), 0);
+// One contiguous range of a picture's slices, scanned on its own: run
+// building and MEI pre-calculation happen in this sink while a syntax
+// decoder scans each slice. Everything a part produces is in stream order
+// within the part, so appending the parts in order reproduces the serial
+// scan.
+struct MacroblockSplitter::Part final : public MbSink {
+  // Clear the previous picture's output, keeping the storage.
+  void begin(const wall::TileGeometry& geo, const PictureContext& ctx,
+             const mem::Bytes& picture) {
+    geo_ = &geo;
+    ctx_ = &ctx;
+    picture_ = &picture;
+    const size_t tiles = size_t(geo.tiles());
+    builders_.assign(tiles, RunBuilder{});
+    runs.resize(tiles);
+    for (std::vector<SpRun>& r : runs) r.clear();
+    exchanges.clear();
+    delivered.clear();
+    stats = SplitStats{};
+    stats.mbs_per_tile.assign(tiles, 0);
+    stats.cost_col.assign(size_t(geo.mb_width()), 0);
+    stats.cost_row.assign(size_t(geo.mb_height()), 0);
+  }
+
+  // Scan the slices starting at `slices` (offsets of their start codes).
+  void scan(std::span<const size_t> slices) {
+    const std::span<const uint8_t> span = picture_->span();
+    MbSyntaxDecoder syntax(*ctx_, ParseMode::kScan);
+    for (const size_t offset : slices) {
+      BitReader sr(span.subspan(offset + 4));
+      int mb_row = 0;
+      int qscale = 0;
+      const DecodeStatus ss = parse_slice_header(
+          sr, *ctx_->seq, span[offset + 3], &mb_row, &qscale);
+      if (!ss.ok()) {
+        // Slice header damage: resync at the next slice start code. The
+        // missing macroblocks stay unmarked and become CONCEAL instructions.
+        ++stats.dropped_slices;
+        continue;
+      }
+      // Run payload bit positions must be relative to the whole picture
+      // span: re-create the reader over the full span at the right offset.
+      const size_t base_bits = (offset + 4) * 8 + sr.bit_pos();
+      BitReader body(span, base_bits);
+      const MbSyntaxDecoder::SliceResult res =
+          syntax.parse_slice_body(body, mb_row, qscale, *this);
+      // Flush even a partially built slice: the macroblocks emitted before
+      // the damage are valid and the serial concealing decoder keeps them.
+      end_slice();
+      if (!res.status.ok()) ++stats.dropped_slices;
+    }
+    keep_first_sightings(&exchanges);
   }
 
   void on_macroblock(const Macroblock& mb, const MbState& before,
                      size_t bit_begin, size_t bit_end) override {
-    const int mbw = ctx_.mb_width();
+    const wall::TileGeometry& geo = *geo_;
+    const PicType type = ctx_->ph.type;
+    const int mbw = ctx_->mb_width();
     const int mbx = mb.mb_x(mbw);
     const int mby = mb.mb_y(mbw);
-    ++result_->stats.macroblocks;
-    if (!mb.skipped) ++result_->stats.coded_macroblocks;
-    planner_->mark(mb.addr);
+    ++stats.macroblocks;
+    if (!mb.skipped) ++stats.coded_macroblocks;
+    delivered.push_back(mb.addr);
 
     // --- Cost model ---------------------------------------------------------
     // Price this macroblock for the planner: its coded bits plus fixed
@@ -69,28 +135,27 @@ struct MacroblockSplitter::SliceSplitter final : public MbSink {
     {
       uint32_t cost =
           kMbBaseCost + (mb.skipped ? 0 : uint32_t(bit_end - bit_begin));
-      if (!mb.intra() && ctx_.ph.type != PicType::I) {
-        if (mb.has_fwd() || ctx_.ph.type == PicType::P) cost += kMcCost;
+      if (!mb.intra() && type != PicType::I) {
+        if (mb.has_fwd() || type == PicType::P) cost += kMcCost;
         if (mb.has_bwd()) cost += kMcCost;
       }
-      result_->stats.cost_col[size_t(mbx)] += cost;
-      result_->stats.cost_row[size_t(mby)] += cost;
+      stats.cost_col[size_t(mbx)] += cost;
+      stats.cost_row[size_t(mby)] += cost;
     }
 
-    geo_.tiles_of_mb(mbx, mby, &tiles_scratch_);
+    geo.tiles_of_mb(mbx, mby, &tiles_scratch_);
 
     // --- MEI pre-calculation ------------------------------------------------
-    if (!mb.intra() && ctx_.ph.type != PicType::I) {
-      const bool use_fwd =
-          mb.has_fwd() || (ctx_.ph.type == PicType::P && !mb.intra());
+    if (!mb.intra() && type != PicType::I) {
+      const bool use_fwd = mb.has_fwd() || type == PicType::P;
       const bool use_bwd = mb.has_bwd();
       for (int s = 0; s < 2; ++s) {
         if (s == 0 ? !use_fwd : !use_bwd) continue;
         const SrcWindow win = luma_source_window(mb, s, mbx, mby);
         PDW_CHECK_GE(win.x0, 0) << "motion vector leaves picture";
         PDW_CHECK_GE(win.y0, 0);
-        PDW_CHECK_LE(win.x1, geo_.mb_width() * 16);
-        PDW_CHECK_LE(win.y1, geo_.mb_height() * 16);
+        PDW_CHECK_LE(win.x1, geo.mb_width() * 16);
+        PDW_CHECK_LE(win.y1, geo.mb_height() * 16);
         const int sx0 = win.x0 >> 4;
         const int sy0 = win.y0 >> 4;
         const int sx1 = (win.x1 - 1) >> 4;
@@ -98,19 +163,9 @@ struct MacroblockSplitter::SliceSplitter final : public MbSink {
         for (int t : tiles_scratch_) {
           for (int sy = sy0; sy <= sy1; ++sy) {
             for (int sx = sx0; sx <= sx1; ++sx) {
-              if (geo_.tile_has_mb(t, sx, sy)) continue;  // local reference
-              const uint64_t key = (uint64_t(t) << 42) | (uint64_t(s) << 40) |
-                                   (uint64_t(sy) << 20) | uint64_t(sx);
-              if (!exchange_seen_.insert(key).second) continue;
-              const int owner = geo_.owner_of_mb(sx, sy);
-              PDW_CHECK_NE(owner, t);
-              result_->mei[size_t(t)].push_back(
-                  {MeiOp::kRecv, uint8_t(s), uint16_t(sx), uint16_t(sy),
-                   uint16_t(owner)});
-              result_->mei[size_t(owner)].push_back(
-                  {MeiOp::kSend, uint8_t(s), uint16_t(sx), uint16_t(sy),
-                   uint16_t(t)});
-              ++result_->stats.exchange_pairs;
+              if (geo.tile_has_mb(t, sx, sy)) continue;  // local reference
+              exchanges.push_back({exchange_key(t, s, sx, sy),
+                                   uint32_t(exchanges.size())});
             }
           }
         }
@@ -119,7 +174,7 @@ struct MacroblockSplitter::SliceSplitter final : public MbSink {
 
     // --- Run building --------------------------------------------------------
     for (int t : tiles_scratch_) {
-      ++result_->stats.mbs_per_tile[size_t(t)];
+      ++stats.mbs_per_tile[size_t(t)];
       RunBuilder& rb = builders_[size_t(t)];
       if (!rb.active) {
         rb.active = true;
@@ -152,8 +207,8 @@ struct MacroblockSplitter::SliceSplitter final : public MbSink {
 
   // Finalize all runs started in this slice.
   void end_slice() {
-    for (int t = 0; t < geo_.tiles(); ++t) {
-      RunBuilder& rb = builders_[size_t(t)];
+    for (size_t t = 0; t < builders_.size(); ++t) {
+      RunBuilder& rb = builders_[t];
       if (!rb.active) continue;
       SpRun run;
       run.state = rb.entry_state;
@@ -167,15 +222,23 @@ struct MacroblockSplitter::SliceSplitter final : public MbSink {
         run.skip_bits = uint8_t(rb.first_bit % 8);
         const size_t byte0 = rb.first_bit / 8;
         const size_t byte1 = (rb.last_bit_end + 7) / 8;
-        PDW_CHECK_LE(byte1, span_.size());
+        PDW_CHECK_LE(byte1, picture_->size());
         // Verbatim bytes — no bit realignment (paper §4.3 / Figure 4) and
         // no copy: the run views the picture's pooled block directly.
         run.payload = picture_->view(byte0, byte1 - byte0);
       }
-      result_->subpictures[size_t(t)].runs.push_back(std::move(run));
+      runs[t].push_back(std::move(run));
       rb = RunBuilder{};
     }
   }
+
+  // This part's output for the current picture.
+  std::vector<std::vector<SpRun>> runs;  // per tile, in stream order
+  // Exchanges that leave a tile, each at its first sighting in the part,
+  // in stream order.
+  std::vector<Sighting> exchanges;
+  std::vector<int> delivered;  // macroblock addresses, in stream order
+  SplitStats stats;            // partial: counts, per-tile counts, costs
 
  private:
   struct RunBuilder {
@@ -192,15 +255,11 @@ struct MacroblockSplitter::SliceSplitter final : public MbSink {
     uint16_t pending_skip_count = 0;
   };
 
-  const wall::TileGeometry& geo_;
-  const PictureContext& ctx_;
-  const mem::Bytes* picture_;
-  std::span<const uint8_t> span_;
-  ConcealPlanner* planner_;
-  SplitResult* result_;
+  const wall::TileGeometry* geo_ = nullptr;
+  const PictureContext* ctx_ = nullptr;
+  const mem::Bytes* picture_ = nullptr;
   std::vector<RunBuilder> builders_;
   std::vector<int> tiles_scratch_;
-  std::unordered_set<uint64_t> exchange_seen_;
 };
 
 SplitResult MacroblockSplitter::split(std::span<const uint8_t> picture_span,
@@ -261,37 +320,74 @@ SplitResult MacroblockSplitter::split(const mem::Bytes& picture,
     result.subpictures[size_t(t)].runs.reserve(size_t(mbs.y1 - mbs.y0));
   }
 
-  MbSyntaxDecoder syntax(ctx, ParseMode::kScan);
-  ConcealPlanner planner;
-  planner.begin(seq_.mb_width(), seq_.mb_height(), ctx.pce);
-  SliceSplitter sink(geo, ctx, picture, &planner, &result);
-
-  size_t pos = headers.first_slice_offset;
-  while (true) {
+  // List the slices, cut them into contiguous parts and scan the parts on
+  // the pool. The slice list does not depend on how the slices parse, so
+  // the parts see exactly the slices one serial pass would.
+  slices_.clear();
+  for (size_t pos = headers.first_slice_offset;;) {
     const StartCodeHit hit = find_start_code(picture_span, pos);
     if (hit.offset >= picture_span.size()) break;
     pos = hit.offset + 4;
-    if (!start_code::is_slice(hit.code)) continue;
-    BitReader sr(picture_span.subspan(hit.offset + 4));
-    int mb_row = 0;
-    int qscale = 0;
-    DecodeStatus ss = parse_slice_header(sr, seq_, hit.code, &mb_row, &qscale);
-    if (!ss.ok()) {
-      // Slice header damage: resync at the next slice start code. The
-      // missing macroblocks stay unmarked and become CONCEAL instructions.
-      ++result.stats.dropped_slices;
-      continue;
+    if (start_code::is_slice(hit.code)) slices_.push_back(hit.offset);
+  }
+  const size_t parts = std::min(slices_.size(), kMaxParts);
+  if (parts_.size() < parts) parts_.resize(parts);
+  auto scan_part = [&](int i) {
+    PDW_TRACE_SPAN(obs::span::kSplitPart, node_, pic_index);
+    const size_t first = slices_.size() * size_t(i) / parts;
+    const size_t end = slices_.size() * size_t(i + 1) / parts;
+    Part& part = parts_[size_t(i)];
+    part.begin(geo, ctx, picture);
+    part.scan(std::span<const size_t>(slices_).subspan(first, end - first));
+  };
+  WorkPool::global().run(int(parts), scan_part);
+
+  // Merge in stream order: runs append, every delivered macroblock is
+  // covered, and an exchange counts at its first sighting in the picture,
+  // which is its first sighting in the earliest part that holds it.
+  ConcealPlanner planner;
+  planner.begin(seq_.mb_width(), seq_.mb_height(), ctx.pce);
+  SplitStats& stats = result.stats;
+  stats.mbs_per_tile.assign(size_t(geo.tiles()), 0);
+  stats.cost_col.assign(size_t(geo.mb_width()), 0);
+  stats.cost_row.assign(size_t(geo.mb_height()), 0);
+  exchanges_.clear();
+  for (size_t i = 0; i < parts; ++i) {
+    Part& part = parts_[i];
+    for (size_t t = 0; t < part.runs.size(); ++t) {
+      std::vector<SpRun>& runs = result.subpictures[t].runs;
+      for (SpRun& run : part.runs[t]) runs.push_back(std::move(run));
+      part.runs[t].clear();  // drop the moved-from views now
     }
-    // Run payload bit positions must be relative to the whole picture span:
-    // re-create the reader over the full span at the right offset.
-    const size_t base_bits = (hit.offset + 4) * 8 + sr.bit_pos();
-    BitReader body(picture_span, base_bits);
-    const MbSyntaxDecoder::SliceResult res =
-        syntax.parse_slice_body(body, mb_row, qscale, sink);
-    // Flush even a partially built slice: the macroblocks emitted before
-    // the damage are valid and the serial concealing decoder keeps them too.
-    sink.end_slice();
-    if (!res.status.ok()) ++result.stats.dropped_slices;
+    for (const Sighting& e : part.exchanges)
+      exchanges_.push_back({e.key, uint32_t(exchanges_.size())});
+    for (int addr : part.delivered) planner.mark(addr);
+    const SplitStats& ps = part.stats;
+    stats.macroblocks += ps.macroblocks;
+    stats.coded_macroblocks += ps.coded_macroblocks;
+    stats.dropped_slices += ps.dropped_slices;
+    for (size_t t = 0; t < stats.mbs_per_tile.size(); ++t)
+      stats.mbs_per_tile[t] += ps.mbs_per_tile[t];
+    for (size_t x = 0; x < stats.cost_col.size(); ++x)
+      stats.cost_col[x] += ps.cost_col[x];
+    for (size_t y = 0; y < stats.cost_row.size(); ++y)
+      stats.cost_row[y] += ps.cost_row[y];
+  }
+
+  keep_first_sightings(&exchanges_);
+  for (const Sighting& e : exchanges_) {
+    const int t = int(e.key >> 42);
+    const int s = int(e.key >> 40) & 3;
+    const int sy = int(e.key >> 20) & 0xFFFFF;
+    const int sx = int(e.key) & 0xFFFFF;
+    const int owner = geo.owner_of_mb(sx, sy);
+    PDW_CHECK_NE(owner, t);
+    result.mei[size_t(t)].push_back({MeiOp::kRecv, uint8_t(s), uint16_t(sx),
+                                     uint16_t(sy), uint16_t(owner)});
+    result.mei[size_t(owner)].push_back({MeiOp::kSend, uint8_t(s),
+                                         uint16_t(sx), uint16_t(sy),
+                                         uint16_t(t)});
+    ++stats.exchange_pairs;
   }
 
   // Concealment plan: every macroblock no slice delivered becomes a CONCEAL
@@ -304,14 +400,13 @@ SplitResult MacroblockSplitter::split(const mem::Bytes& picture,
       for (int t : tiles_of_mb)
         result.mei[size_t(t)].push_back(make_conceal(
             spec.mb_x, spec.mb_y, spec.fill_y, spec.fill_cb, spec.fill_cr));
-      ++result.stats.concealed_macroblocks;
+      ++stats.concealed_macroblocks;
     }
   }
 
   for (int t = 0; t < geo.tiles(); ++t) {
-    result.stats.output_bytes += result.subpictures[size_t(t)].wire_bytes();
-    result.stats.output_bytes +=
-        4 + result.mei[size_t(t)].size() * kMeiWireBytes;
+    stats.output_bytes += result.subpictures[size_t(t)].wire_bytes();
+    stats.output_bytes += 4 + result.mei[size_t(t)].size() * kMeiWireBytes;
   }
   return result;
 }

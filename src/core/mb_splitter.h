@@ -10,9 +10,18 @@
 // is tracked (the SPH needs it), but no dequantisation/IDCT/MC is done.
 // This is what makes t_s < t_d and the one-level splitter eventually the
 // bottleneck as decoders multiply (paper §5.3).
+//
+// Inside one picture the split is parallel. Every slice starts at a
+// byte-aligned start code and resets its predictors, so split() lists the
+// picture's slices, cuts them into contiguous parts, and the calling thread
+// and the process's WorkPool (common/work_pool.h) scan the parts at once,
+// each into its own runs, exchange candidates, delivered addresses and
+// partial statistics. The caller then merges the parts in stream order, so
+// the result is exactly what one serial scan of the picture produces. The
+// part layout depends only on the stream, never on the pool size.
 #pragma once
 
-#include <memory>
+#include <vector>
 
 #include "common/decode_status.h"
 #include "core/mei.h"
@@ -53,7 +62,8 @@ class MacroblockSplitter {
  public:
   // `geo` describes the wall; the splitter keeps its own sequence-header
   // state, updated from headers embedded in picture spans.
-  explicit MacroblockSplitter(const wall::TileGeometry& geo);
+  // `node` is the trace pid of this splitter's split_part spans.
+  explicit MacroblockSplitter(const wall::TileGeometry& geo, int node = 0);
   ~MacroblockSplitter();
 
   // Prime the sequence state (the root splitter distributes StreamInfo
@@ -80,11 +90,25 @@ class MacroblockSplitter {
   const mpeg2::SequenceHeader& sequence() const { return seq_; }
 
  private:
-  struct SliceSplitter;
+  struct Part;
+  // One exchange (tile, reference direction, macroblock), packed so equal
+  // exchanges compare equal, and the position it was sighted at.
+  struct Sighting {
+    uint64_t key;
+    uint32_t order;
+  };
+  // Keeps only the first sighting of each exchange, in sighting order.
+  static void keep_first_sightings(std::vector<Sighting>* v);
 
   const wall::TileGeometry& geo_;
+  int node_;
   mpeg2::SequenceHeader seq_;
   bool have_seq_ = false;
+  // Scratch reused across pictures: the picture's slice start codes, the
+  // parts that scan them, and the merge's exchange sightings.
+  std::vector<size_t> slices_;
+  std::vector<Part> parts_;
+  std::vector<Sighting> exchanges_;
 };
 
 }  // namespace pdw::core

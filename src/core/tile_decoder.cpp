@@ -29,91 +29,63 @@ MacroblockPixels gray_mb() {
 
 }  // namespace
 
-// RefSource over a tile-local reference frame plus its halo of remote
-// macroblocks. Gathers a prediction window that may straddle local/remote
-// macroblocks arbitrarily. Same pixel values as the serial decoder's full
-// frame => identical MC arithmetic => bit-exact reconstruction.
-//
-// Under HaloPolicy::kConceal a missing halo macroblock is filled with
-// mid-gray instead of aborting, and the source records that it concealed;
-// reading a tainted halo entry also marks the source. A reference frame
-// that does not exist (lost to a skip or a fresh adoption; `tf` null) reads
-// as all gray: any actual read taints the output, but if the syntax never
-// reads it (e.g. backward-only B pictures right after a closed-GOP I), the
-// output stays bit-exact — exactly the property the recovery invariant
-// relies on. The flags are per instance: every band builds its own sources
-// over the shared, read-only frames and halo, and the decoder folds them
-// into the reconstructed frame's taint bit.
-class TileDecoder::TileRefSource final : public RefSource {
- public:
-  TileRefSource(const TileFrame* tf, const HaloCache& halo, HaloPolicy policy,
-                bool ref_tainted)
-      : tf_(tf), halo_(&halo), policy_(policy), ref_tainted_(ref_tainted) {}
+RefWindow TileRefSource::window(int c, int x, int y, int w, int h,
+                                uint8_t* scratch) const {
+  read_ = true;
+  if (tf_ != nullptr && tf_->contains_rect(c, x, y, w, h))
+    return {tf_->pixel(c, x, y), tf_->plane(c).width()};
+  gather(c, x, y, w, h, scratch);
+  return {scratch, kScratchStride};
+}
 
-  void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
-             int stride) const override {
-    read_ = true;
-    if (tf_ == nullptr) {
-      for (int r = 0; r < h; ++r)
-        std::memset(dst + size_t(r) * stride, 128, size_t(w));
-      return;
-    }
-    const int mb_edge = c == 0 ? 16 : 8;  // macroblock edge in this plane
-    for (int r = 0; r < h; ++r) {
-      const int gy = y + r;
-      const int mby = gy / mb_edge;
-      int gx = x;
-      int out = 0;
-      while (out < w) {
-        const int mbx = gx / mb_edge;
-        // Columns remaining inside this macroblock's horizontal extent.
-        const int take = std::min(w - out, (mbx + 1) * mb_edge - gx);
-        const uint8_t* src = nullptr;
-        if (tf_->contains_mb(mbx, mby)) {
-          src = tf_->pixel(c, gx, gy);
-        } else {
-          const HaloCache::Entry* e = halo_->find(mbx, mby);
-          if (e == nullptr) {
-            if (policy_ == HaloPolicy::kStrict) {
-              PDW_CHECK(e != nullptr)
-                  << "missing halo macroblock (" << mbx << "," << mby
-                  << ") plane " << c << " — MEI pre-calculation incomplete";
-            }
-            concealed_ = true;
-            std::memset(dst + size_t(r) * stride + out, 128, size_t(take));
-            gx += take;
-            out += take;
-            continue;
+void TileRefSource::gather(int c, int x, int y, int w, int h,
+                           uint8_t* dst) const {
+  const int stride = kScratchStride;
+  if (tf_ == nullptr) {
+    for (int r = 0; r < h; ++r)
+      std::memset(dst + size_t(r) * stride, 128, size_t(w));
+    return;
+  }
+  const int mb_edge = c == 0 ? 16 : 8;  // macroblock edge in this plane
+  for (int r = 0; r < h; ++r) {
+    const int gy = y + r;
+    const int mby = gy / mb_edge;
+    int gx = x;
+    int out = 0;
+    while (out < w) {
+      const int mbx = gx / mb_edge;
+      // Columns remaining inside this macroblock's horizontal extent.
+      const int take = std::min(w - out, (mbx + 1) * mb_edge - gx);
+      const uint8_t* src = nullptr;
+      if (tf_->contains_mb(mbx, mby)) {
+        src = tf_->pixel(c, gx, gy);
+      } else {
+        const HaloCache::Entry* e = halo_->find(mbx, mby);
+        if (e == nullptr) {
+          if (policy_ == HaloPolicy::kStrict) {
+            PDW_CHECK(e != nullptr)
+                << "missing halo macroblock (" << mbx << "," << mby
+                << ") plane " << c << " — MEI pre-calculation incomplete";
           }
-          if (e->tainted) concealed_ = true;
-          const int ox = gx - mbx * mb_edge;
-          const int oy = gy - mby * mb_edge;
-          const uint8_t* base =
-              c == 0 ? e->px.y : (c == 1 ? e->px.cb : e->px.cr);
-          src = base + oy * mb_edge + ox;
+          concealed_ = true;
+          std::memset(dst + size_t(r) * stride + out, 128, size_t(take));
+          gx += take;
+          out += take;
+          continue;
         }
-        std::memcpy(dst + size_t(r) * stride + out, src, size_t(take));
-        gx += take;
-        out += take;
+        if (e->tainted) concealed_ = true;
+        const int ox = gx - mbx * mb_edge;
+        const int oy = gy - mby * mb_edge;
+        const uint8_t* base =
+            c == 0 ? e->px.y : (c == 1 ? e->px.cb : e->px.cr);
+        src = base + oy * mb_edge + ox;
       }
+      std::memcpy(dst + size_t(r) * stride + out, src, size_t(take));
+      gx += take;
+      out += take;
     }
   }
-
-  // True if this source delivered any pixels that are not bit-exact: a
-  // concealed/tainted halo entry, or any read of a missing or tainted
-  // reference frame.
-  bool tainted() const {
-    return concealed_ || (read_ && (ref_tainted_ || tf_ == nullptr));
-  }
-
- private:
-  const TileFrame* tf_;
-  const HaloCache* halo_;
-  HaloPolicy policy_;
-  bool ref_tainted_;
-  mutable bool read_ = false;
-  mutable bool concealed_ = false;
-};
+}
 
 namespace {
 

@@ -40,6 +40,7 @@
 #include "core/mei.h"
 #include "core/subpicture.h"
 #include "mpeg2/frame.h"
+#include "mpeg2/motion.h"
 #include "wall/geometry.h"
 
 namespace pdw::core {
@@ -73,6 +74,50 @@ class HaloCache {
     return (uint64_t(mby) << 32) | uint32_t(mbx);
   }
   std::unordered_map<uint64_t, Entry> map_;
+};
+
+// RefSource over a tile-local reference frame plus its halo of remote
+// macroblocks. A window inside the frame's rect is read in place; a window
+// that crosses the rect's edge or lies in the halo is gathered, local and
+// remote macroblocks in any mix, into the caller's scratch. Same pixel
+// values as the serial decoder's full frame => identical MC arithmetic =>
+// bit-exact reconstruction.
+//
+// Under HaloPolicy::kConceal a missing halo macroblock is filled with
+// mid-gray instead of aborting, and the source records that it concealed;
+// reading a tainted halo entry also marks the source. A reference frame
+// that does not exist (lost to a skip or a fresh adoption; `tf` null) reads
+// as all gray: any actual read taints the output, but if the syntax never
+// reads it (e.g. backward-only B pictures right after a closed-GOP I), the
+// output stays bit-exact — exactly the property the recovery invariant
+// relies on. The flags are per instance: every band builds its own sources
+// over the shared, read-only frames and halo, and the decoder folds them
+// into the reconstructed frame's taint bit.
+class TileRefSource final : public mpeg2::RefSource {
+ public:
+  TileRefSource(const mpeg2::TileFrame* tf, const HaloCache& halo,
+                HaloPolicy policy, bool ref_tainted)
+      : tf_(tf), halo_(&halo), policy_(policy), ref_tainted_(ref_tainted) {}
+
+  mpeg2::RefWindow window(int c, int x, int y, int w, int h,
+                          uint8_t* scratch) const override;
+
+  // True if this source delivered any pixels that are not bit-exact: a
+  // concealed/tainted halo entry, or any read of a missing or tainted
+  // reference frame.
+  bool tainted() const {
+    return concealed_ || (read_ && (ref_tainted_ || tf_ == nullptr));
+  }
+
+ private:
+  void gather(int c, int x, int y, int w, int h, uint8_t* dst) const;
+
+  const mpeg2::TileFrame* tf_;
+  const HaloCache* halo_;
+  HaloPolicy policy_;
+  bool ref_tainted_;
+  mutable bool read_ = false;
+  mutable bool concealed_ = false;
 };
 
 struct TileDisplayInfo {
@@ -156,8 +201,6 @@ class TileDecoder {
   int concealed_mbs_last_picture() const { return last_conceal_count_; }
 
  private:
-  class TileRefSource;
-
   void emit(const mpeg2::TileFrame& frame, const TileDisplayInfo& info,
             const DisplayFn& display);
   void emit_frozen(int slot, const DisplayFn& display);

@@ -28,6 +28,14 @@ inline int16_t clamp256(int32_t v) {
   return int16_t(std::clamp(v, -256, 255));
 }
 
+// 181 * v + 128 in wrapping 32-bit arithmetic, exactly as the SIMD lanes
+// compute it (O::mulc keeps the low 32 bits of the product). For
+// coefficients outside the IEEE-1180 range, which the kernel-equivalence
+// tests feed, the product leaves int32; signed overflow would be undefined.
+inline int32_t mul181_round(int32_t v) {
+  return int32_t(181u * uint32_t(v) + 128u);
+}
+
 // One row, 11-bit fixed point.
 void idct_row(int16_t* blk) {
   int32_t x1 = int32_t(blk[4]) << 11;
@@ -68,8 +76,8 @@ void idct_row(int16_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = mul181_round(x4 + x5) >> 8;
+  x4 = mul181_round(x4 - x5) >> 8;
 
   // Fourth stage.
   blk[0] = int16_t((x7 + x1) >> 8);
@@ -119,8 +127,8 @@ void idct_col(int16_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = mul181_round(x4 + x5) >> 8;
+  x4 = mul181_round(x4 - x5) >> 8;
 
   blk[8 * 0] = clamp256((x7 + x1) >> 14);
   blk[8 * 1] = clamp256((x3 + x2) >> 14);

@@ -50,9 +50,15 @@ void conceal_mb(PicType type, const RefSource* fwd, const ConcealSpec& spec,
   if (type != PicType::I && fwd != nullptr) {
     // Zero-MV full-pel copy from the forward reference: exactly the
     // macroblock's own footprint, never out of picture, never into a halo.
-    fwd->fetch(0, spec.mb_x * 16, spec.mb_y * 16, 16, 16, out->y, 16);
-    fwd->fetch(1, spec.mb_x * 8, spec.mb_y * 8, 8, 8, out->cb, 8);
-    fwd->fetch(2, spec.mb_x * 8, spec.mb_y * 8, 8, 8, out->cr, 8);
+    uint8_t scratch[RefSource::kScratchBytes];
+    for (int c = 0; c < 3; ++c) {
+      const int S = c == 0 ? 16 : 8;
+      uint8_t* dst = c == 0 ? out->y : (c == 1 ? out->cb : out->cr);
+      const RefWindow win =
+          fwd->window(c, spec.mb_x * S, spec.mb_y * S, S, S, scratch);
+      for (int r = 0; r < S; ++r)
+        std::memcpy(dst + r * S, win.data + size_t(r) * win.stride, size_t(S));
+    }
     return;
   }
   std::memset(out->y, spec.fill_y, sizeof(out->y));

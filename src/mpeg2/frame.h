@@ -165,8 +165,7 @@ class TileFrame {
   // chroma coords for planes 1/2).
   uint8_t* pixel(int c, int gx, int gy) {
     const int shift = c == 0 ? 0 : 1;
-    Plane& p = c == 0 ? y_ : (c == 1 ? cb_ : cr_);
-    return p.row(gy - (py0() >> shift)) + (gx - (px0() >> shift));
+    return plane(c).row(gy - (py0() >> shift)) + (gx - (px0() >> shift));
   }
   const uint8_t* pixel(int c, int gx, int gy) const {
     return const_cast<TileFrame*>(this)->pixel(c, gx, gy);
@@ -184,6 +183,10 @@ class TileFrame {
   MacroblockPixels extract_mb(int mbx, int mby) const;
   void insert_mb(int mbx, int mby, const MacroblockPixels& px);
 
+  Plane& plane(int c) { return c == 0 ? y_ : (c == 1 ? cb_ : cr_); }
+  const Plane& plane(int c) const {
+    return c == 0 ? y_ : (c == 1 ? cb_ : cr_);
+  }
   Plane& y() { return y_; }
   Plane& cb() { return cb_; }
   Plane& cr() { return cr_; }

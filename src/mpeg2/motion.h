@@ -15,24 +15,39 @@
 
 namespace pdw::mpeg2 {
 
-class RefSource {
- public:
-  virtual ~RefSource() = default;
-
-  // Copy the reference window for plane c (0=Y, 1=Cb, 2=Cr): top-left global
-  // coordinate (x, y) in that plane's resolution, size w x h, into dst rows
-  // of `stride` bytes. The window is guaranteed to lie inside the picture
-  // (MPEG-2 motion vectors may not reference out-of-picture samples).
-  virtual void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
-                     int stride) const = 0;
+// A reference window: `data` points at its top-left sample and its rows lie
+// `stride` bytes apart.
+struct RefWindow {
+  const uint8_t* data = nullptr;
+  int stride = 0;
 };
 
-// RefSource over a full decoded Frame (serial decoder fast path).
+class RefSource {
+ public:
+  // Scratch a source may gather a window into: up to 17 x 17 samples (a
+  // half-pel luma window), rows kScratchStride bytes apart.
+  static constexpr int kScratchStride = 17;
+  static constexpr int kScratchBytes = 17 * 17;
+
+  virtual ~RefSource() = default;
+
+  // The reference window of plane c (0=Y, 1=Cb, 2=Cr): top-left global
+  // coordinate (x, y) in that plane's resolution, size w x h (each at most
+  // 17). The window is guaranteed to lie inside the picture (MPEG-2 motion
+  // vectors may not reference out-of-picture samples). A source that holds
+  // the window contiguously answers in place; otherwise it gathers the
+  // window into `scratch` and answers with that. The pixels stay valid
+  // while the reference frame and the scratch do.
+  virtual RefWindow window(int c, int x, int y, int w, int h,
+                           uint8_t* scratch) const = 0;
+};
+
+// RefSource over a full decoded Frame (serial decoder): always in place.
 class FrameRefSource final : public RefSource {
  public:
   explicit FrameRefSource(const Frame& frame) : frame_(&frame) {}
-  void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
-             int stride) const override;
+  RefWindow window(int c, int x, int y, int w, int h,
+                   uint8_t* scratch) const override;
 
  private:
   const Frame* frame_;

@@ -191,11 +191,13 @@ class Span {
 // categories (Work / Serve / Receive / Wait / Ack); every engine emits the
 // same names so one exporter serves all three. decode_band nests inside
 // decode_sp, one per row band on whichever thread ran it; it is part of
-// Work, not a category of its own.
+// Work, not a category of its own. split_part likewise nests inside
+// split_pic, one per slice part of the macroblock splitter.
 namespace span {
 inline constexpr char kCopyPic[] = "copy_pic";          // root
 inline constexpr char kGoAheadWait[] = "goahead_wait";  // root
 inline constexpr char kSplitPic[] = "split_pic";        // splitter
+inline constexpr char kSplitPart[] = "split_part";      // splitter: in split
 inline constexpr char kAnidWait[] = "anid_wait";        // splitter
 inline constexpr char kRouteSp[] = "route_sp";          // splitter
 inline constexpr char kRecvSp[] = "recv_sp";            // decoder: Receive

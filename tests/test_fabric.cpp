@@ -3,6 +3,7 @@
 
 #include <thread>
 
+#include "common/stats.h"
 #include "net/fabric.h"
 #include "net/reliable.h"
 
@@ -294,6 +295,33 @@ TEST(Crc32, DetectsCorruption) {
   // Known-answer check: CRC-32 of "123456789" is 0xCBF43926.
   const uint8_t kCheck[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(kCheck), 0xCBF43926u);
+}
+
+// Bit-at-a-time CRC-32 (IEEE, reflected): the definition the table-driven
+// crc32 must reproduce.
+uint32_t bitwise_crc32(const uint8_t* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-300 cover the 8-byte main loop, every tail length and the
+  // empty input; offsets 0-7 cover every alignment of the first byte.
+  std::vector<uint8_t> buf(8 + 300);
+  SplitMix64 rng(9);
+  for (uint8_t& b : buf) b = uint8_t(rng.next());
+  for (size_t off = 0; off < 8; ++off)
+    for (size_t len = 0; len <= 300; ++len)
+      ASSERT_EQ(crc32(std::span<const uint8_t>(buf.data() + off, len)),
+                bitwise_crc32(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+  // The reference itself gives the standard check value.
+  const uint8_t kCheck[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(bitwise_crc32(kCheck, sizeof(kCheck)), 0xCBF43926u);
 }
 
 TEST(Reliable, AbandonedHoleIsSkippedAfterTimeout) {

@@ -1,26 +1,32 @@
 // Macroblock splitter tests: run structure, SPH state snapshots, macroblock
 // coverage, MEI symmetry/completeness — the structural properties behind the
-// bit-exactness results.
+// bit-exactness results — and pinned digests of the serial split's output,
+// which the slice-parallel split must reproduce byte for byte.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <set>
 
 #include "core/mb_splitter.h"
 #include "core/root_splitter.h"
 #include "enc/encoder.h"
+#include "proto/wire.h"
+#include "stream_edits.h"
 #include "video/generator.h"
 
 namespace pdw::core {
 namespace {
 
 std::vector<uint8_t> make_stream(int w, int h, int frames,
-                                 double bpp = 0.35) {
+                                 double bpp = 0.35, int me_range = 15) {
   enc::EncoderConfig cfg;
   cfg.width = w;
   cfg.height = h;
   cfg.gop_size = 6;
   cfg.b_frames = 2;
   cfg.target_bpp = bpp;
+  cfg.me_range = me_range;
   const auto gen =
       video::make_scene(video::SceneKind::kMovingObjects, w, h, 17);
   enc::Mpeg2Encoder encoder(cfg);
@@ -213,6 +219,133 @@ TEST_F(MbSplitterTest, RejectsGeometryMismatch) {
   const SplitResult r = splitter.split(root.picture(0), 0);
   EXPECT_FALSE(r.status.ok());
   EXPECT_TRUE(r.subpictures.empty());
+}
+
+// --- Pinned split output ----------------------------------------------------
+//
+// The slice-parallel split must reproduce the serial scan byte for byte. The
+// digests below were taken from the serial splitter (one syntax decoder over
+// every slice of the picture, in stream order) before the scan was cut into
+// parts; each covers one picture's wire bytes for every tile (runs, SPH
+// states, payload bytes and the MEI list, as pack_sp frames them), its cost
+// rows and its statistics.
+
+uint64_t fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001B3ull;
+  return h;
+}
+
+template <typename T>
+uint64_t fnv1a(uint64_t h, const std::vector<T>& v) {
+  return fnv1a(h, v.data(), v.size() * sizeof(T));
+}
+
+uint64_t split_digest(const SplitResult& r) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  const SplitStats& st = r.stats;
+  const int64_t counts[] = {st.macroblocks,       st.coded_macroblocks,
+                            st.exchange_pairs,    st.dropped_slices,
+                            st.concealed_macroblocks,
+                            int64_t(st.input_bytes), int64_t(st.output_bytes)};
+  h = fnv1a(h, counts, sizeof(counts));
+  h = fnv1a(h, st.mbs_per_tile);
+  h = fnv1a(h, st.cost_col);
+  h = fnv1a(h, st.cost_row);
+  for (size_t t = 0; t < r.subpictures.size(); ++t) {
+    const proto::Packed p = proto::pack_sp(r.info.pic_index, uint16_t(t), 0,
+                                           r.subpictures[t], r.mei[t]);
+    h = fnv1a(h, p.body.data(), p.body.size());
+  }
+  return h;
+}
+
+// Splits every picture of `es` on `geo`; returns the per-picture digests
+// and sums the dropped slices and concealed macroblocks.
+std::vector<uint64_t> split_digests(const std::vector<uint8_t>& es,
+                                    const wall::TileGeometry& geo,
+                                    int* dropped, int* concealed) {
+  RootSplitter root(es);
+  MacroblockSplitter splitter(geo);
+  splitter.set_stream_info(root.stream_info());
+  std::vector<uint64_t> digests;
+  for (int i = 0; i < root.picture_count(); ++i) {
+    const SplitResult r = splitter.split(root.picture(i), uint32_t(i));
+    EXPECT_TRUE(r.status.ok()) << "picture " << i;
+    *dropped += r.stats.dropped_slices;
+    *concealed += r.stats.concealed_macroblocks;
+    digests.push_back(split_digest(r));
+  }
+  return digests;
+}
+
+// The digests as a C++ initializer, for re-pinning after a deliberate change
+// of the split output.
+std::string listing(const std::vector<uint64_t>& digests) {
+  std::string s;
+  char buf[32];
+  for (uint64_t d : digests) {
+    std::snprintf(buf, sizeof(buf), "0x%016" PRIX64 "ull,\n", d);
+    s += buf;
+  }
+  return s;
+}
+
+// 352x288 has 18 slice rows, more than one per split part; a 3x2 wall with
+// projector overlap gives every macroblock up to four tiles and a wide me
+// range gives many cross-tile exchanges.
+class SplitDigests : public ::testing::Test {
+ protected:
+  static constexpr int kW = 352, kH = 288;
+  static const std::vector<uint8_t>& clean() {
+    static const std::vector<uint8_t> es =
+        make_stream(kW, kH, 12, 0.35, /*me_range=*/24);
+    return es;
+  }
+  wall::TileGeometry geo{kW, kH, 3, 2, 16};
+};
+
+TEST_F(SplitDigests, CleanStreamMatchesSerialSplit) {
+  const std::vector<uint64_t> pinned = {
+      0x2CF6B0C969B7665Dull, 0xF874302E4EE85845ull, 0x68B8166851D9C5A9ull,
+      0x0396AE9A8E0193EAull, 0x31EF572D0517057Dull, 0xC69F03DC61A7957Eull,
+      0xE73F5284406D54E7ull, 0x0F440D934BB55DFBull, 0x6E703261F5E77BF5ull,
+      0x80F273615882F620ull, 0x7D24CD16F9D0F38Aull, 0x2779E0BF3EAB85B2ull,
+  };
+  int dropped = 0, concealed = 0;
+  const std::vector<uint64_t> got =
+      split_digests(clean(), geo, &dropped, &concealed);
+  EXPECT_EQ(dropped, 0);
+  EXPECT_EQ(concealed, 0);
+  EXPECT_EQ(got, pinned) << listing(got);
+}
+
+TEST_F(SplitDigests, BitFlippedStreamMatchesSerialSplit) {
+  const std::vector<uint64_t> pinned = {
+      0xB7433DAF2AB461E6ull, 0x5499C686231989C8ull, 0x7EF98A28FCC954FDull,
+      0xCF49930C1108F73Aull, 0xAD16BE60322339A4ull, 0xABA58DE91BEE0A9Cull,
+      0x6E4D4574A9B16954ull, 0x503DDFDD9249E9F2ull, 0xFE21A5FB0320E56Bull,
+      0x6FF0E934F22294F5ull, 0x0F70323AE6C3D22Aull, 0x2779E0BF3EAB85B2ull,
+  };
+  int dropped = 0, concealed = 0;
+  const std::vector<uint64_t> got = split_digests(
+      with_flipped_slices(clean(), 5, 24), geo, &dropped, &concealed);
+  EXPECT_GT(dropped, 0) << "the damage must drop slices";
+  EXPECT_GT(concealed, 0) << "and conceal what they held";
+  EXPECT_EQ(got, pinned) << listing(got);
+}
+
+TEST_F(SplitDigests, ReclaimedRowStreamMatchesSerialSplit) {
+  const std::vector<uint64_t> pinned = {
+      0x2CF6B0C969B7665Dull, 0xF874302E4EE85845ull, 0x68B8166851D9C5A9ull,
+      0x0396AE9A8E0193EAull, 0x31EF572D0517057Dull, 0xC69F03DC61A7957Eull,
+      0xA712073A4EF53E53ull, 0x0F440D934BB55DFBull, 0x6E703261F5E77BF5ull,
+      0x80F273615882F620ull, 0x7D24CD16F9D0F38Aull, 0x2779E0BF3EAB85B2ull,
+  };
+  int dropped = 0, concealed = 0;
+  const std::vector<uint64_t> got = split_digests(
+      with_reclaimed_row(clean(), 2), geo, &dropped, &concealed);
+  EXPECT_EQ(got, pinned) << listing(got);
 }
 
 }  // namespace

@@ -123,6 +123,20 @@ TEST(MotionCompensate, ChromaVectorTruncatesTowardZero) {
   EXPECT_EQ(out.cb[0], expect);
 }
 
+TEST(FrameRefSource, WindowsAreReadInPlace) {
+  const Frame ref = gradient_frame(64, 48);
+  const FrameRefSource src(ref);
+  uint8_t scratch[RefSource::kScratchBytes];
+  const RefWindow y = src.window(0, 47, 31, 17, 17, scratch);  // corner
+  EXPECT_EQ(y.data, ref.y.row(31) + 47);
+  EXPECT_EQ(y.stride, 64);
+  const RefWindow cr = src.window(2, 3, 5, 9, 8, scratch);
+  EXPECT_EQ(cr.data, ref.cr.row(5) + 3);
+  EXPECT_EQ(cr.stride, 32);
+  // A window that leaves the picture is a contract violation.
+  EXPECT_THROW(src.window(0, 48, 0, 17, 16, scratch), CheckError);
+}
+
 TEST(SourceWindow, CoversHalfPelFootprint) {
   Macroblock mb;
   mb.mv[0][0] = 5;   // int 2, half

@@ -1,7 +1,9 @@
 // Tile decoder unit tests: tile outputs equal the serial decoder's crop,
 // halo-driven MC, MEI completeness enforcement, display ordering, flush,
-// and the row-band parallel decode (stream order inside a row, concurrent
-// decoders sharing the pool, CHECKs surfacing on the calling thread).
+// the row-band parallel decode (stream order inside a row, concurrent
+// decoders sharing the pool, CHECKs surfacing on the calling thread), and
+// the reference windows (read in place inside the rect, gathered across
+// its edge or from the halo, taint either way).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,8 @@
 #include "core/tile_decoder.h"
 #include "enc/encoder.h"
 #include "mpeg2/decoder.h"
+#include "mpeg2/recon.h"
+#include "stream_edits.h"
 #include "video/generator.h"
 
 // Heap allocations made by any thread of this binary while counting is on.
@@ -207,51 +211,6 @@ void expect_tiles_match_serial(const std::vector<uint8_t>& es,
   }
 }
 
-// Byte offsets of every start code (00 00 01 xx) in `es`.
-std::vector<size_t> start_codes(const std::vector<uint8_t>& es) {
-  std::vector<size_t> at;
-  for (size_t i = 0; i + 3 < es.size(); ++i)
-    if (es[i] == 0 && es[i + 1] == 0 && es[i + 2] == 1) at.push_back(i);
-  return at;
-}
-
-// `es` with one extra slice in the second I picture: row `row` of the first
-// I picture, placed after every slice of its new picture. The serial
-// decoder overwrites the row with it (last slice wins).
-std::vector<uint8_t> with_reclaimed_row(const std::vector<uint8_t>& es,
-                                        int row) {
-  const std::vector<size_t> sc = start_codes(es);
-  auto code = [&](size_t k) { return es[sc[k] + 3]; };
-  auto end_of = [&](size_t k) {
-    return k + 1 < sc.size() ? sc[k + 1] : es.size();
-  };
-  std::vector<size_t> i_pictures;  // start-code index of each I picture
-  for (size_t k = 0; k < sc.size(); ++k)
-    if (code(k) == 0x00 && ((es[sc[k] + 5] >> 3) & 7) == 1)
-      i_pictures.push_back(k);
-  EXPECT_GE(i_pictures.size(), 2u);
-  if (i_pictures.size() < 2) return es;
-
-  size_t donor = 0;  // the row's slice in the first I picture
-  for (size_t k = i_pictures[0] + 1; k < sc.size() && code(k) != 0x00; ++k)
-    if (code(k) == uint8_t(row + 1)) donor = k;
-  size_t insert_at = 0;  // end of the second I picture's last slice
-  for (size_t k = i_pictures[1] + 1; k < sc.size(); ++k) {
-    if (code(k) >= 0x01 && code(k) <= 0xAF)
-      insert_at = end_of(k);
-    else if (code(k) == 0x00 || code(k) == 0xB3 || code(k) == 0xB8 ||
-             code(k) == 0xB7)
-      break;
-  }
-  EXPECT_NE(donor, 0u);
-  EXPECT_NE(insert_at, 0u);
-  std::vector<uint8_t> out(es.begin(), es.begin() + ptrdiff_t(insert_at));
-  out.insert(out.end(), es.begin() + ptrdiff_t(sc[donor]),
-             es.begin() + ptrdiff_t(end_of(donor)));
-  out.insert(out.end(), es.begin() + ptrdiff_t(insert_at), es.end());
-  return out;
-}
-
 TEST(TileDecoder, ReclaimedRowKeepsTheLaterSlice) {
   // The duplicate is a different picture's row, so the order the tile
   // decodes the two slices of that row in shows in the output: decoding the
@@ -399,6 +358,119 @@ TEST(TileDecoder, FlushWithoutPicturesIsANoOp) {
   int calls = 0;
   dec.flush([&](const mpeg2::TileFrame&, const TileDisplayInfo&) { ++calls; });
   EXPECT_EQ(calls, 0);
+}
+
+// --- Reference windows -------------------------------------------------------
+
+// An 80x64 reference picture (5x4 macroblocks) with distinct samples, and
+// the tile view of it a decoder of macroblocks [1, 3) x [1, 3) holds: its
+// rect as a TileFrame and every other macroblock as halo.
+struct RefFixture {
+  RefFixture() : full(80, 64), tile(1, 1, 3, 3) {
+    for (int c = 0; c < 3; ++c) {
+      mpeg2::Plane& p = full.plane(c);
+      for (int y = 0; y < p.height(); ++y)
+        for (int x = 0; x < p.width(); ++x)
+          p.set(x, y, uint8_t(x * 7 + y * 13 + c * 50));
+    }
+    for (int mby = 0; mby < 4; ++mby)
+      for (int mbx = 0; mbx < 5; ++mbx) {
+        const mpeg2::MacroblockPixels px = mpeg2::load_mb(full, mbx, mby);
+        if (tile.contains_mb(mbx, mby))
+          tile.insert_mb(mbx, mby, px);
+        else
+          halo.insert(mbx, mby, px);
+      }
+  }
+
+  // The window's bytes against the full picture's.
+  ::testing::AssertionResult matches(const mpeg2::RefWindow& win, int c, int x,
+                                     int y, int w, int h) const {
+    for (int r = 0; r < h; ++r)
+      for (int k = 0; k < w; ++k)
+        if (win.data[size_t(r) * win.stride + k] !=
+            full.plane(c).at(x + k, y + r))
+          return ::testing::AssertionFailure()
+                 << "plane " << c << " window (" << x << "," << y << ") "
+                 << w << "x" << h << " differs at (" << k << "," << r << ")";
+    return ::testing::AssertionSuccess();
+  }
+
+  mpeg2::Frame full;
+  mpeg2::TileFrame tile;
+  HaloCache halo;
+};
+
+TEST(TileRefSource, WindowsInsideTheRectAreReadInPlace) {
+  const RefFixture f;
+  const TileRefSource src(&f.tile, f.halo, HaloPolicy::kStrict, false);
+  uint8_t scratch[mpeg2::RefSource::kScratchBytes];
+  struct Case {
+    int c, x, y, w, h;
+  };
+  // Luma rect [16, 48) x [16, 48); chroma [8, 24) x [8, 24).
+  for (const Case& k : {Case{0, 16, 16, 16, 16}, Case{0, 31, 20, 17, 17},
+                        Case{0, 16, 31, 17, 17}, Case{1, 8, 8, 8, 8},
+                        Case{2, 15, 15, 9, 9}, Case{1, 9, 10, 9, 8}}) {
+    const mpeg2::RefWindow win = src.window(k.c, k.x, k.y, k.w, k.h, scratch);
+    EXPECT_EQ(win.data, f.tile.pixel(k.c, k.x, k.y)) << "in place";
+    EXPECT_EQ(win.stride, f.tile.plane(k.c).width());
+    EXPECT_TRUE(f.matches(win, k.c, k.x, k.y, k.w, k.h));
+  }
+  EXPECT_FALSE(src.tainted());
+}
+
+TEST(TileRefSource, WindowsAcrossTheEdgeOrInTheHaloAreGathered) {
+  const RefFixture f;
+  const TileRefSource src(&f.tile, f.halo, HaloPolicy::kStrict, false);
+  uint8_t scratch[mpeg2::RefSource::kScratchBytes];
+  struct Case {
+    int c, x, y, w, h;
+  };
+  for (const Case& k :
+       {Case{0, 32, 16, 17, 16},  // one column past the rect's right edge
+        Case{0, 10, 10, 17, 17},  // across its top-left corner
+        Case{0, 16, 40, 16, 17},  // across its bottom edge
+        Case{0, 0, 0, 17, 17},    // wholly in the halo
+        Case{0, 63, 47, 17, 17},  // halo, at the picture's corner
+        Case{1, 20, 4, 9, 9},     // chroma across the top edge
+        Case{2, 0, 24, 8, 8}}) {  // chroma wholly in the halo
+    const mpeg2::RefWindow win = src.window(k.c, k.x, k.y, k.w, k.h, scratch);
+    EXPECT_EQ(win.data, scratch) << "gathered";
+    EXPECT_EQ(win.stride, mpeg2::RefSource::kScratchStride);
+    EXPECT_TRUE(f.matches(win, k.c, k.x, k.y, k.w, k.h));
+  }
+  EXPECT_FALSE(src.tainted());
+}
+
+TEST(TileRefSource, InPlaceReadsOfATaintedOrMissingReferenceTaint) {
+  const RefFixture f;
+  uint8_t scratch[mpeg2::RefSource::kScratchBytes];
+  // A tainted reference taints only once it is read, in place or not.
+  const TileRefSource tainted(&f.tile, f.halo, HaloPolicy::kConceal, true);
+  EXPECT_FALSE(tainted.tainted());
+  const mpeg2::RefWindow win = tainted.window(0, 20, 20, 16, 16, scratch);
+  EXPECT_EQ(win.data, f.tile.pixel(0, 20, 20));
+  EXPECT_TRUE(tainted.tainted());
+
+  // A missing reference reads gray and taints.
+  const TileRefSource missing(nullptr, f.halo, HaloPolicy::kConceal, false);
+  const mpeg2::RefWindow gray = missing.window(0, 20, 20, 17, 16, scratch);
+  for (int r = 0; r < 16; ++r)
+    for (int k = 0; k < 17; ++k)
+      ASSERT_EQ(gray.data[size_t(r) * gray.stride + k], 128);
+  EXPECT_TRUE(missing.tainted());
+
+  // So does a tainted halo entry, and a missing one under kConceal.
+  HaloCache halo = f.halo;
+  halo.insert(0, 1, mpeg2::load_mb(f.full, 0, 1), /*tainted=*/true);
+  const TileRefSource bad_halo(&f.tile, halo, HaloPolicy::kConceal, false);
+  (void)bad_halo.window(0, 8, 16, 16, 16, scratch);
+  EXPECT_TRUE(bad_halo.tainted());
+  const HaloCache empty;
+  const TileRefSource no_halo(&f.tile, empty, HaloPolicy::kConceal, false);
+  (void)no_halo.window(0, 8, 16, 16, 16, scratch);
+  EXPECT_TRUE(no_halo.tainted());
 }
 
 // A SEND for a P picture on a decoder that holds no reference frame yet.
