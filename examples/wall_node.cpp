@@ -377,7 +377,7 @@ int run_node(const Options& o) {
   std::unique_ptr<pdw::obs::TelemetryExporter> telemetry;
   if (o.telemetry_port != 0) {
     pdw::obs::TelemetryExporterConfig tc;
-    tc.collector = {pdw::obs::kTelemetryLoopbackIp, o.telemetry_port};
+    tc.collector = {pdw::net::kLoopbackIp, o.telemetry_port};
     tc.interval_s = o.telemetry_interval_s;
     tc.k = uint16_t(o.k);
     tc.tiles = uint16_t(geo.tiles());

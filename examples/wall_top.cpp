@@ -302,9 +302,7 @@ int run_remote_mode(int argc, char** argv) {
       return 2;
     }
   }
-  obs::CollectorConfig ccfg;
-  ccfg.port = port;
-  obs::Collector collector(ccfg);
+  obs::Collector collector(port);
   if (!collector.ok()) {
     std::fprintf(stderr, "wall_top: cannot bind collector port %u\n",
                  unsigned(port));
@@ -362,10 +360,11 @@ int run_remote_mode(int argc, char** argv) {
 
   const int seen = int(collector.nodes_seen().size());
   std::printf("\ncollector: %d nodes seen, %zu processes, %llu datagrams "
-              "(%llu bytes), complete=%s\n",
+              "(%llu bytes), %llu failed probe replies, complete=%s\n",
               seen, collector.processes().size(),
               (unsigned long long)collector.datagrams_received(),
               (unsigned long long)collector.bytes_received(),
+              (unsigned long long)collector.send_failures(),
               complete ? "yes" : "no");
   if (!trace_path.empty()) {
     if (!collector.write_merged_trace(trace_path)) {

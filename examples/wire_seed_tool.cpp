@@ -1,38 +1,47 @@
-// Emit one packed wire body per protocol message type — the seed corpus for
-// fuzz/fuzz_wire.cpp. Valid bodies (plus the corpus script's bit-flip
+// Emit one packed wire body per protocol message type into <root>/wire —
+// the seed corpus for fuzz/fuzz_wire.cpp — and the two sideband datagram
+// formats into <root>/telemetry (fuzz_telemetry) and <root>/rendezvous
+// (fuzz_rendezvous). Valid inputs (plus the corpus script's bit-flip
 // variants of them) reach every field parser, which random bytes rarely do.
 //
-// Usage: wire_seed_tool <out-dir>
+// Usage: wire_seed_tool <root>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 
+#include "net/rendezvous.h"
+#include "obs/telemetry.h"
 #include "proto/wire.h"
 
 using namespace pdw;
 
 namespace {
 
-void write_seed(const std::string& dir, const char* name,
-                const proto::Packed& p) {
-  const std::string path = dir + "/" + name + ".wire";
+void write_file(const std::string& path, std::span<const uint8_t> bytes) {
   std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(p.body.data()),
-            std::streamsize(p.body.size()));
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            std::streamsize(bytes.size()));
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     std::exit(1);
   }
 }
 
+void write_seed(const std::string& dir, const char* name,
+                const proto::Packed& p) {
+  write_file(dir + "/" + name + ".wire", p.body);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc != 2) {
-    std::fprintf(stderr, "usage: %s <out-dir>\n", argv[0]);
+    std::fprintf(stderr, "usage: %s <root>\n", argv[0]);
     return 2;
   }
-  const std::string dir = argv[1];
+  const std::string root = argv[1];
+  const std::string dir = root + "/wire";
 
   proto::PictureMsg pic;
   pic.pic_index = 5;
@@ -110,5 +119,32 @@ int main(int argc, char** argv) {
   rep.level = proto::DegradeLevel::kSkipB;
   rep.stream = 3;
   write_seed(dir, "stream_reply", proto::pack(rep));
+
+  obs::TelemetryFrame frame;
+  frame.token = 7;
+  frame.seq = 3;
+  frame.hello = obs::HelloRecord{4242, 1, 1, 3, {0, 1, 2}};
+  frame.metrics.push_back({"pictures_decoded", 2, 0,
+                           obs::MetricKind::kCounter, 42, 0, 0, {}});
+  frame.metrics.push_back({"decode_ns", 2, -1, obs::MetricKind::kHistogram, 3,
+                           0, 9000, {{12, 2}, {13, 1}}});
+  frame.spans.push_back({"decode_sp", 'X', 2, 1, 1000, 500, 7});
+  frame.probes.push_back({5, 123456});
+  frame.replies.push_back({5, 123456, 200000, 200100});
+  frame.offset = obs::OffsetRecord{-37000, 800, 4, 1};
+  frame.bye = true;
+  write_file(root + "/telemetry/frame.bin", obs::encode_frame(frame));
+
+  // Rendezvous datagrams of a 3-node wall.
+  using Kind = net::RendezvousMsg::Kind;
+  const net::Endpoint ep{net::kLoopbackIp, 40000};
+  const std::pair<const char*, net::RendezvousMsg> rv[] = {
+      {"join", {Kind::kJoin, 1, ep, {}}},
+      {"wait", {Kind::kWait, 0, {}, {}}},
+      {"map", {Kind::kMap, 0, {}, {ep, ep, ep}}},
+      {"map_ack", {Kind::kMapAck, 2, {}, {}}}};
+  for (const auto& [name, msg] : rv)
+    write_file(root + "/rendezvous/" + name + ".bin",
+               net::encode_rendezvous(msg));
   return 0;
 }

@@ -25,7 +25,7 @@ for tool in "$TRANSCODE" "$PSTOOL" "$WIRESEED"; do
   fi
 done
 
-mkdir -p "$OUT/es" "$OUT/container" "$OUT/wire"
+mkdir -p "$OUT/es" "$OUT/container" "$OUT/wire" "$OUT/telemetry" "$OUT/rendezvous"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -42,8 +42,9 @@ done
 "$PSTOOL" mux "$TMP/seed_0.m2v" "$OUT/container/seed.mpg" > /dev/null
 "$PSTOOL" tsmux "$TMP/seed_0.m2v" "$OUT/container/seed.ts" > /dev/null
 
-# Typed protocol message bodies (one per wire message type) for fuzz_wire.
-"$WIRESEED" "$OUT/wire"
+# Typed protocol message bodies (one per wire message type) for fuzz_wire,
+# and sideband datagrams for fuzz_telemetry and fuzz_rendezvous.
+"$WIRESEED" "$OUT"
 
 # Deterministic bit-flip variants: flip one bit at several byte offsets
 # spread over each seed. Python is only used as a portable byte editor.
@@ -81,6 +82,9 @@ for f in "$OUT/container/seed.mpg" "$OUT/container/seed.ts"; do
 done
 for f in "$OUT"/wire/*.wire; do
   flip_variants "$f" "${f%.wire}"
+done
+for f in "$OUT"/telemetry/*.bin "$OUT"/rendezvous/*.bin; do
+  flip_variants "$f" "${f%.bin}"
 done
 
 echo "corpus written to $OUT:"

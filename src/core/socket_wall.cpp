@@ -30,7 +30,7 @@ ClusterStats run_socket_wall(const wall::TileGeometry& geo, int k,
   std::unique_ptr<obs::TelemetryExporter> telemetry;
   if (opts.telemetry_port != 0) {
     obs::TelemetryExporterConfig tcfg;
-    tcfg.collector = {obs::kTelemetryLoopbackIp, opts.telemetry_port};
+    tcfg.collector = {net::kLoopbackIp, opts.telemetry_port};
     tcfg.interval_s = opts.telemetry_interval_s;
     tcfg.metrics = opts.metrics;
     tcfg.k = uint16_t(k);

@@ -16,16 +16,10 @@ uint64_t pending_key(int dst, uint32_t tseq) {
 
 double derive_hole_timeout(const ReliableConfig& cfg) {
   // Sender's worst-case retransmission span: only after that long can a
-  // missing tseq be presumed abandoned rather than still in flight. Under
-  // adaptive RTO the first transmission timeout can already sit at the
-  // clamp (srtt + 4 * rttvar <= rto_max_s), so the doubling series starts
-  // there instead of at rto_initial_s.
-  double span = 0;
-  double rto = cfg.adaptive_rto ? cfg.rto_max_s : cfg.rto_initial_s;
-  for (int i = 0; i <= cfg.max_retries; ++i) {
-    span += rto;
-    rto = std::min(rto * 2, cfg.rto_max_s);
-  }
+  // missing tseq be presumed abandoned rather than still in flight. The
+  // first transmission timeout can already sit at the clamp
+  // (srtt + 4 * rttvar <= rto_max_s), and backoff stays there.
+  const double span = (cfg.max_retries + 1) * cfg.rto_max_s;
   return 4 * span + 0.1;
 }
 
@@ -39,7 +33,6 @@ ReliableEndpoint::ReliableEndpoint(FabricBackend* fabric, int self,
       rx_(size_t(fabric->nodes())),
       tx_peer_(size_t(fabric->nodes())) {
   if (cfg_.hole_timeout_s <= 0) cfg_.hole_timeout_s = derive_hole_timeout(cfg_);
-  if (cfg_.rto_min_s <= 0) cfg_.rto_min_s = cfg_.rto_initial_s;
   obs::MetricsRegistry& reg = obs::registry_or_global(cfg_.metrics);
   const obs::Labels l{self_, -1};
   m_retransmits_ = &reg.counter(obs::family::kRetransmits, l);
@@ -65,7 +58,7 @@ void ReliableEndpoint::on_ack(int src, uint32_t tseq) {
   const Pending& p = it->second;
   // Karn's rule: an acked message that was ever retransmitted is ambiguous
   // (which copy does the ack answer?) and contributes no RTT sample.
-  if (cfg_.adaptive_rto && !p.retransmitted && p.first_tx > 0) {
+  if (!p.retransmitted && p.first_tx > 0) {
     const double rtt = now() - p.first_tx;
     TxPeer& tp = tx_peer_[size_t(src)];
     if (tp.srtt < 0) {
@@ -78,7 +71,8 @@ void ReliableEndpoint::on_ack(int src, uint32_t tseq) {
       tp.rttvar += 0.25 * (std::abs(err) - tp.rttvar);
       tp.srtt += 0.125 * err;
     }
-    tp.rto = std::clamp(tp.srtt + 4 * tp.rttvar, cfg_.rto_min_s, cfg_.rto_max_s);
+    tp.rto = std::clamp(tp.srtt + 4 * tp.rttvar, cfg_.rto_initial_s,
+                        cfg_.rto_max_s);
     m_rtt_ns_->observe(uint64_t(rtt * 1e9));
     ++stats_.rtt_samples;
   }

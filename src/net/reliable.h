@@ -34,21 +34,17 @@ inline constexpr int kTransportAck = -1;
 // tseq value marking a fire-and-forget message (no ack, no ordering).
 inline constexpr uint32_t kUnreliableSeq = 0xFFFFFFFFu;
 
+// The retransmission timeout is Jacobson/Karels adaptive: every ack of a
+// never-retransmitted message samples the link RTT (Karn's rule keeps
+// ambiguous retransmitted samples out), maintains per-destination
+// srtt/rttvar, and sets rto = srtt + 4 * rttvar clamped to
+// [rto_initial_s, rto_max_s]. On a real network this tracks the actual link
+// instead of a compile-time guess; retransmission backoff still doubles
+// from the adaptive value up to rto_max_s.
 struct ReliableConfig {
-  double rto_initial_s = 0.004;  // RTO before the first RTT sample
+  double rto_initial_s = 0.004;  // RTO before the first RTT sample; floor
   double rto_max_s = 0.064;      // backoff cap
   int max_retries = 12;          // then abandon + report suspect
-  // Jacobson/Karels adaptive retransmission timeout: every ack of a
-  // never-retransmitted message samples the link RTT (Karn's rule keeps
-  // ambiguous retransmitted samples out), maintains per-destination
-  // srtt/rttvar, and sets rto = srtt + 4 * rttvar clamped to
-  // [rto_min_s, rto_max_s]. On a real network this tracks the actual link
-  // instead of a compile-time guess; retransmission backoff still doubles
-  // from the adaptive value up to rto_max_s.
-  bool adaptive_rto = true;
-  // Adaptive-RTO floor; 0 derives rto_initial_s (so the in-process fabric
-  // behaves exactly as the fixed-RTO era unless a socket config lowers it).
-  double rto_min_s = 0;
   // An abandoned send punches a permanent hole in the sender's tseq space;
   // later messages on that link would wait in the receiver's reorder buffer
   // forever. If the buffer head has been blocked this long, the receiver
@@ -65,11 +61,10 @@ struct ReliableConfig {
 
 // The documented hole-timeout derivation, exposed so tests can pin it
 // against the worst-case retransmission span:
-//   span = sum of the max_retries + 1 transmission timeouts, each double
-//          the previous capped at rto_max_s. The series starts at
-//          rto_initial_s with a fixed RTO; with adaptive_rto the first
+//   span = sum of the max_retries + 1 transmission timeouts. The first
 //          timeout can already be as large as rto_max_s (srtt + 4 * rttvar
-//          is clamped there), so the series starts at the cap.
+//          is clamped there) and backoff never exceeds it, so every term is
+//          rto_max_s: span = (max_retries + 1) * rto_max_s.
 //   hole_timeout = 4 * span + 0.1   (scheduling slack)
 // Only after 4x the worst-case span can a missing tseq be presumed
 // abandoned rather than still in flight.
@@ -103,9 +98,8 @@ class ReliableEndpoint {
   ReliableEndpoint(FabricBackend* fabric, int self, ReliableConfig cfg = {});
 
   int self() const { return self_; }
-  // The effective (possibly derived) hole timeout / RTO floor.
+  // The effective (possibly derived) hole timeout.
   double hole_timeout_s() const { return cfg_.hole_timeout_s; }
-  double rto_min_s() const { return cfg_.rto_min_s; }
 
   // Adaptive-RTO state for `dst`: smoothed RTT (0 before the first sample)
   // and the RTO the next fresh send to `dst` would use.

@@ -1,248 +1,197 @@
 #include "net/rendezvous.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 
+#include "common/bytes.h"
 #include "common/check.h"
-#include "obs/metrics.h"
+#include "common/timing.h"
 
 namespace pdw::net {
 
 namespace {
 
-// Datagram layout (little-endian):
-//   JOIN:    magic, kind=1, node u32, ip u32, port u32
-//   WAIT:    magic, kind=2
-//   MAP:     magic, kind=3, count u32, count x (ip u32, port u32)
-//   MAP_ACK: magic, kind=4, node u32
 constexpr uint32_t kRvMagic = 0x50445752u;  // 'PDWR'
-constexpr uint32_t kJoin = 1, kWait = 2, kMap = 3, kMapAck = 4;
+// JOIN retry delay: doubles from the first value up to the cap.
+constexpr double kBackoffInitialS = 0.02;
+constexpr double kBackoffMaxS = 0.5;
 
-void put_u32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
+using Kind = RendezvousMsg::Kind;
+
+std::vector<uint8_t> encode(Kind kind, int node = 0, Endpoint endpoint = {},
+                            std::vector<Endpoint> map = {}) {
+  return encode_rendezvous(RendezvousMsg{kind, node, endpoint, std::move(map)});
 }
 
-sockaddr_in to_sockaddr(Endpoint ep) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(ep.ip);
-  sa.sin_port = htons(ep.port);
-  return sa;
+// End one side of the rendezvous: publish its failed sends (counted by its
+// socket) into rendezvous_send_failures and, on timeout, report them.
+RendezvousStatus finish(const UdpSocket& sock, const RendezvousConfig& cfg,
+                        int node, bool ok, const char* who) {
+  const uint64_t failed = sock.send_failures();
+  obs::registry_or_global(cfg.metrics)
+      .counter(obs::family::kRendezvousSendFailures, obs::Labels{node, -1})
+      .add(failed);
+  if (ok) return RendezvousStatus::kOk;
+  if (failed > 0)
+    std::fprintf(stderr,
+                 "rendezvous %s: timed out after %llu failed sends (last: "
+                 "%s)\n",
+                 who, static_cast<unsigned long long>(failed),
+                 std::strerror(sock.last_send_error()));
+  return RendezvousStatus::kTimeout;
 }
-
-int open_udp(uint16_t port, Endpoint* local) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-  PDW_CHECK_GE(fd, 0);
-  sockaddr_in sa = to_sockaddr(Endpoint{kLoopbackIp, port});
-  PDW_CHECK_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  socklen_t len = sizeof(sa);
-  PDW_CHECK_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len), 0);
-  *local = Endpoint{ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port)};
-  return fd;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Wait up to timeout_s for one datagram. Returns its length, or -1. The
-// poll timeout rounds up to whole milliseconds, so the last fraction of a
-// millisecond before a deadline waits instead of spinning.
-ssize_t recv_one(int fd, uint8_t* buf, size_t cap, double timeout_s,
-                 sockaddr_in* from) {
-  pollfd pfd{fd, POLLIN, 0};
-  const int ms = std::max(0, int(std::ceil(timeout_s * 1000)));
-  if (::poll(&pfd, 1, ms) <= 0) return -1;
-  socklen_t slen = sizeof(*from);
-  return ::recvfrom(fd, buf, cap, 0, reinterpret_cast<sockaddr*>(from), &slen);
-}
-
-// Every sendto() of one side of the rendezvous goes through here: failures
-// are counted into rendezvous_send_failures and reported on timeout.
-class SendTally {
- public:
-  SendTally(const RendezvousConfig& cfg, int node)
-      : failures_(&obs::registry_or_global(cfg.metrics)
-                       .counter(obs::family::kRendezvousSendFailures,
-                                obs::Labels{node, -1})) {}
-
-  void send(int fd, const void* buf, size_t len, const sockaddr_in& to) {
-    if (::sendto(fd, buf, len, 0, reinterpret_cast<const sockaddr*>(&to),
-                 sizeof(to)) >= 0)
-      return;
-    ++count_;
-    last_errno_ = errno;
-    failures_->add();
-  }
-
-  RendezvousStatus timed_out(const char* who) const {
-    if (count_ > 0)
-      std::fprintf(stderr,
-                   "rendezvous %s: timed out after %d failed sendto (last: "
-                   "%s)\n",
-                   who, count_, std::strerror(last_errno_));
-    return RendezvousStatus::kTimeout;
-  }
-
- private:
-  obs::Counter* failures_;
-  int count_ = 0;
-  int last_errno_ = 0;
-};
 
 }  // namespace
+
+std::vector<uint8_t> encode_rendezvous(const RendezvousMsg& msg) {
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
+  w.u32(kRvMagic);
+  w.u32(uint32_t(msg.kind));
+  if (msg.kind == Kind::kJoin || msg.kind == Kind::kMapAck)
+    w.u32(uint32_t(msg.node));
+  const auto endpoint = [&w](Endpoint ep) {
+    w.u32(ep.ip);
+    w.u32(ep.port);
+  };
+  if (msg.kind == Kind::kJoin) endpoint(msg.endpoint);
+  if (msg.kind == Kind::kMap) {
+    w.u32(uint32_t(msg.map.size()));
+    for (const Endpoint& ep : msg.map) endpoint(ep);
+  }
+  return out;
+}
+
+std::optional<RendezvousMsg> decode_rendezvous(std::span<const uint8_t> d,
+                                               int nodes) {
+  const uint32_t wall = uint32_t(std::max(nodes, 0));
+  if (d.size() < 8) return std::nullopt;
+  ByteReader r(d);
+  const uint32_t magic = r.u32();
+  RendezvousMsg m;
+  m.kind = Kind(r.u32());
+  size_t len = 0;  // each kind has one exact length
+  switch (m.kind) {
+    case Kind::kJoin: len = 20; break;
+    case Kind::kWait: len = 8; break;
+    case Kind::kMap: len = 12 + size_t(wall) * 8; break;
+    case Kind::kMapAck: len = 12; break;
+  }
+  if (magic != kRvMagic || len == 0 || d.size() != len) return std::nullopt;
+  if (m.kind == Kind::kJoin || m.kind == Kind::kMapAck) {
+    const uint32_t node = r.u32();
+    if (node >= wall) return std::nullopt;
+    m.node = int(node);
+  }
+  const auto endpoint = [&r](Endpoint* ep) {
+    ep->ip = r.u32();
+    const uint32_t port = r.u32();
+    ep->port = uint16_t(port);
+    return port <= 0xFFFF;
+  };
+  if (m.kind == Kind::kJoin && !endpoint(&m.endpoint)) return std::nullopt;
+  if (m.kind == Kind::kMap) {
+    if (r.u32() != wall) return std::nullopt;
+    m.map.resize(wall);
+    for (Endpoint& ep : m.map)
+      if (!endpoint(&ep)) return std::nullopt;
+  }
+  return m;
+}
 
 RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
                                  int nodes, std::vector<Endpoint>* out,
                                  RendezvousConfig cfg) {
-  Endpoint bound;
-  const int fd = open_udp(0, &bound);
-  sockaddr_in srv = to_sockaddr(server);
-
-  uint8_t join[20];
-  put_u32(join + 0, kRvMagic);
-  put_u32(join + 4, kJoin);
-  put_u32(join + 8, uint32_t(self));
-  put_u32(join + 12, local.ip);
-  put_u32(join + 16, local.port);
-
-  SendTally tally(cfg, self);
-  const double deadline = now_s() + cfg.timeout_s;
-  double backoff = cfg.backoff_initial_s;
+  UdpSocket sock;
+  PDW_CHECK(sock.ok()) << std::strerror(sock.error());
+  const WallTimer clock;
+  double backoff = kBackoffInitialS;
   bool have_map = false;
+  // One spare byte: an overlong datagram reads as one and fails the parse.
+  std::vector<uint8_t> buf(12 + 8 * size_t(std::max(nodes, 0)) + 1);
+  const std::vector<uint8_t> join = encode(Kind::kJoin, self, local);
 
-  while (now_s() < deadline) {
-    if (!have_map) tally.send(fd, join, sizeof(join), srv);
+  while (clock.seconds() < cfg.timeout_s) {
+    if (!have_map) sock.send(server, join);
     // After the map arrived, linger briefly re-acking resends (our first
     // MAP_ACK may have been lost); a quiet window means the listener heard.
-    const double wait = have_map
-                            ? 0.12
-                            : std::min(backoff, deadline - now_s());
-    backoff = std::min(backoff * 2, cfg.backoff_max_s);
+    const double wait =
+        have_map ? 0.12 : std::min(backoff, cfg.timeout_s - clock.seconds());
+    backoff = std::min(backoff * 2, kBackoffMaxS);
 
-    uint8_t buf[16 + 8 * 512];
-    sockaddr_in from{};
-    const ssize_t n = recv_one(fd, buf, sizeof(buf), wait, &from);
-    if (n < 0) {
+    const std::optional<size_t> n =
+        sock.wait(wait) ? sock.recv(buf) : std::nullopt;
+    if (!n) {
       if (have_map) break;  // quiet after MAP: done
       continue;
     }
-    if (n < 8 || get_u32(buf + 0) != kRvMagic) continue;
-    const uint32_t kind = get_u32(buf + 4);
-    if (kind == kWait) continue;
-    if (kind != kMap || n < 12) continue;
-    const uint32_t count = get_u32(buf + 8);
-    if (int(count) != nodes || size_t(n) < 12 + size_t(count) * 8) continue;
-    out->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      (*out)[i].ip = get_u32(buf + 12 + i * 8);
-      (*out)[i].port = uint16_t(get_u32(buf + 16 + i * 8));
-    }
-    uint8_t ack[12];
-    put_u32(ack + 0, kRvMagic);
-    put_u32(ack + 4, kMapAck);
-    put_u32(ack + 8, uint32_t(self));
-    tally.send(fd, ack, sizeof(ack), srv);
+    std::optional<RendezvousMsg> msg =
+        decode_rendezvous({buf.data(), *n}, nodes);
+    if (!msg || msg->kind != Kind::kMap) continue;  // WAIT, or noise
+    *out = std::move(msg->map);
+    sock.send(server, encode(Kind::kMapAck, self));
     have_map = true;
   }
-  ::close(fd);
-  return have_map ? RendezvousStatus::kOk : tally.timed_out("join");
+  return finish(sock, cfg, self, have_map, "join");
 }
 
 RendezvousServer::RendezvousServer(int nodes, uint16_t port)
-    : nodes_(nodes),
+    : sock_(port),
+      nodes_(nodes),
       map_(size_t(nodes)),
       join_source_(size_t(nodes)),
       joined_(size_t(nodes), false),
       acked_(size_t(nodes), false) {
-  fd_ = open_udp(port, &local_);
+  PDW_CHECK(sock_.ok()) << "rendezvous port " << port << ": "
+                        << std::strerror(sock_.error());
 }
 
 RendezvousServer::~RendezvousServer() {
   if (thread_.joinable()) thread_.join();
-  if (fd_ >= 0) ::close(fd_);
 }
 
 RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
-  SendTally tally(cfg, -1);
-  const double deadline = now_s() + cfg.timeout_s;
+  const WallTimer clock;
   double next_push = 0;  // MAP resend pacing once everyone joined
+  const auto all = [](const std::vector<bool>& v) {
+    return std::all_of(v.begin(), v.end(), [](bool b) { return b; });
+  };
 
-  while (now_s() < deadline) {
-    const bool all_joined =
-        std::all_of(joined_.begin(), joined_.end(), [](bool b) { return b; });
-    if (all_joined &&
-        std::all_of(acked_.begin(), acked_.end(), [](bool b) { return b; }))
-      return RendezvousStatus::kOk;
+  while (clock.seconds() < cfg.timeout_s) {
+    const bool all_joined = all(joined_);
+    if (all_joined && all(acked_)) return finish(sock_, cfg, -1, true, "");
 
     uint8_t buf[64];
-    sockaddr_in from{};
-    const ssize_t n = recv_one(fd_, buf, sizeof(buf), 0.05, &from);
-    const double t = now_s();
+    Endpoint from;
+    const std::optional<size_t> n =
+        sock_.wait(0.05) ? sock_.recv(buf, &from) : std::nullopt;
+    const double t = clock.seconds();
+    const std::optional<RendezvousMsg> msg =
+        n ? decode_rendezvous({buf, *n}, nodes_) : std::nullopt;
 
-    if (n >= 8 && get_u32(buf + 0) == kRvMagic) {
-      const uint32_t kind = get_u32(buf + 4);
-      if (kind == kJoin && n >= 20) {
-        const uint32_t node = get_u32(buf + 8);
-        if (node < uint32_t(nodes_)) {
-          map_[node] = Endpoint{get_u32(buf + 12), uint16_t(get_u32(buf + 16))};
-          join_source_[node] = Endpoint{ntohl(from.sin_addr.s_addr),
-                                        ntohs(from.sin_port)};
-          joined_[node] = true;
-          if (!all_joined) {
-            // Not complete yet (this JOIN may have completed it; the next
-            // loop iteration pushes the map). Tell the joiner to hold on.
-            uint8_t wait[8];
-            put_u32(wait + 0, kRvMagic);
-            put_u32(wait + 4, kWait);
-            tally.send(fd_, wait, sizeof(wait), from);
-          }
-        }
-      } else if (kind == kMapAck && n >= 12) {
-        const uint32_t node = get_u32(buf + 8);
-        if (node < uint32_t(nodes_)) acked_[node] = true;
-      }
+    if (msg && msg->kind == Kind::kJoin) {
+      map_[size_t(msg->node)] = msg->endpoint;
+      join_source_[size_t(msg->node)] = from;
+      joined_[size_t(msg->node)] = true;
+      // Not complete yet (this JOIN may have completed it; the next loop
+      // iteration pushes the map). Tell the joiner to hold on.
+      if (!all_joined) sock_.send(from, encode(Kind::kWait));
+    } else if (msg && msg->kind == Kind::kMapAck) {
+      acked_[size_t(msg->node)] = true;
     }
 
-    if (std::all_of(joined_.begin(), joined_.end(),
-                    [](bool b) { return b; }) &&
-        t >= next_push) {
+    if (all(joined_) && t >= next_push) {
       // Push MAP to every unacked joiner (initial send and loss recovery).
-      uint8_t map[12 + 8 * 512];
-      put_u32(map + 0, kRvMagic);
-      put_u32(map + 4, kMap);
-      put_u32(map + 8, uint32_t(nodes_));
-      for (int i = 0; i < nodes_; ++i) {
-        put_u32(map + 12 + size_t(i) * 8, map_[size_t(i)].ip);
-        put_u32(map + 16 + size_t(i) * 8, map_[size_t(i)].port);
-      }
-      const size_t map_len = 12 + size_t(nodes_) * 8;
-      for (int i = 0; i < nodes_; ++i) {
-        if (acked_[size_t(i)]) continue;
-        // MAP goes to the joiner's rendezvous socket (the JOIN source), not
-        // its fabric endpoint — they are different sockets.
-        sockaddr_in to = to_sockaddr(join_source_[size_t(i)]);
-        tally.send(fd_, map, map_len, to);
-      }
+      // It goes to the joiner's rendezvous socket (the JOIN source), not its
+      // fabric endpoint — they are different sockets.
+      const std::vector<uint8_t> map = encode(Kind::kMap, 0, {}, map_);
+      for (int i = 0; i < nodes_; ++i)
+        if (!acked_[size_t(i)]) sock_.send(join_source_[size_t(i)], map);
       next_push = t + 0.05;
     }
   }
-  return tally.timed_out("listener");
+  return finish(sock_, cfg, -1, false, "listener");
 }
 
 void RendezvousServer::serve_async(RendezvousConfig cfg) {

@@ -11,29 +11,58 @@
 // exponential backoff and returns a typed kTimeout when the deadline
 // passes (a missing peer process is an operator error, not a livelock).
 //
-// A failed sendto() is counted, not ignored: both sides add it to
-// rendezvous_send_failures (joiners labeled {node = self}, the listener
-// {node = -1}) and, on timeout, log the count and the last errno to stderr,
-// so a rendezvous that could not send reads differently from one nobody
-// answered.
+// A failed send is counted, not ignored: when a side finishes it adds its
+// socket's failed sends to rendezvous_send_failures (joiners labeled
+// {node = self}, the listener {node = -1}) and, on timeout, logs the count
+// and the last errno to stderr, so a rendezvous that could not send reads
+// differently from one nobody answered.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
-#include "net/socket_fabric.h"
+#include "common/udp.h"
+#include "obs/metrics.h"
 
 namespace pdw::net {
 
 enum class RendezvousStatus { kOk, kTimeout };
 
 struct RendezvousConfig {
-  double timeout_s = 10.0;          // overall join/serve deadline
-  double backoff_initial_s = 0.02;  // first JOIN retry delay
-  double backoff_max_s = 0.5;       // retry delay cap
+  double timeout_s = 10.0;                  // overall join/serve deadline
   obs::MetricsRegistry* metrics = nullptr;  // send failures (null: global)
 };
+
+// One rendezvous datagram. Parsing and building are pure functions, so the
+// parser of this untrusted UDP input is fuzzed without a socket
+// (fuzz/fuzz_rendezvous.cpp).
+//
+// Layout (little-endian u32 fields):
+//   JOIN:    magic, kind=1, node, ip, port
+//   WAIT:    magic, kind=2
+//   MAP:     magic, kind=3, count, count x (ip, port)
+//   MAP_ACK: magic, kind=4, node
+struct RendezvousMsg {
+  enum class Kind : uint32_t { kJoin = 1, kWait = 2, kMap = 3, kMapAck = 4 };
+  Kind kind = Kind::kWait;
+  int node = 0;               // JOIN, MAP_ACK
+  Endpoint endpoint;          // JOIN: the joiner's fabric endpoint
+  std::vector<Endpoint> map;  // MAP: node -> fabric endpoint
+
+  friend bool operator==(const RendezvousMsg&, const RendezvousMsg&) = default;
+};
+
+std::vector<uint8_t> encode_rendezvous(const RendezvousMsg& msg);
+
+// Parse one datagram of a `nodes`-node wall. Returns nullopt on anything
+// malformed: wrong magic or kind, a length other than the kind's, a node id
+// outside [0, nodes), a port above 65535, or a map of other than `nodes`
+// entries.
+std::optional<RendezvousMsg> decode_rendezvous(std::span<const uint8_t> dgram,
+                                               int nodes);
 
 // Register `self` (listening at `local`) with the listener at `server` and
 // collect the full node -> endpoint map into `*out` (size `nodes`).
@@ -52,7 +81,7 @@ class RendezvousServer {
   RendezvousServer(const RendezvousServer&) = delete;
   RendezvousServer& operator=(const RendezvousServer&) = delete;
 
-  Endpoint endpoint() const { return local_; }
+  Endpoint endpoint() const { return sock_.local(); }
 
   // Serve until every node joined and acked the map, or the deadline.
   RendezvousStatus serve(RendezvousConfig cfg = {});
@@ -62,12 +91,8 @@ class RendezvousServer {
   void serve_async(RendezvousConfig cfg = {});
   RendezvousStatus result();
 
-  // The collected map (valid once serve() returned kOk).
-  const std::vector<Endpoint>& map() const { return map_; }
-
  private:
-  int fd_ = -1;
-  Endpoint local_;
+  UdpSocket sock_;
   int nodes_;
   std::vector<Endpoint> map_;
   // Source address of each node's JOIN — where MAP replies go (the joiner's

@@ -1,17 +1,11 @@
 #include "net/socket_fabric.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <linux/errqueue.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+
+#include "common/bytes.h"
+#include "common/timing.h"
 
 namespace pdw::net {
 
@@ -45,30 +39,13 @@ constexpr size_t kDgramHeaderBytes = 48;
 // under the 64 KiB UDP limit. Receive buffers are sized for this maximum
 // whatever this node's configured send-side fragment size is.
 constexpr size_t kFragBytes = size_t(kMaxFragmentBytes);
+// Kernel socket buffer depth. Loopback bursts (a whole picture fans out as
+// dozens of 56 KiB fragments) overflow the kernel default and look like
+// network loss; 4 MiB absorbs them.
+constexpr int kSocketBufferBytes = 4 << 20;
 // The largest message must fit the u16 fragment count at the smallest
 // fragment size.
 static_assert(kMaxMessageBytes / kMinFragmentBytes < 65536);
-
-void put_u32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
-void put_u16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, 2); }
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-uint16_t get_u16(const uint8_t* p) {
-  uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
-}
-
-sockaddr_in to_sockaddr(Endpoint ep) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(ep.ip);
-  sa.sin_port = htons(ep.port);
-  return sa;
-}
 
 uint64_t partial_key(int src, uint32_t msg_id) {
   return (uint64_t(uint32_t(src)) << 32) | msg_id;
@@ -80,7 +57,6 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
     : self_(self),
       nodes_(nodes),
       cfg_(cfg),
-      epoch_(std::chrono::steady_clock::now()),
       fenced_(size_t(nodes)),
       traffic_(nodes),
       counters_(size_t(nodes)) {
@@ -88,20 +64,9 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
   PDW_CHECK_LT(self, nodes);
   frag_bytes_ = size_t(
       std::clamp(cfg_.fragment_bytes, kMinFragmentBytes, kMaxFragmentBytes));
-  fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-  PDW_CHECK_GE(fd_, 0);
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_IP, IP_RECVERR, &one, sizeof(one));
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &cfg_.socket_buffer_bytes,
-               sizeof(cfg_.socket_buffer_bytes));
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &cfg_.socket_buffer_bytes,
-               sizeof(cfg_.socket_buffer_bytes));
-  sockaddr_in sa = to_sockaddr(Endpoint{kLoopbackIp, 0});
-  PDW_CHECK_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  socklen_t len = sizeof(sa);
-  PDW_CHECK_EQ(
-      ::getsockname(fd_, reinterpret_cast<sockaddr*>(&sa), &len), 0);
-  local_ = Endpoint{ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port)};
+  PDW_CHECK(sock_.ok()) << std::strerror(sock_.error());
+  sock_.enable_send_errors();
+  sock_.set_buffer_bytes(kSocketBufferBytes);
 
   obs::MetricsRegistry& reg = obs::registry_or_global(cfg_.metrics);
   const obs::Labels l{self_, -1};
@@ -112,19 +77,9 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
   m_peer_unreachable_ = &reg.counter(obs::family::kSocketPeerUnreachable, l);
 }
 
-SocketFabric::~SocketFabric() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
 void SocketFabric::set_peers(std::vector<Endpoint> peers) {
   PDW_CHECK_EQ(int(peers.size()), nodes_);
   peers_ = std::move(peers);
-}
-
-double SocketFabric::now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
 }
 
 void SocketFabric::post_receive(int node) {
@@ -150,37 +105,34 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
   PDW_CHECK_LE(total, kMaxMessageBytes);
   const uint16_t frag_count =
       uint16_t(total == 0 ? 1 : (total + frag_bytes_ - 1) / frag_bytes_);
-  sockaddr_in sa = to_sockaddr(peers_[size_t(dst)]);
-
-  uint8_t dgram[kDgramHeaderBytes + kFragBytes];
-  put_u32(dgram + 0, kMagic);
-  put_u32(dgram + 4, uint32_t(msg.src));
-  put_u32(dgram + 8, uint32_t(msg.type));
-  put_u32(dgram + 12, msg.seq);
-  put_u16(dgram + 16, msg.aux);
-  dgram[18] = msg.stream;
-  dgram[19] = msg.bulk ? 1 : 0;
-  put_u32(dgram + 20, msg.tseq);
-  put_u32(dgram + 24, msg.crc);
-  put_u32(dgram + 28, msg_id);
-  put_u16(dgram + 34, frag_count);
-  put_u32(dgram + 36, uint32_t(total));
-
+  const Endpoint to = peers_[size_t(dst)];
   for (uint16_t i = 0; i < frag_count; ++i) {
     const size_t off = size_t(i) * frag_bytes_;
     const size_t n = std::min(frag_bytes_, total - off);
-    put_u16(dgram + 32, i);
-    put_u32(dgram + 40, uint32_t(off));
-    put_u32(dgram + 44,
-            crc32(std::span<const uint8_t>(dgram, kDgramHeaderBytes - 4)));
-    if (n > 0) std::memcpy(dgram + kDgramHeaderBytes, msg.payload.data() + off, n);
+    uint8_t hdr[kDgramHeaderBytes];
+    ByteWriter w(hdr, sizeof(hdr));
+    w.u32(kMagic);
+    w.i32(msg.src);
+    w.i32(msg.type);
+    w.u32(msg.seq);
+    w.u16(msg.aux);
+    w.u8(msg.stream);
+    w.u8(msg.bulk ? 1 : 0);
+    w.u32(msg.tseq);
+    w.u32(msg.crc);
+    w.u32(msg_id);
+    w.u16(i);
+    w.u16(frag_count);
+    w.u32(uint32_t(total));
+    w.u32(uint32_t(off));
+    w.u32(crc32(std::span<const uint8_t>(hdr, kDgramHeaderBytes - 4)));
+    // The fragment goes out straight from the payload, behind the header.
     // A failed send (full buffer, unroutable peer) is ordinary loss to the
     // transport, recovered by retransmission; it is counted, not reported.
-    if (::sendto(fd_, dgram, kDgramHeaderBytes + n, 0,
-                 reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) < 0)
-      m_send_failures_->add();
-    else
+    if (sock_.send(to, hdr, msg.payload.span().subspan(off, n)))
       m_dgram_tx_->add();
+    else
+      m_send_failures_->add();
   }
 
   {
@@ -219,27 +171,32 @@ void SocketFabric::finish_message(Message msg) {
 }
 
 void SocketFabric::ingest(uint8_t* data, size_t len) {
-  if (len < kDgramHeaderBytes || get_u32(data + 0) != kMagic ||
-      get_u32(data + 44) !=
-          crc32(std::span<const uint8_t>(data, kDgramHeaderBytes - 4))) {
+  if (len < kDgramHeaderBytes) {
     m_rx_drops_->add();
     return;
   }
+  ByteReader r({data, kDgramHeaderBytes});
+  const uint32_t magic = r.u32();
   Fragment f;
   Message& h = f.header;
-  h.src = int(get_u32(data + 4));
-  h.type = int(get_u32(data + 8));
-  h.seq = get_u32(data + 12);
-  h.aux = get_u16(data + 16);
-  h.stream = data[18];
-  h.bulk = data[19] != 0;
-  h.tseq = get_u32(data + 20);
-  h.crc = get_u32(data + 24);
-  f.msg_id = get_u32(data + 28);
-  f.index = get_u16(data + 32);
-  f.count = get_u16(data + 34);
-  f.total = get_u32(data + 36);
-  f.off = get_u32(data + 40);
+  h.src = r.i32();
+  h.type = r.i32();
+  h.seq = r.u32();
+  h.aux = r.u16();
+  h.stream = r.u8();
+  h.bulk = r.u8() != 0;
+  h.tseq = r.u32();
+  h.crc = r.u32();
+  f.msg_id = r.u32();
+  f.index = r.u16();
+  f.count = r.u16();
+  f.total = r.u32();
+  f.off = r.u32();
+  if (magic != kMagic ||
+      r.u32() != crc32(std::span<const uint8_t>(data, kDgramHeaderBytes - 4))) {
+    m_rx_drops_->add();
+    return;
+  }
   uint8_t* bytes = data + kDgramHeaderBytes;
   const size_t n = len - kDgramHeaderBytes;
   if (h.src < 0 || h.src >= nodes_ || f.count == 0 || f.index >= f.count ||
@@ -347,54 +304,27 @@ void SocketFabric::release_parked(bool force) {
 
 void SocketFabric::drain_socket() {
   uint8_t buf[kDgramHeaderBytes + kFragBytes];
-  while (true) {
-    const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0, nullptr, nullptr);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN: drained
-    }
+  while (const std::optional<size_t> n = sock_.recv(buf)) {
     m_dgram_rx_->add();
-    ingest(buf, size_t(n));
+    ingest(buf, *n);
   }
   drain_errqueue();
 }
 
 void SocketFabric::drain_errqueue() {
-  while (true) {
-    uint8_t dummy[1];
-    sockaddr_in sa{};
-    uint8_t control[256];
-    iovec iov{dummy, sizeof(dummy)};
-    msghdr mh{};
-    mh.msg_name = &sa;
-    mh.msg_namelen = sizeof(sa);
-    mh.msg_iov = &iov;
-    mh.msg_iovlen = 1;
-    mh.msg_control = control;
-    mh.msg_controllen = sizeof(control);
-    if (::recvmsg(fd_, &mh, MSG_ERRQUEUE) < 0) break;
-    for (cmsghdr* c = CMSG_FIRSTHDR(&mh); c; c = CMSG_NXTHDR(&mh, c)) {
-      if (c->cmsg_level != IPPROTO_IP || c->cmsg_type != IP_RECVERR) continue;
-      sock_extended_err ee;
-      std::memcpy(&ee, CMSG_DATA(c), sizeof(ee));
-      if (ee.ee_errno == ECONNREFUSED || ee.ee_errno == EHOSTUNREACH ||
-          ee.ee_errno == ENETUNREACH) {
-        // msg_name carries the original destination of the failed send.
-        note_peer_error(ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port));
-      }
-    }
-  }
-}
-
-void SocketFabric::note_peer_error(uint32_t ip, uint16_t port) {
-  for (int n = 0; n < int(peers_.size()); ++n) {
-    if (peers_[size_t(n)].ip != ip || peers_[size_t(n)].port != port) continue;
+  int err = 0;
+  Endpoint dst;
+  while (sock_.take_error(&err, &dst)) {
+    const auto peer = std::find(peers_.begin(), peers_.end(), dst);
+    if (peer == peers_.end() || (err != ECONNREFUSED && err != EHOSTUNREACH &&
+                                 err != ENETUNREACH))
+      continue;
+    const int n = int(peer - peers_.begin());
     m_peer_unreachable_->add();
     std::lock_guard<std::mutex> lock(peer_err_mu_);
     if (std::find(peer_errors_.begin(), peer_errors_.end(), n) ==
         peer_errors_.end())
       peer_errors_.push_back(n);
-    return;
   }
 }
 
@@ -409,7 +339,7 @@ std::vector<int> SocketFabric::take_peer_errors() {
 RecvStatus SocketFabric::receive_for(int node, double timeout_s,
                                      Message* out) {
   PDW_CHECK_EQ(node, self_);
-  const double deadline = now() + timeout_s;
+  const WallTimer timer;
   while (true) {
     if (fenced_[size_t(self_)].load(std::memory_order_relaxed))
       return RecvStatus::kDead;
@@ -427,12 +357,11 @@ RecvStatus SocketFabric::receive_for(int node, double timeout_s,
       release_parked(/*force=*/true);
       if (!ready_.empty()) continue;
     }
-    const double remaining = deadline - now();
+    const double remaining = timeout_s - timer.seconds();
     if (remaining <= 0) return RecvStatus::kTimeout;
-    // Short poll slices so a cross-thread kill()/shutdown() is observed
+    // Short wait slices so a cross-thread kill()/shutdown() is observed
     // promptly even with nothing on the wire.
-    pollfd pfd{fd_, POLLIN, 0};
-    ::poll(&pfd, 1, int(std::min(remaining, 0.02) * 1000) + 1);
+    sock_.wait(std::min(remaining, 0.02));
   }
 }
 

@@ -1,6 +1,7 @@
 // Real-socket fabric backend: the same FabricBackend surface as the
-// in-process Fabric, over nonblocking UDP datagrams (ROADMAP item 1, the
-// paper's one-OS-process-per-node deployment over Myrinet/GM).
+// in-process Fabric, over loopback UDP datagrams through the one UdpSocket
+// (common/udp.h) — the paper's one-OS-process-per-node deployment over
+// Myrinet/GM.
 //
 // One SocketFabric instance per node (in one process per node, or one per
 // node thread when a test hosts the whole wall in-process). Differences from
@@ -48,20 +49,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/udp.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
 
 namespace pdw::net {
-
-// A UDP endpoint in host byte order (ip = 0x7f000001 for loopback).
-struct Endpoint {
-  uint32_t ip = 0;
-  uint16_t port = 0;
-
-  friend bool operator==(const Endpoint&, const Endpoint&) = default;
-};
-
-inline constexpr uint32_t kLoopbackIp = 0x7f000001u;
 
 // Bounds on SocketFabricConfig::fragment_bytes. The upper bound keeps
 // header + payload comfortably under the 64 KiB UDP datagram limit; the
@@ -80,10 +72,6 @@ inline constexpr size_t kMaxMessageBytes = size_t(8) << 20;
 inline constexpr size_t kMaxPartials = 64;
 
 struct SocketFabricConfig {
-  // Socket buffer depth requested via SO_RCVBUF/SO_SNDBUF. Loopback bursts
-  // (a whole picture fans out as dozens of 56 KiB fragments) overflow the
-  // kernel default and look like network loss; 4 MiB absorbs them.
-  int socket_buffer_bytes = 4 << 20;
   // Fragment payload bytes per datagram, clamped to
   // [kMinFragmentBytes, kMaxFragmentBytes]. Receivers reassemble from the
   // per-datagram framing fields, so nodes with different settings still
@@ -98,16 +86,15 @@ struct SocketFabricConfig {
 
 class SocketFabric final : public FabricBackend {
  public:
-  // Binds a nonblocking UDP socket for `self` on 127.0.0.1:<ephemeral>;
-  // local_endpoint() reports the learned port for rendezvous registration.
+  // Binds a UdpSocket for `self` on 127.0.0.1:<ephemeral>; local_endpoint()
+  // reports the learned port for rendezvous registration.
   SocketFabric(int self, int nodes, SocketFabricConfig cfg = {});
-  ~SocketFabric() override;
 
   SocketFabric(const SocketFabric&) = delete;
   SocketFabric& operator=(const SocketFabric&) = delete;
 
   int self() const { return self_; }
-  Endpoint local_endpoint() const { return local_; }
+  Endpoint local_endpoint() const { return sock_.local(); }
   // The clamped per-datagram fragment payload size in effect.
   size_t fragment_bytes() const { return frag_bytes_; }
 
@@ -164,7 +151,6 @@ class SocketFabric final : public FabricBackend {
     int hold = 0;  // later datagrams still to pass before release
   };
 
-  double now() const;
   // Nonblocking drain of every datagram currently queued on the socket.
   void drain_socket();
   // Header-check one datagram, apply the injector's decision to it, and
@@ -176,15 +162,12 @@ class SocketFabric final : public FabricBackend {
   void finish_message(Message msg);
   // Pull ICMP errors off the error queue into peer_errors_.
   void drain_errqueue();
-  void note_peer_error(uint32_t ip, uint16_t port);
 
   const int self_;
   const int nodes_;
   SocketFabricConfig cfg_;
   size_t frag_bytes_ = size_t(kMaxFragmentBytes);
-  int fd_ = -1;
-  Endpoint local_;
-  std::chrono::steady_clock::time_point epoch_;
+  UdpSocket sock_;
 
   std::vector<Endpoint> peers_;
 

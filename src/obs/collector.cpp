@@ -1,49 +1,19 @@
 #include "obs/collector.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 
+#include "obs/export.h"
+
 namespace pdw::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (uint8_t(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+// Bound on retained spans per process; a full buffer drops its oldest
+// quarter.
+constexpr size_t kMaxSpansPerProcess = size_t(1) << 20;
 
 // Percentile over merged (bucket index -> count), same definition as
 // Histogram::percentile: lower edge of the bucket holding the
@@ -64,36 +34,10 @@ uint64_t bucket_percentile(const std::map<int, uint64_t>& buckets, uint64_t n,
 
 }  // namespace
 
-Collector::Collector(CollectorConfig cfg)
-    : cfg_(cfg), epoch_(std::chrono::steady_clock::now()) {
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd_ < 0) return;
-  int reuse = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(cfg_.port);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return;
-  }
-  // Short receive timeout: the loop stays responsive to probes (RTT
-  // accuracy) and still notices stop_ promptly.
-  timeval tv{};
-  tv.tv_usec = 20 * 1000;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &blen) == 0)
-    local_ = TelemetryEndpoint{kTelemetryLoopbackIp, ntohs(bound.sin_port)};
-}
+Collector::Collector(uint16_t port)
+    : sock_(port), epoch_(std::chrono::steady_clock::now()) {}
 
-Collector::~Collector() {
-  stop();
-  if (fd_ >= 0) ::close(fd_);
-}
+Collector::~Collector() { stop(); }
 
 uint64_t Collector::now_ns() const {
   return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -102,7 +46,7 @@ uint64_t Collector::now_ns() const {
 }
 
 void Collector::start() {
-  if (started_ || fd_ < 0) return;
+  if (started_ || !sock_.ok()) return;
   started_ = true;
   stop_.store(false, std::memory_order_relaxed);
   thread_ = std::thread([this] { run_loop(); });
@@ -116,35 +60,21 @@ void Collector::stop() {
 }
 
 void Collector::run_loop() {
-  uint8_t buf[64 * 1024];
-  while (!stop_.load(std::memory_order_relaxed)) {
-    sockaddr_in src{};
-    socklen_t slen = sizeof(src);
-    const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
-                                 reinterpret_cast<sockaddr*>(&src), &slen);
-    if (n <= 0) continue;  // timeout or spurious error
-    handle_datagram(buf, size_t(n), ntohl(src.sin_addr.s_addr),
-                    ntohs(src.sin_port));
-  }
+  // Short wait slices: the loop answers probes promptly (RTT accuracy) and
+  // still notices stop_ soon.
+  while (!stop_.load(std::memory_order_relaxed))
+    if (sock_.wait(0.02)) poll();
 }
 
 void Collector::poll() {
-  if (fd_ < 0) return;
   uint8_t buf[64 * 1024];
-  for (;;) {
-    sockaddr_in src{};
-    socklen_t slen = sizeof(src);
-    const ssize_t n =
-        ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
-                   reinterpret_cast<sockaddr*>(&src), &slen);
-    if (n <= 0) break;
-    handle_datagram(buf, size_t(n), ntohl(src.sin_addr.s_addr),
-                    ntohs(src.sin_port));
-  }
+  net::Endpoint from;
+  while (const std::optional<size_t> n = sock_.recv(buf, &from))
+    handle_datagram(buf, *n, from);
 }
 
 void Collector::handle_datagram(const uint8_t* data, size_t len,
-                                uint32_t src_ip, uint16_t src_port) {
+                                net::Endpoint from) {
   const uint64_t t_recv = now_ns();
   TelemetryFrame f;
   if (!decode_frame(data, len, &f)) return;
@@ -156,13 +86,7 @@ void Collector::handle_datagram(const uint8_t* data, size_t len,
     reply.token = 0;
     reply.replies.push_back(
         ClockReplyRecord{p.seq, p.t0, t_recv, now_ns()});
-    const std::vector<uint8_t> wire = encode_frame(reply);
-    sockaddr_in dst{};
-    dst.sin_family = AF_INET;
-    dst.sin_addr.s_addr = htonl(src_ip);
-    dst.sin_port = htons(src_port);
-    ::sendto(fd_, wire.data(), wire.size(), 0,
-             reinterpret_cast<sockaddr*>(&dst), sizeof(dst));
+    sock_.send(from, encode_frame(reply));  // a failure is counted
   }
   if (f.token == 0) return;  // probe-only senders carry no state
 
@@ -208,10 +132,9 @@ void Collector::handle_datagram(const uint8_t* data, size_t len,
       proc.metrics[key] = std::move(m);
     }
   for (SpanRecord& s : f.spans) {
-    if (proc.spans.size() >= cfg_.max_spans_per_process)
+    if (proc.spans.size() >= kMaxSpansPerProcess)
       proc.spans.erase(proc.spans.begin(),
-                       proc.spans.begin() +
-                           long(cfg_.max_spans_per_process / 4));
+                       proc.spans.begin() + long(kMaxSpansPerProcess / 4));
     proc.info.span_events += 1;
     proc.spans.push_back(std::move(s));
   }

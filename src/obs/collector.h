@@ -30,21 +30,17 @@
 
 namespace pdw::obs {
 
-struct CollectorConfig {
-  uint16_t port = 0;  // 0: ephemeral (endpoint() reports the bound port)
-  // Bound on retained spans per process; oldest are discarded first.
-  size_t max_spans_per_process = size_t(1) << 20;
-};
-
 class Collector {
  public:
-  explicit Collector(CollectorConfig cfg = {});
+  // Binds 127.0.0.1:port (0: ephemeral; endpoint() reports the bound port).
+  // A port already in use leaves the collector !ok().
+  explicit Collector(uint16_t port = 0);
   ~Collector();
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  bool ok() const { return fd_ >= 0; }
-  TelemetryEndpoint endpoint() const { return local_; }
+  bool ok() const { return sock_.ok(); }
+  net::Endpoint endpoint() const { return sock_.local(); }
 
   // Background receive loop (answers probes promptly — accurate RTTs need
   // this). stop() joins; idempotent.
@@ -90,6 +86,8 @@ class Collector {
 
   uint64_t datagrams_received() const;
   uint64_t bytes_received() const;
+  // Clock-probe replies the socket failed to send.
+  uint64_t send_failures() const { return sock_.send_failures(); }
 
   // Write the merged multi-process Chrome trace. Returns false on I/O error.
   bool write_merged_trace(const std::string& path) const;
@@ -103,13 +101,10 @@ class Collector {
     std::vector<SpanRecord> spans;  // local (sender) clock domain
   };
 
-  void handle_datagram(const uint8_t* data, size_t len, uint32_t src_ip,
-                       uint16_t src_port);
+  void handle_datagram(const uint8_t* data, size_t len, net::Endpoint from);
   void run_loop();
 
-  CollectorConfig cfg_;
-  int fd_ = -1;
-  TelemetryEndpoint local_{};
+  net::UdpSocket sock_;
   std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;

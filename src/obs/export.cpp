@@ -7,7 +7,6 @@
 #include "common/text_table.h"
 
 namespace pdw::obs {
-namespace {
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -35,6 +34,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string label_text(const Labels& l) {
   std::string out;

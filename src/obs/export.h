@@ -22,6 +22,10 @@
 
 namespace pdw::obs {
 
+// `s` as the body of a JSON string literal (quotes, backslashes and control
+// characters escaped).
+std::string json_escape(const std::string& s);
+
 // Serialize all collected events. `pid_name`, when given, maps a pid to a
 // human-readable lane name emitted as process_name metadata. Returns false
 // if the file could not be written.

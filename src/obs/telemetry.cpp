@@ -1,10 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,23 +7,15 @@
 #include <cstring>
 #include <string_view>
 
+#include "common/bytes.h"
+
 namespace pdw::obs {
 
 namespace {
 
-void put_u8(std::vector<uint8_t>& b, uint8_t v) { b.push_back(v); }
-void put_u16(std::vector<uint8_t>& b, uint16_t v) {
-  b.push_back(uint8_t(v));
-  b.push_back(uint8_t(v >> 8));
-}
-void put_u32(std::vector<uint8_t>& b, uint32_t v) {
-  put_u16(b, uint16_t(v));
-  put_u16(b, uint16_t(v >> 16));
-}
-void put_u64(std::vector<uint8_t>& b, uint64_t v) {
-  put_u32(b, uint32_t(v));
-  put_u32(b, uint32_t(v >> 32));
-}
+// Budget per exported frame: flush() packs metrics and spans into frames of
+// at most 3/4 of this, well under the 64 KiB UDP datagram limit.
+constexpr size_t kMaxDatagramBytes = 32 * 1024;
 
 // Bounds-checked little-endian reader; any overrun latches fail.
 struct Reader {
@@ -92,10 +79,11 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
   for (const auto& s : f.spans) intern(s.name);
 
   std::vector<uint8_t> body;
+  ByteWriter w(&body);
   uint16_t records = 0;
   auto begin_record = [&](TelemetryRecordType t) {
-    put_u8(body, uint8_t(t));
-    put_u16(body, 0);  // length, patched by end_record
+    w.u8(uint8_t(t));
+    w.u16(0);  // length, patched by end_record
     ++records;
     return body.size();
   };
@@ -107,66 +95,66 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
 
   if (!strings.empty()) {
     const size_t at = begin_record(TelemetryRecordType::kStrings);
-    put_u16(body, uint16_t(strings.size()));
+    w.u16(uint16_t(strings.size()));
     for (std::string_view s : strings) {
       const size_t len = std::min<size_t>(s.size(), 255);
-      put_u8(body, uint8_t(len));
-      body.insert(body.end(), s.begin(), s.begin() + long(len));
+      w.u8(uint8_t(len));
+      w.bytes({reinterpret_cast<const uint8_t*>(s.data()), len});
     }
     end_record(at);
   }
   if (f.hello) {
     const size_t at = begin_record(TelemetryRecordType::kHello);
-    put_u32(body, f.hello->os_pid);
-    put_u16(body, f.hello->k);
-    put_u16(body, f.hello->tiles);
-    put_u16(body, f.hello->nodes);
-    put_u16(body, uint16_t(f.hello->hosted.size()));
-    for (uint16_t n : f.hello->hosted) put_u16(body, n);
+    w.u32(f.hello->os_pid);
+    w.u16(f.hello->k);
+    w.u16(f.hello->tiles);
+    w.u16(f.hello->nodes);
+    w.u16(uint16_t(f.hello->hosted.size()));
+    for (uint16_t n : f.hello->hosted) w.u16(n);
     end_record(at);
   }
   for (const auto& pr : f.probes) {
     const size_t at = begin_record(TelemetryRecordType::kClockProbe);
-    put_u32(body, pr.seq);
-    put_u64(body, pr.t0);
+    w.u32(pr.seq);
+    w.u64(pr.t0);
     end_record(at);
   }
   for (const auto& rp : f.replies) {
     const size_t at = begin_record(TelemetryRecordType::kClockReply);
-    put_u32(body, rp.seq);
-    put_u64(body, rp.t0);
-    put_u64(body, rp.t1);
-    put_u64(body, rp.t2);
+    w.u32(rp.seq);
+    w.u64(rp.t0);
+    w.u64(rp.t1);
+    w.u64(rp.t2);
     end_record(at);
   }
   if (f.offset) {
     const size_t at = begin_record(TelemetryRecordType::kOffset);
-    put_u64(body, uint64_t(f.offset->offset_ns));
-    put_u64(body, f.offset->min_rtt_ns);
-    put_u32(body, f.offset->samples);
-    put_u8(body, f.offset->valid);
+    w.u64(uint64_t(f.offset->offset_ns));
+    w.u64(f.offset->min_rtt_ns);
+    w.u32(f.offset->samples);
+    w.u8(f.offset->valid);
     end_record(at);
   }
   for (const auto& m : f.metrics) {
     const size_t at = begin_record(TelemetryRecordType::kMetric);
-    put_u16(body, index.at(m.family));
-    put_u8(body, uint8_t(m.kind));
-    put_u16(body, uint16_t(m.node));
-    put_u16(body, uint16_t(m.stream));
+    w.u16(index.at(m.family));
+    w.u8(uint8_t(m.kind));
+    w.u16(uint16_t(m.node));
+    w.u16(uint16_t(m.stream));
     switch (m.kind) {
       case MetricKind::kCounter:
-        put_u64(body, m.count);
+        w.u64(m.count);
         break;
       case MetricKind::kGauge:
-        put_u64(body, uint64_t(m.gauge));
+        w.u64(uint64_t(m.gauge));
         break;
       case MetricKind::kHistogram:
-        put_u64(body, m.count);
-        put_u64(body, m.sum);
-        put_u8(body, uint8_t(m.buckets.size()));
+        w.u64(m.count);
+        w.u64(m.sum);
+        w.u8(uint8_t(m.buckets.size()));
         for (const auto& [idx, cnt] : m.buckets) {
-          put_u8(body, idx);
-          put_u64(body, cnt);
+          w.u8(idx);
+          w.u64(cnt);
         }
         break;
     }
@@ -176,16 +164,16 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
     const size_t count =
         std::min(kMaxSpansPerRecord, f.spans.size() - base);
     const size_t at = begin_record(TelemetryRecordType::kSpans);
-    put_u16(body, uint16_t(count));
+    w.u16(uint16_t(count));
     for (size_t i = 0; i < count; ++i) {
       const SpanRecord& s = f.spans[base + i];
-      put_u16(body, index.at(s.name));
-      put_u8(body, uint8_t(s.ph));
-      put_u32(body, uint32_t(s.pid));
-      put_u32(body, uint32_t(s.tid));
-      put_u64(body, s.ts_ns);
-      put_u64(body, s.dur_ns);
-      put_u32(body, s.pic);
+      w.u16(index.at(s.name));
+      w.u8(uint8_t(s.ph));
+      w.u32(uint32_t(s.pid));
+      w.u32(uint32_t(s.tid));
+      w.u64(s.ts_ns);
+      w.u64(s.dur_ns);
+      w.u32(s.pic);
     }
     end_record(at);
   }
@@ -196,13 +184,14 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
 
   std::vector<uint8_t> out;
   out.reserve(kHeaderBytes + body.size());
-  put_u32(out, kTelemetryMagic);
-  put_u16(out, kTelemetryVersion);
-  put_u16(out, 0);  // flags
-  put_u64(out, f.token);
-  put_u32(out, f.seq);
-  put_u16(out, records);
-  out.insert(out.end(), body.begin(), body.end());
+  ByteWriter o(&out);
+  o.u32(kTelemetryMagic);
+  o.u16(kTelemetryVersion);
+  o.u16(0);  // flags
+  o.u64(f.token);
+  o.u32(f.seq);
+  o.u16(records);
+  o.bytes(body);
   return out;
 }
 
@@ -358,24 +347,9 @@ TelemetryExporter::TelemetryExporter(TelemetryExporterConfig cfg)
   token_ = (uint64_t(::getpid()) << 40) ^ steady_ticks() ^
            (uint64_t(reinterpret_cast<uintptr_t>(this)) << 17);
   if (token_ == 0) token_ = 1;
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd_ < 0) return;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = 0;
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return;
-  }
-  ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL, 0) | O_NONBLOCK);
 }
 
-TelemetryExporter::~TelemetryExporter() {
-  stop();
-  if (fd_ >= 0) ::close(fd_);
-}
+TelemetryExporter::~TelemetryExporter() { stop(); }
 
 Tracer& TelemetryExporter::tracer() const {
   return cfg_.tracer ? *cfg_.tracer : Tracer::global();
@@ -384,7 +358,7 @@ Tracer& TelemetryExporter::tracer() const {
 uint64_t TelemetryExporter::local_now_ns() const { return tracer().now_ns(); }
 
 void TelemetryExporter::start() {
-  if (started_ || fd_ < 0) return;
+  if (started_ || !sock_.ok()) return;
   started_ = true;
   thread_ = std::thread([this] { run_loop(); });
 }
@@ -412,44 +386,30 @@ void TelemetryExporter::stop() {
     stop_cv_.notify_all();
     thread_.join();
   }
-  if (fd_ < 0) return;
+  if (!sock_.ok()) return;
   flush();
   TelemetryFrame bye;
   bye.bye = true;
-  bye.offset = [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    OffsetRecord o;
-    o.offset_ns = clock_.offset_ns();
-    o.min_rtt_ns = clock_.min_rtt_ns();
-    o.samples = clock_.samples();
-    o.valid = clock_.valid() ? 1 : 0;
-    return o;
-  }();
-  bye.hello = HelloRecord{uint32_t(::getpid()), cfg_.k, cfg_.tiles, cfg_.nodes,
-                          cfg_.hosted};
+  identify(&bye);
   send_frame(&bye);
 }
 
+void TelemetryExporter::identify(TelemetryFrame* frame) const {
+  frame->hello = HelloRecord{uint32_t(::getpid()), cfg_.k, cfg_.tiles,
+                             cfg_.nodes, cfg_.hosted};
+  std::lock_guard<std::mutex> lock(mu_);
+  frame->offset = OffsetRecord{clock_.offset_ns(), clock_.min_rtt_ns(),
+                               clock_.samples(), uint8_t(clock_.valid())};
+}
+
 void TelemetryExporter::send_frame(TelemetryFrame* frame) {
-  if (fd_ < 0) return;
+  if (!sock_.ok()) return;
   frame->token = token_;
   {
     std::lock_guard<std::mutex> lock(mu_);
     frame->seq = next_frame_seq_++;
   }
-  const std::vector<uint8_t> wire = encode_frame(*frame);
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_addr.s_addr = htonl(cfg_.collector.ip);
-  to.sin_port = htons(cfg_.collector.port);
-  const ssize_t sent =
-      ::sendto(fd_, wire.data(), wire.size(), 0,
-               reinterpret_cast<sockaddr*>(&to), sizeof(to));
-  if (sent > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++datagrams_sent_;
-    bytes_sent_ += uint64_t(sent);
-  }
+  sock_.send(cfg_.collector, encode_frame(*frame));  // a failure is counted
 }
 
 void TelemetryExporter::handle_reply(const ClockReplyRecord& r, uint64_t t3) {
@@ -462,20 +422,17 @@ void TelemetryExporter::handle_reply(const ClockReplyRecord& r, uint64_t t3) {
 }
 
 void TelemetryExporter::poll_replies() {
-  if (fd_ < 0) return;
   uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n <= 0) break;
+  while (const std::optional<size_t> n = sock_.recv(buf)) {
     const uint64_t t3 = local_now_ns();
     TelemetryFrame f;
-    if (!decode_frame(buf, size_t(n), &f)) continue;
+    if (!decode_frame(buf, *n, &f)) continue;
     for (const auto& r : f.replies) handle_reply(r, t3);
   }
 }
 
 void TelemetryExporter::flush() {
-  if (fd_ < 0) return;
+  if (!sock_.ok()) return;
   poll_replies();
 
   // --- clock probe, with a short wait so t3 is stamped on arrival ---
@@ -508,26 +465,12 @@ void TelemetryExporter::flush() {
     }
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) break;
-    const auto remain =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    const int wait_ms = int(remain.count()) + 1;
-    pollfd pfd{fd_, POLLIN, 0};
-    if (::poll(&pfd, 1, wait_ms) <= 0) break;
+    if (!sock_.wait(std::chrono::duration<double>(deadline - now).count()))
+      break;
     poll_replies();
   }
 
   // --- gather export payload ---
-  HelloRecord hello{uint32_t(::getpid()), cfg_.k, cfg_.tiles, cfg_.nodes,
-                    cfg_.hosted};
-  OffsetRecord offset;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    offset.offset_ns = clock_.offset_ns();
-    offset.min_rtt_ns = clock_.min_rtt_ns();
-    offset.samples = clock_.samples();
-    offset.valid = clock_.valid() ? 1 : 0;
-  }
-
   std::vector<MetricRecord> metrics;
   const MetricsSnapshot snap = registry_or_global(cfg_.metrics).snapshot();
   {
@@ -562,11 +505,10 @@ void TelemetryExporter::flush() {
 
   // --- pack into frames under the datagram budget ---
   TelemetryFrame frame;
-  frame.hello = hello;
-  frame.offset = offset;
+  identify(&frame);
   size_t est = 128;
   auto maybe_ship = [&](size_t add) {
-    if (est + add <= cfg_.max_datagram_bytes * 3 / 4) {
+    if (est + add <= kMaxDatagramBytes * 3 / 4) {
       est += add;
       return;
     }
@@ -597,16 +539,6 @@ void TelemetryExporter::flush() {
 ClockEstimator TelemetryExporter::clock() const {
   std::lock_guard<std::mutex> lock(mu_);
   return clock_;
-}
-
-uint64_t TelemetryExporter::datagrams_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return datagrams_sent_;
-}
-
-uint64_t TelemetryExporter::bytes_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_sent_;
 }
 
 }  // namespace pdw::obs

@@ -13,9 +13,8 @@
 // delayed or duplicated replies from polluting the estimate, exactly like
 // the PR-8 RTO estimator ignores retransmitted acks.
 //
-// obs sits below net in the link graph (net links obs), so this header
-// speaks raw POSIX UDP and carries its own 6-byte endpoint type instead of
-// including net/fabric.h.
+// Exporter and collector speak through the same loopback UdpSocket as the
+// transport (common/udp.h), which sits below both obs and net.
 #pragma once
 
 #include <condition_variable>
@@ -29,22 +28,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/udp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace pdw::obs {
-
-// UDP endpoint in host byte order (mirror of net::Endpoint, duplicated so
-// obs does not depend on net).
-struct TelemetryEndpoint {
-  uint32_t ip = 0;
-  uint16_t port = 0;
-
-  friend bool operator==(const TelemetryEndpoint&,
-                         const TelemetryEndpoint&) = default;
-};
-
-inline constexpr uint32_t kTelemetryLoopbackIp = 0x7F000001u;
 
 // ---------------------------------------------------------------------------
 // Wire format. One datagram = one frame: a fixed header, then a sequence of
@@ -172,10 +160,9 @@ class ClockEstimator {
 // ---------------------------------------------------------------------------
 
 struct TelemetryExporterConfig {
-  TelemetryEndpoint collector{};  // where frames go
-  double interval_s = 0.2;          // background flush period
-  double probe_wait_s = 0.01;       // how long flush() blocks for a reply
-  size_t max_datagram_bytes = 32 * 1024;
+  net::Endpoint collector{};           // where frames go
+  double interval_s = 0.2;             // background flush period
+  double probe_wait_s = 0.01;          // how long flush() blocks for a reply
   MetricsRegistry* metrics = nullptr;  // nullptr: global()
   Tracer* tracer = nullptr;            // nullptr: Tracer::global()
   // Wall shape announced in Hello (0 = unknown).
@@ -208,8 +195,9 @@ class TelemetryExporter {
 
   ClockEstimator clock() const;
   uint64_t token() const { return token_; }
-  uint64_t datagrams_sent() const;
-  uint64_t bytes_sent() const;
+  // Frames the socket failed to send (counted, never silently dropped).
+  uint64_t send_failures() const { return sock_.send_failures(); }
+  net::Endpoint local_endpoint() const { return sock_.local(); }
   // Exporter clock (the tracer's domain — spans and probes agree).
   uint64_t local_now_ns() const;
 
@@ -219,13 +207,15 @@ class TelemetryExporter {
   };
 
   Tracer& tracer() const;
+  // Stamp Hello and the current offset estimate into `frame`.
+  void identify(TelemetryFrame* frame) const;
   void send_frame(TelemetryFrame* frame);
   void run_loop();
   void handle_reply(const ClockReplyRecord& r, uint64_t t3);
 
   TelemetryExporterConfig cfg_;
   uint64_t token_ = 0;
-  int fd_ = -1;
+  net::UdpSocket sock_;
 
   mutable std::mutex mu_;
   ClockEstimator clock_;
@@ -236,8 +226,6 @@ class TelemetryExporter {
            std::tuple<uint64_t, uint64_t, int64_t>>
       last_sent_;  // metric key -> (count, sum, gauge) last exported
   std::vector<uint64_t> trace_cursors_;
-  uint64_t datagrams_sent_ = 0;
-  uint64_t bytes_sent_ = 0;
 
   std::thread thread_;
   std::mutex stop_mu_;

@@ -196,13 +196,17 @@ TEST(ThreadedPipelineStats, SplitterSendOverheadIsModest) {
   wall::TileGeometry geo(w, h, 2, 2, 0);
   ClusterPipeline pipeline(geo, 1, es);
   const auto stats = pipeline.run(nullptr);
-  const auto& s = stats.node_counters[1];  // the single splitter
-  EXPECT_GT(s.sent_bytes, s.recv_bytes);
+  // The splitter is node 1. Count protocol-level bytes, first transmissions
+  // only: the transport counters also count every retransmitted copy of a
+  // sub-picture, and how many there are depends on scheduling.
+  const uint64_t sent = stats.wire.traffic.sent_by(1);
+  const uint64_t recv = stats.wire.traffic.received_by(1);
+  EXPECT_GT(sent, recv);
   // At this small frame size the fixed per-run SPH cost amortizes poorly
   // (short rows, few bits per macroblock), so allow up to 2.5x; the paper's
   // ~20% figure at ultra-high resolution is reproduced by the Figure 9
   // benchmark, not here.
-  EXPECT_LT(double(s.sent_bytes), double(s.recv_bytes) * 2.5);
+  EXPECT_LT(double(sent), double(recv) * 2.5);
 }
 
 }  // namespace

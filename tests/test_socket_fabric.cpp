@@ -1,16 +1,15 @@
-// The real-socket transport: UDP datagram framing, fragmentation and
-// reassembly (bounded against forged datagrams), receiver-side flow control,
-// counted send failures, rendezvous discovery, ICMP-driven peer-death
-// detection, the adaptive RTO estimator, per-datagram fault injection, and
-// the reliable layer surviving seeded datagram faults.
+// The real-socket transport: the one loopback UDP socket's rules (loopback
+// bind, no port sharing, counted send failures), the rendezvous codec, UDP
+// datagram framing, fragmentation and reassembly (bounded against forged
+// datagrams), receiver-side flow control, counted send failures,
+// rendezvous discovery, ICMP-driven peer-death detection, the adaptive RTO
+// estimator, per-datagram fault injection, and the reliable layer
+// surviving seeded datagram faults.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include <cerrno>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -43,41 +42,101 @@ Message make_msg(int src, int type, uint32_t seq, size_t payload_bytes,
 
 // --- Hole-timeout derivation (documented worst case, pinned) ---------------
 
-TEST(ReliableConfigDerivation, FixedRtoHoleTimeoutMatchesRetransmissionSpan) {
-  ReliableConfig cfg;
-  cfg.adaptive_rto = false;
-  cfg.rto_initial_s = 0.004;
-  cfg.rto_max_s = 0.064;
-  cfg.max_retries = 12;
-  // Worst-case sender span: timeouts double from rto_initial, capped at
-  // rto_max, across the initial send plus max_retries retries:
-  // 0.004 + 0.008 + 0.016 + 0.032 + 9 * 0.064 = 0.636. The receiver waits
-  // 4x that plus scheduling slack before skipping a hole.
-  EXPECT_NEAR(derive_hole_timeout(cfg), 4 * 0.636 + 0.1, 1e-9);
-}
-
 TEST(ReliableConfigDerivation, AdaptiveRtoDerivesFromWorstCaseRto) {
   ReliableConfig cfg;
-  cfg.adaptive_rto = true;
   cfg.rto_initial_s = 0.004;
   cfg.rto_max_s = 0.064;
   cfg.max_retries = 12;
   // Adaptive RTO can sit at the ceiling the whole time, so the derivation
-  // must assume every timeout is rto_max: 13 * 0.064 = 0.832.
+  // must assume every timeout is rto_max: 13 * 0.064 = 0.832. The receiver
+  // waits 4x that plus scheduling slack before skipping a hole.
   EXPECT_NEAR(derive_hole_timeout(cfg), 4 * 0.832 + 0.1, 1e-9);
 }
 
 TEST(ReliableConfigDerivation, EndpointAppliesDerivations) {
   Fabric f(2);
   ReliableConfig cfg;
-  cfg.adaptive_rto = true;  // rto_min_s = 0 must derive to rto_initial_s
   ReliableEndpoint ep(&f, 0, cfg);
-  EXPECT_DOUBLE_EQ(ep.rto_min_s(), cfg.rto_initial_s);
+  EXPECT_DOUBLE_EQ(ep.rto_s(1), cfg.rto_initial_s);  // before any sample
   EXPECT_NEAR(ep.hole_timeout_s(), derive_hole_timeout(cfg), 1e-9);
   // An explicit hole timeout is honored as-is.
   cfg.hole_timeout_s = 7.5;
   ReliableEndpoint ep2(&f, 1, cfg);
   EXPECT_DOUBLE_EQ(ep2.hole_timeout_s(), 7.5);
+}
+
+// --- The one UDP socket ----------------------------------------------------
+
+TEST(UdpSocket, BindsLoopbackAndRefusesAPortInUse) {
+  UdpSocket a;
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a.local().ip, kLoopbackIp);
+  EXPECT_NE(a.local().port, 0);
+  // No SO_REUSEADDR: a second socket cannot take over the port.
+  UdpSocket b(a.local().port);
+  EXPECT_FALSE(b.ok());
+  EXPECT_EQ(b.error(), EADDRINUSE);
+  EXPECT_FALSE(b.send(a.local(), std::vector<uint8_t>{1}));
+  EXPECT_EQ(b.send_failures(), 1u);
+}
+
+TEST(UdpSocket, SendsHeaderAndPayloadAsOneDatagram) {
+  UdpSocket a, b;
+  const std::vector<uint8_t> header{1, 2, 3}, payload{4, 5};
+  ASSERT_TRUE(a.send(b.local(), header, payload));
+  ASSERT_TRUE(b.wait(1.0));
+  uint8_t buf[16];
+  Endpoint from;
+  const std::optional<size_t> n = b.recv(buf, &from);
+  ASSERT_EQ(n, 5u);
+  EXPECT_EQ(std::vector<uint8_t>(buf, buf + 5),
+            (std::vector<uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(from, a.local());
+  EXPECT_FALSE(b.recv(buf).has_value());  // drained
+}
+
+TEST(UdpSocket, FailedSendIsCountedWithItsErrno) {
+  UdpSocket a;
+  // Without SO_BROADCAST, a send to the limited broadcast address fails.
+  EXPECT_FALSE(a.send(Endpoint{0xffffffffu, 9}, std::vector<uint8_t>{1}));
+  EXPECT_EQ(a.send_failures(), 1u);
+  EXPECT_EQ(a.last_send_error(), EACCES);
+}
+
+TEST(UdpSocket, EverySocketOfTheWallIsLoopback) {
+  SocketFabric fabric(0, 1);
+  EXPECT_EQ(fabric.local_endpoint().ip, kLoopbackIp);
+  RendezvousServer listener(2);
+  EXPECT_EQ(listener.endpoint().ip, kLoopbackIp);
+}
+
+// --- Rendezvous datagrams ----------------------------------------------------
+
+TEST(RendezvousCodec, RoundTripsEveryKindAndRejectsMalformed) {
+  using Kind = RendezvousMsg::Kind;
+  const std::vector<RendezvousMsg> msgs = {
+      {Kind::kJoin, 2, Endpoint{kLoopbackIp, 4242}, {}},
+      {Kind::kWait, 0, {}, {}},
+      {Kind::kMap, 0, {}, {{kLoopbackIp, 1}, {kLoopbackIp, 2}, {1, 3}}},
+      {Kind::kMapAck, 1, {}, {}},
+  };
+  for (const RendezvousMsg& m : msgs) {
+    const std::vector<uint8_t> d = encode_rendezvous(m);
+    EXPECT_EQ(decode_rendezvous(d, 3), m);
+    // Every truncation and an appended byte are refused.
+    for (size_t n = 0; n < d.size(); ++n)
+      EXPECT_FALSE(decode_rendezvous({d.data(), n}, 3).has_value()) << n;
+    std::vector<uint8_t> longer = d;
+    longer.push_back(0);
+    EXPECT_FALSE(decode_rendezvous(longer, 3).has_value());
+  }
+  // A node id or map size that does not fit the wall, and a port that does
+  // not fit 16 bits.
+  EXPECT_FALSE(decode_rendezvous(encode_rendezvous(msgs[0]), 2).has_value());
+  EXPECT_FALSE(decode_rendezvous(encode_rendezvous(msgs[2]), 4).has_value());
+  std::vector<uint8_t> join = encode_rendezvous(msgs[0]);
+  join[18] = 1;  // port 4242 + 65536
+  EXPECT_FALSE(decode_rendezvous(join, 3).has_value());
 }
 
 // --- Datagram framing ------------------------------------------------------
@@ -249,14 +308,8 @@ std::vector<uint8_t> forge(int src, uint32_t msg_id, uint16_t index,
   return d;
 }
 
-void send_raw(int fd, Endpoint to, const std::vector<uint8_t>& d) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(to.ip);
-  sa.sin_port = htons(to.port);
-  ASSERT_EQ(::sendto(fd, d.data(), d.size(), 0,
-                     reinterpret_cast<sockaddr*>(&sa), sizeof(sa)),
-            ssize_t(d.size()));
+void send_raw(UdpSocket& sock, Endpoint to, const std::vector<uint8_t>& d) {
+  ASSERT_TRUE(sock.send(to, d));
 }
 
 TEST(SocketFabric, ForgedDatagramsCannotGrowReassemblyUnbounded) {
@@ -264,8 +317,7 @@ TEST(SocketFabric, ForgedDatagramsCannotGrowReassemblyUnbounded) {
   SocketFabricConfig cfg;
   cfg.metrics = &reg;
   SocketFabric b(1, 2, cfg);
-  const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(raw, 0);
+  UdpSocket raw;
   const obs::Labels self{1, -1};
   Message got;
 
@@ -289,7 +341,6 @@ TEST(SocketFabric, ForgedDatagramsCannotGrowReassemblyUnbounded) {
     completed.push_back(got.seq);
   EXPECT_EQ(completed,
             (std::vector<uint32_t>{101u, uint32_t(100 + kMaxPartials)}));
-  ::close(raw);
 }
 
 // --- Rendezvous ------------------------------------------------------------
@@ -388,7 +439,7 @@ TEST(SocketReliable, AdaptiveRtoLearnsFromRttSamples) {
   EXPECT_GT(tx.stats().rtt_samples, 0u);
   EXPECT_GT(tx.srtt_s(1), 0.0);
   EXPECT_LT(tx.srtt_s(1), 0.05);  // loopback: well under 50 ms
-  EXPECT_GE(tx.rto_s(1), tx.rto_min_s());
+  EXPECT_GE(tx.rto_s(1), cfg.rto_initial_s);  // the floor
   EXPECT_LE(tx.rto_s(1), cfg.rto_max_s);
 }
 

@@ -32,7 +32,6 @@ namespace {
 
 using obs::ClockEstimator;
 using obs::Collector;
-using obs::TelemetryEndpoint;
 using obs::TelemetryExporter;
 using obs::TelemetryExporterConfig;
 using obs::TelemetryFrame;
@@ -306,6 +305,40 @@ TEST(TelemetrySideband, SkewedProcessMergesIntoCollectorDomain) {
   const obs::MetricsSnapshot merged = collector.merged_metrics();
   EXPECT_EQ(merged.counter_total("pictures_decoded"), 42u);
   collector.stop();
+}
+
+TEST(TelemetrySideband, SecondCollectorOnAPortInUseIsNotOk) {
+  Collector first;
+  ASSERT_TRUE(first.ok());
+  // Without SO_REUSEADDR the bind fails instead of splitting the port's
+  // datagrams between two collectors.
+  Collector second(first.endpoint().port);
+  EXPECT_FALSE(second.ok());
+}
+
+TEST(TelemetrySideband, ExporterAndCollectorBindLoopback) {
+  Collector collector;
+  ASSERT_TRUE(collector.ok());
+  EXPECT_EQ(collector.endpoint().ip, net::kLoopbackIp);
+  TelemetryExporterConfig cfg;
+  cfg.collector = collector.endpoint();
+  TelemetryExporter exporter(cfg);
+  EXPECT_EQ(exporter.local_endpoint().ip, net::kLoopbackIp);
+  EXPECT_NE(exporter.local_endpoint().port, 0);
+}
+
+TEST(TelemetrySideband, FailedExportIsCounted) {
+  obs::MetricsRegistry reg;
+  obs::Tracer tracer;
+  TelemetryExporterConfig cfg;
+  // Without SO_BROADCAST, a send to the limited broadcast address fails.
+  cfg.collector = net::Endpoint{0xffffffffu, 9};
+  cfg.probe_wait_s = 0;
+  cfg.metrics = &reg;
+  cfg.tracer = &tracer;
+  TelemetryExporter exporter(cfg);
+  exporter.flush();  // one probe frame and one export frame
+  EXPECT_EQ(exporter.send_failures(), 2u);
 }
 
 // ---------------------------------------------------------------------------
