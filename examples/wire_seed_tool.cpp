@@ -1,16 +1,21 @@
 // Emit one packed wire body per protocol message type into <root>/wire —
-// the seed corpus for fuzz/fuzz_wire.cpp — and the two sideband datagram
+// the seed corpus for fuzz/fuzz_wire.cpp — the two sideband datagram
 // formats into <root>/telemetry (fuzz_telemetry) and <root>/rendezvous
-// (fuzz_rendezvous). Valid inputs (plus the corpus script's bit-flip
-// variants of them) reach every field parser, which random bytes rarely do.
+// (fuzz_rendezvous), and SocketFabric datagram sequences into <root>/fabric
+// (fuzz_fabric). Valid inputs (plus the corpus script's bit-flip variants of
+// them) reach every field parser, which random bytes rarely do.
 //
 // Usage: wire_seed_tool <root>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "net/rendezvous.h"
+#include "net/socket_fabric.h"
 #include "obs/telemetry.h"
 #include "proto/wire.h"
 
@@ -31,6 +36,27 @@ void write_file(const std::string& path, std::span<const uint8_t> bytes) {
 void write_seed(const std::string& dir, const char* name,
                 const proto::Packed& p) {
   write_file(dir + "/" + name + ".wire", p.body);
+}
+
+// Append one message's datagrams, fragments of `frag` payload bytes sent in
+// `order`, in fuzz_fabric's input format: [u16 length][datagram] each.
+void append_datagrams(std::vector<uint8_t>* out, net::DatagramHeader h,
+                      std::span<const uint8_t> payload, size_t frag,
+                      std::initializer_list<uint16_t> order) {
+  h.total = uint32_t(payload.size());
+  h.count = uint16_t((payload.size() + frag - 1) / frag);
+  for (const uint16_t i : order) {
+    h.index = i;
+    h.off = uint32_t(i * frag);
+    const auto bytes =
+        payload.subspan(h.off, std::min<size_t>(frag, h.total - h.off));
+    uint8_t hdr[net::kDatagramHeaderBytes];
+    net::encode_datagram_header(h, hdr);
+    const uint16_t len = uint16_t(sizeof(hdr) + bytes.size());
+    out->insert(out->end(), {uint8_t(len), uint8_t(len >> 8)});
+    out->insert(out->end(), hdr, hdr + sizeof(hdr));
+    out->insert(out->end(), bytes.begin(), bytes.end());
+  }
 }
 
 }  // namespace
@@ -146,5 +172,35 @@ int main(int argc, char** argv) {
   for (const auto& [name, msg] : rv)
     write_file(root + "/rendezvous/" + name + ".bin",
                net::encode_rendezvous(msg));
+
+  // Fabric datagrams for node 1 of a 3-node wall: a single-fragment
+  // message; a bulk message in three fragments arriving out of order; and
+  // the first halves of kMaxPartials + 1 messages, one more than the
+  // reassembly map holds.
+  std::vector<uint8_t> payload(24);
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = uint8_t(i * 11);
+  const std::span<const uint8_t> short_payload = std::span(payload).first(16);
+  net::DatagramHeader h;
+  h.header.src = 0;
+  h.header.type = 2;
+  h.header.seq = 5;
+  h.header.aux = 1;
+  h.header.tseq = 3;
+  h.msg_id = 1;
+  std::vector<uint8_t> dgrams;
+  append_datagrams(&dgrams, h, short_payload, 16, {0});
+  write_file(root + "/fabric/single.bin", dgrams);
+  h.header.src = 2;
+  h.header.bulk = true;
+  h.msg_id = 2;
+  dgrams.clear();
+  append_datagrams(&dgrams, h, payload, 8, {0, 2, 1});
+  write_file(root + "/fabric/multi.bin", dgrams);
+  dgrams.clear();
+  for (size_t m = 0; m <= net::kMaxPartials; ++m) {
+    h.msg_id = uint32_t(100 + m);
+    append_datagrams(&dgrams, h, short_payload, 8, {0});
+  }
+  write_file(root + "/fabric/partials.bin", dgrams);
   return 0;
 }

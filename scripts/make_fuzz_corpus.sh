@@ -25,7 +25,8 @@ for tool in "$TRANSCODE" "$PSTOOL" "$WIRESEED"; do
   fi
 done
 
-mkdir -p "$OUT/es" "$OUT/container" "$OUT/wire" "$OUT/telemetry" "$OUT/rendezvous"
+mkdir -p "$OUT/es" "$OUT/container" "$OUT/wire" "$OUT/telemetry" \
+  "$OUT/rendezvous" "$OUT/fabric"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -43,7 +44,8 @@ done
 "$PSTOOL" tsmux "$TMP/seed_0.m2v" "$OUT/container/seed.ts" > /dev/null
 
 # Typed protocol message bodies (one per wire message type) for fuzz_wire,
-# and sideband datagrams for fuzz_telemetry and fuzz_rendezvous.
+# sideband datagrams for fuzz_telemetry and fuzz_rendezvous, and fabric
+# datagram sequences for fuzz_fabric.
 "$WIRESEED" "$OUT"
 
 # Deterministic bit-flip variants: flip one bit at several byte offsets
@@ -83,7 +85,7 @@ done
 for f in "$OUT"/wire/*.wire; do
   flip_variants "$f" "${f%.wire}"
 done
-for f in "$OUT"/telemetry/*.bin "$OUT"/rendezvous/*.bin; do
+for f in "$OUT"/telemetry/*.bin "$OUT"/rendezvous/*.bin "$OUT"/fabric/*.bin; do
   flip_variants "$f" "${f%.bin}"
 done
 

@@ -90,9 +90,6 @@ struct SubPicture {
 // Sequence-level information distributed once by the root splitter.
 struct StreamInfo {
   mpeg2::SequenceHeader seq;
-
-  void serialize(std::vector<uint8_t>* out) const;
-  static StreamInfo deserialize(std::span<const uint8_t> data);
 };
 
 }  // namespace pdw::core

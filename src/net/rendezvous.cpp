@@ -19,6 +19,34 @@ constexpr double kBackoffMaxS = 0.5;
 
 using Kind = RendezvousMsg::Kind;
 
+template <class IO, Layout<Endpoint> E>
+void fields(IO& io, E& ep) {
+  io.u32(ep.ip);
+  io.u32(ep.port, 0xFFFF);
+}
+
+// One datagram's fields (common/bytes.h), in wire order. `wall` is the
+// decoder's wall size: node ids must be below it and a map must hold
+// exactly that many endpoints.
+template <class IO, Layout<RendezvousMsg> M>
+void fields(IO& io, M& m, uint32_t wall) {
+  uint32_t magic = kRvMagic;
+  io.u32(magic);
+  io.u32(m.kind);
+  io.check(magic == kRvMagic && m.kind >= Kind::kJoin &&
+           m.kind <= Kind::kMapAck);
+  if (m.kind == Kind::kJoin || m.kind == Kind::kMapAck) {
+    io.u32(m.node);
+    io.check(uint32_t(m.node) < wall);
+  }
+  if (m.kind == Kind::kJoin) fields(io, m.endpoint);
+  if (m.kind == Kind::kMap) {
+    io.count32(m.map, 8);
+    io.check(m.map.size() == wall);
+    for (auto& ep : m.map) fields(io, ep);
+  }
+}
+
 std::vector<uint8_t> encode(Kind kind, int node = 0, Endpoint endpoint = {},
                             std::vector<Endpoint> map = {}) {
   return encode_rendezvous(RendezvousMsg{kind, node, endpoint, std::move(map)});
@@ -47,56 +75,16 @@ RendezvousStatus finish(const UdpSocket& sock, const RendezvousConfig& cfg,
 std::vector<uint8_t> encode_rendezvous(const RendezvousMsg& msg) {
   std::vector<uint8_t> out;
   ByteWriter w(&out);
-  w.u32(kRvMagic);
-  w.u32(uint32_t(msg.kind));
-  if (msg.kind == Kind::kJoin || msg.kind == Kind::kMapAck)
-    w.u32(uint32_t(msg.node));
-  const auto endpoint = [&w](Endpoint ep) {
-    w.u32(ep.ip);
-    w.u32(ep.port);
-  };
-  if (msg.kind == Kind::kJoin) endpoint(msg.endpoint);
-  if (msg.kind == Kind::kMap) {
-    w.u32(uint32_t(msg.map.size()));
-    for (const Endpoint& ep : msg.map) endpoint(ep);
-  }
+  fields(w, msg, 0);
   return out;
 }
 
 std::optional<RendezvousMsg> decode_rendezvous(std::span<const uint8_t> d,
                                                int nodes) {
-  const uint32_t wall = uint32_t(std::max(nodes, 0));
-  if (d.size() < 8) return std::nullopt;
   ByteReader r(d);
-  const uint32_t magic = r.u32();
   RendezvousMsg m;
-  m.kind = Kind(r.u32());
-  size_t len = 0;  // each kind has one exact length
-  switch (m.kind) {
-    case Kind::kJoin: len = 20; break;
-    case Kind::kWait: len = 8; break;
-    case Kind::kMap: len = 12 + size_t(wall) * 8; break;
-    case Kind::kMapAck: len = 12; break;
-  }
-  if (magic != kRvMagic || len == 0 || d.size() != len) return std::nullopt;
-  if (m.kind == Kind::kJoin || m.kind == Kind::kMapAck) {
-    const uint32_t node = r.u32();
-    if (node >= wall) return std::nullopt;
-    m.node = int(node);
-  }
-  const auto endpoint = [&r](Endpoint* ep) {
-    ep->ip = r.u32();
-    const uint32_t port = r.u32();
-    ep->port = uint16_t(port);
-    return port <= 0xFFFF;
-  };
-  if (m.kind == Kind::kJoin && !endpoint(&m.endpoint)) return std::nullopt;
-  if (m.kind == Kind::kMap) {
-    if (r.u32() != wall) return std::nullopt;
-    m.map.resize(wall);
-    for (Endpoint& ep : m.map)
-      if (!endpoint(&ep)) return std::nullopt;
-  }
+  fields(r, m, uint32_t(std::max(nodes, 0)));
+  if (!r.done()) return std::nullopt;
   return m;
 }
 

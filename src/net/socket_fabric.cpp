@@ -11,30 +11,7 @@ namespace pdw::net {
 
 namespace {
 
-// Datagram layout (little-endian): the full Message header plus
-// fragmentation fields, integrity-checked by a trailing header CRC so a
-// corrupt header can never misroute bytes into the wrong reassembly slot
-// (payload integrity stays end-to-end in ReliableEndpoint's envelope).
-//
-//   off  field
-//    0   magic          u32  'PDWF'
-//    4   src            i32
-//    8   type           i32
-//   12   seq            u32
-//   16   aux            u16
-//   18   stream         u8
-//   19   bulk           u8
-//   20   tseq           u32
-//   24   crc            u32  (payload CRC-32, stamped by ReliableEndpoint)
-//   28   msg_id         u32  (per-sender reassembly key)
-//   32   frag_index     u16
-//   34   frag_count     u16
-//   36   payload_total  u32
-//   40   frag_off       u32
-//   44   header_crc     u32  (CRC-32 of bytes [0, 44))
-//   48   payload fragment...
 constexpr uint32_t kMagic = 0x50445746u;  // 'PDWF'
-constexpr size_t kDgramHeaderBytes = 48;
 // Largest fragment payload per datagram (= kMaxFragmentBytes): comfortably
 // under the 64 KiB UDP limit. Receive buffers are sized for this maximum
 // whatever this node's configured send-side fragment size is.
@@ -51,7 +28,55 @@ uint64_t partial_key(int src, uint32_t msg_id) {
   return (uint64_t(uint32_t(src)) << 32) | msg_id;
 }
 
+// The datagram header's fields (common/bytes.h), in wire order; the header
+// CRC over them follows.
+template <class IO, Layout<DatagramHeader> H>
+void fields(IO& io, H& h) {
+  uint32_t magic = kMagic;
+  io.u32(magic);
+  io.check(magic == kMagic);
+  io.i32(h.header.src);
+  io.i32(h.header.type);
+  io.u32(h.header.seq);
+  io.u16(h.header.aux);
+  io.u8(h.header.stream);
+  io.u8(h.header.bulk);
+  io.u32(h.header.tseq);
+  io.u32(h.header.crc);
+  io.u32(h.msg_id);
+  io.u16(h.index);
+  io.u16(h.count);
+  io.u32(h.total);
+  io.u32(h.off);
+}
+
+constexpr size_t kCrcOffset = kDatagramHeaderBytes - 4;
+
 }  // namespace
+
+void encode_datagram_header(const DatagramHeader& h,
+                            std::span<uint8_t, kDatagramHeaderBytes> out) {
+  ByteWriter w(out.data(), out.size());
+  fields(w, h);
+  w.u32(crc32(out.first(kCrcOffset)));
+  PDW_CHECK_EQ(w.size(), kDatagramHeaderBytes);
+}
+
+std::optional<DatagramHeader> parse_datagram_header(
+    std::span<const uint8_t> dgram, int nodes) {
+  ByteReader r(dgram);
+  DatagramHeader h;
+  fields(r, h);
+  uint32_t crc = 0;
+  r.u32(crc);
+  if (!r.ok() || crc != crc32(dgram.first(kCrcOffset))) return std::nullopt;
+  const size_t n = r.remaining();  // this fragment's bytes
+  if (h.header.src < 0 || h.header.src >= nodes || h.count == 0 ||
+      h.index >= h.count || h.total > kMaxMessageBytes ||
+      h.off + n > h.total || (h.count == 1 && n != h.total))
+    return std::nullopt;
+  return h;
+}
 
 SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
     : self_(self),
@@ -100,36 +125,24 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
     return SendStatus::kOk;
 
   msg.src = src;  // stamped by the fabric, exactly as the in-process one does
-  const uint32_t msg_id = next_msg_id_++;
-  const size_t total = msg.payload.size();
+  const size_t wire_bytes = msg.wire_bytes();
+  const mem::Bytes payload = std::move(msg.payload);
+  const size_t total = payload.size();
   PDW_CHECK_LE(total, kMaxMessageBytes);
-  const uint16_t frag_count =
-      uint16_t(total == 0 ? 1 : (total + frag_bytes_ - 1) / frag_bytes_);
+  DatagramHeader h{std::move(msg), next_msg_id_++, 0,
+                   uint16_t(total == 0 ? 1 : (total + frag_bytes_ - 1) /
+                                                 frag_bytes_),
+                   uint32_t(total), 0};
   const Endpoint to = peers_[size_t(dst)];
-  for (uint16_t i = 0; i < frag_count; ++i) {
-    const size_t off = size_t(i) * frag_bytes_;
-    const size_t n = std::min(frag_bytes_, total - off);
-    uint8_t hdr[kDgramHeaderBytes];
-    ByteWriter w(hdr, sizeof(hdr));
-    w.u32(kMagic);
-    w.i32(msg.src);
-    w.i32(msg.type);
-    w.u32(msg.seq);
-    w.u16(msg.aux);
-    w.u8(msg.stream);
-    w.u8(msg.bulk ? 1 : 0);
-    w.u32(msg.tseq);
-    w.u32(msg.crc);
-    w.u32(msg_id);
-    w.u16(i);
-    w.u16(frag_count);
-    w.u32(uint32_t(total));
-    w.u32(uint32_t(off));
-    w.u32(crc32(std::span<const uint8_t>(hdr, kDgramHeaderBytes - 4)));
+  for (; h.index < h.count; ++h.index) {
+    h.off = uint32_t(size_t(h.index) * frag_bytes_);
+    const size_t n = std::min(frag_bytes_, total - h.off);
+    uint8_t hdr[kDatagramHeaderBytes];
+    encode_datagram_header(h, hdr);
     // The fragment goes out straight from the payload, behind the header.
     // A failed send (full buffer, unroutable peer) is ordinary loss to the
     // transport, recovered by retransmission; it is counted, not reported.
-    if (sock_.send(to, hdr, msg.payload.span().subspan(off, n)))
+    if (sock_.send(to, hdr, payload.span().subspan(h.off, n)))
       m_dgram_tx_->add();
     else
       m_send_failures_->add();
@@ -137,8 +150,8 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
 
   {
     std::lock_guard<std::mutex> lock(traffic_mu_);
-    traffic_.add(self_, dst, msg.wire_bytes());
-    counters_[size_t(self_)].sent_bytes += msg.wire_bytes();
+    traffic_.add(self_, dst, wire_bytes);
+    counters_[size_t(self_)].sent_bytes += wire_bytes;
     ++counters_[size_t(self_)].sent_messages;
   }
   return SendStatus::kOk;
@@ -171,40 +184,16 @@ void SocketFabric::finish_message(Message msg) {
 }
 
 void SocketFabric::ingest(uint8_t* data, size_t len) {
-  if (len < kDgramHeaderBytes) {
+  const std::optional<DatagramHeader> parsed =
+      parse_datagram_header({data, len}, nodes_);
+  if (!parsed) {
     m_rx_drops_->add();
     return;
   }
-  ByteReader r({data, kDgramHeaderBytes});
-  const uint32_t magic = r.u32();
-  Fragment f;
-  Message& h = f.header;
-  h.src = r.i32();
-  h.type = r.i32();
-  h.seq = r.u32();
-  h.aux = r.u16();
-  h.stream = r.u8();
-  h.bulk = r.u8() != 0;
-  h.tseq = r.u32();
-  h.crc = r.u32();
-  f.msg_id = r.u32();
-  f.index = r.u16();
-  f.count = r.u16();
-  f.total = r.u32();
-  f.off = r.u32();
-  if (magic != kMagic ||
-      r.u32() != crc32(std::span<const uint8_t>(data, kDgramHeaderBytes - 4))) {
-    m_rx_drops_->add();
-    return;
-  }
-  uint8_t* bytes = data + kDgramHeaderBytes;
-  const size_t n = len - kDgramHeaderBytes;
-  if (h.src < 0 || h.src >= nodes_ || f.count == 0 || f.index >= f.count ||
-      f.total > kMaxMessageBytes || f.off + n > f.total ||
-      (f.count == 1 && n != f.total)) {
-    m_rx_drops_->add();
-    return;
-  }
+  const DatagramHeader& f = *parsed;
+  const Message& h = f.header;
+  uint8_t* bytes = data + kDatagramHeaderBytes;
+  const size_t n = len - kDatagramHeaderBytes;
 
   // Faults, handled the way Fabric::send handles a message's fate.
   const FaultInjector* inj = cfg_.injector;
@@ -238,7 +227,7 @@ void SocketFabric::ingest(uint8_t* data, size_t len) {
   if (inj) release_parked(/*force=*/false);
 }
 
-void SocketFabric::reassemble(const Fragment& f, const uint8_t* bytes,
+void SocketFabric::reassemble(const DatagramHeader& f, const uint8_t* bytes,
                               size_t n) {
   ++deliveries_;
   if (f.count == 1) {
@@ -303,7 +292,7 @@ void SocketFabric::release_parked(bool force) {
 }
 
 void SocketFabric::drain_socket() {
-  uint8_t buf[kDgramHeaderBytes + kFragBytes];
+  uint8_t buf[kDatagramHeaderBytes + kFragBytes];
   while (const std::optional<size_t> n = sock_.recv(buf)) {
     m_dgram_rx_->add();
     ingest(buf, *n);

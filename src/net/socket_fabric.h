@@ -46,6 +46,8 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -70,6 +72,33 @@ inline constexpr int kMaxFragmentBytes = 56 * 1024;
 inline constexpr size_t kMaxMessageBytes = size_t(8) << 20;
 // Messages in reassembly at once per node; a new one evicts the oldest.
 inline constexpr size_t kMaxPartials = 64;
+
+// The framing ahead of every datagram's fragment bytes: the Message header
+// fields (payload left empty) plus the fragmentation fields, closed by a
+// CRC-32 of the header bytes so a corrupt header can never misroute bytes
+// into the wrong reassembly slot (payload integrity stays end-to-end in
+// ReliableEndpoint's envelope).
+struct DatagramHeader {
+  Message header;
+  uint32_t msg_id = 0;  // per-sender reassembly key
+  uint16_t index = 0;   // fragment index
+  uint16_t count = 0;   // fragments in the message
+  uint32_t total = 0;   // whole-message payload bytes
+  uint32_t off = 0;     // this fragment's offset into the payload
+};
+inline constexpr size_t kDatagramHeaderBytes = 48;
+
+// The header bytes of one datagram, header CRC included.
+void encode_datagram_header(const DatagramHeader& h,
+                            std::span<uint8_t, kDatagramHeaderBytes> out);
+// The header of `dgram`, a datagram received by a node of a `nodes`-node
+// wall; nullopt when it is too short, fails its magic or header CRC, or
+// frames its fragment inconsistently: a source outside the wall, an index
+// past the count, a message over kMaxMessageBytes or a fragment past the
+// message's end. Pure, so the receive path's parser is testable without a
+// socket; SocketFabric runs it on every datagram it receives.
+std::optional<DatagramHeader> parse_datagram_header(
+    std::span<const uint8_t> dgram, int nodes);
 
 struct SocketFabricConfig {
   // Fragment payload bytes per datagram, clamped to
@@ -127,16 +156,11 @@ class SocketFabric final : public FabricBackend {
     return credit_drops_.load(std::memory_order_relaxed);
   }
 
+  // Messages in reassembly now (never above kMaxPartials). Owner thread
+  // only, like the reassembly map it reads.
+  size_t reassemblies() const { return partial_.size(); }
+
  private:
-  // The framing fields of one datagram that passed the header check.
-  struct Fragment {
-    Message header;  // payload left empty
-    uint32_t msg_id = 0;
-    uint16_t index = 0;
-    uint16_t count = 0;
-    size_t total = 0;  // whole-message payload bytes
-    size_t off = 0;    // this fragment's offset into the payload
-  };
   struct Reassembly {
     mem::Bytes body;
     std::vector<bool> have;  // per-fragment arrival mask
@@ -146,7 +170,7 @@ class SocketFabric final : public FabricBackend {
   };
   // A fault-delayed datagram, re-ingested without a second decision.
   struct Parked {
-    Fragment frag;
+    DatagramHeader frag;
     std::vector<uint8_t> bytes;
     int hold = 0;  // later datagrams still to pass before release
   };
@@ -156,7 +180,7 @@ class SocketFabric final : public FabricBackend {
   // Header-check one datagram, apply the injector's decision to it, and
   // queue the (possibly reassembled) message.
   void ingest(uint8_t* data, size_t len);
-  void reassemble(const Fragment& f, const uint8_t* bytes, size_t len);
+  void reassemble(const DatagramHeader& f, const uint8_t* bytes, size_t len);
   // Re-ingest parked datagrams whose hold expired (all of them if `force`).
   void release_parked(bool force);
   void finish_message(Message msg);

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
+#include "common/text_table.h"
 #include "obs/export.h"
 
 namespace pdw::obs {
@@ -247,14 +246,7 @@ uint64_t Collector::bytes_received() const {
 }
 
 bool Collector::write_merged_trace(const std::string& path) const {
-  struct Ev {
-    std::string name;
-    char ph;
-    int32_t pid, tid;
-    uint64_t ts_ns, dur_ns;
-    uint32_t pic;
-    uint64_t flow_id;  // s/f events only
-  };
+  using Ev = TraceJsonEvent;
   std::vector<Ev> evs;
   std::vector<ProcessInfo> infos;
   int k = 0, tiles = 0;
@@ -328,81 +320,36 @@ bool Collector::write_merged_trace(const std::string& path) const {
   std::stable_sort(evs.begin(), evs.end(),
                    [](const Ev& a, const Ev& b) { return a.ts_ns < b.ts_ns; });
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (!out) return false;
-  std::fprintf(out, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-  bool first = true;
-  auto comma = [&] {
-    if (!first) std::fprintf(out, ",\n");
-    first = false;
-  };
   // Process-name metadata: role from the announced wall shape.
-  std::map<int32_t, std::string> names;
+  std::map<int, std::string> names;
   for (const Ev& e : evs) {
     if (names.count(e.pid)) continue;
-    char buf[64];
     if (e.pid == 0)
-      std::snprintf(buf, sizeof(buf), "root 0");
+      names[e.pid] = "root 0";
     else if (k > 0 && e.pid <= k)
-      std::snprintf(buf, sizeof(buf), "splitter %d", e.pid);
+      names[e.pid] = format("splitter %d", e.pid);
     else if (k > 0 && tiles > 0 && e.pid <= k + tiles)
-      std::snprintf(buf, sizeof(buf), "decoder %d (tile %d)", e.pid,
-                    e.pid - k - 1);
+      names[e.pid] = format("decoder %d (tile %d)", e.pid, e.pid - k - 1);
     else
-      std::snprintf(buf, sizeof(buf), "node %d", e.pid);
-    names[e.pid] = buf;
+      names[e.pid] = format("node %d", e.pid);
   }
-  for (const auto& [pid, name] : names) {
-    comma();
-    std::fprintf(out,
-                 "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                 "\"tid\":0,\"args\":{\"name\":\"%s\"}}",
-                 pid, json_escape(name).c_str());
-  }
-  for (const Ev& e : evs) {
-    comma();
-    const double ts_us = double(e.ts_ns) / 1000.0;
-    if (e.ph == 'X') {
-      std::fprintf(out,
-                   "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
-                   "\"ts\":%.3f,\"dur\":%.3f",
-                   json_escape(e.name).c_str(), e.pid, e.tid, ts_us,
-                   double(e.dur_ns) / 1000.0);
-    } else if (e.ph == 'i') {
-      std::fprintf(out,
-                   "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,"
-                   "\"tid\":%d,\"ts\":%.3f",
-                   json_escape(e.name).c_str(), e.pid, e.tid, ts_us);
-    } else {  // 's' / 'f'
-      std::fprintf(out,
-                   "{\"name\":\"%s\",\"cat\":\"pic\",\"ph\":\"%c\",%s"
-                   "\"id\":%llu,\"pid\":%d,\"tid\":%d,\"ts\":%.3f",
-                   json_escape(e.name).c_str(), e.ph,
-                   e.ph == 'f' ? "\"bp\":\"e\"," : "",
-                   static_cast<unsigned long long>(e.flow_id), e.pid, e.tid,
-                   ts_us);
-    }
-    if (e.pic != 0xFFFFFFFFu && (e.ph == 'X' || e.ph == 'i'))
-      std::fprintf(out, ",\"args\":{\"pic\":%u}", e.pic);
-    std::fprintf(out, "}");
-  }
-  std::fprintf(out, "\n],\n\"otherData\":{\"processes\":%zu", infos.size());
   uint64_t gaps = 0;
-  for (const ProcessInfo& p : infos) gaps += p.seq_gaps;
-  std::fprintf(out, ",\"sidebandSeqGaps\":%llu",
-               static_cast<unsigned long long>(gaps));
-  std::fprintf(out, ",\"clockOffsets\":[");
-  for (size_t i = 0; i < infos.size(); ++i) {
-    std::fprintf(
-        out, "%s{\"pid\":%u,\"valid\":%s,\"offsetNs\":%lld,\"minRttNs\":%llu}",
-        i ? "," : "", infos[i].os_pid, infos[i].offset_valid ? "true" : "false",
-        static_cast<long long>(infos[i].offset_ns),
-        static_cast<unsigned long long>(infos[i].min_rtt_ns));
+  std::string offsets;
+  for (const ProcessInfo& p : infos) {
+    gaps += p.seq_gaps;
+    offsets += format(
+        "%s{\"pid\":%u,\"valid\":%s,\"offsetNs\":%lld,\"minRttNs\":%llu}",
+        offsets.empty() ? "" : ",", p.os_pid,
+        p.offset_valid ? "true" : "false",
+        static_cast<long long>(p.offset_ns),
+        static_cast<unsigned long long>(p.min_rtt_ns));
   }
-  std::fprintf(out, "]}}\n");
-  const bool ok2 = std::fflush(out) == 0;
-  std::fclose(out);
-  return ok2;
+  return write_trace_events(
+      path, names, evs,
+      format("\"processes\":%zu,\"sidebandSeqGaps\":%llu,"
+             "\"clockOffsets\":[%s]",
+             infos.size(), static_cast<unsigned long long>(gaps),
+             offsets.c_str()));
 }
 
 }  // namespace pdw::obs

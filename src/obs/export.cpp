@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstring>
-#include <set>
 
 #include "common/text_table.h"
 
@@ -49,45 +48,54 @@ std::string label_text(const Labels& l) {
 
 }  // namespace
 
-bool write_chrome_trace(const Tracer& tracer, const std::string& path,
-                        const std::function<std::string(int)>& pid_name) {
+bool write_trace_events(const std::string& path,
+                        const std::map<int, std::string>& process_names,
+                        const std::vector<TraceJsonEvent>& events,
+                        const std::string& other_data) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
-
-  const std::vector<TraceEvent> events = tracer.collect();
   std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n", f);
-
-  bool first = true;
-  if (pid_name) {
-    std::set<int> pids;
-    for (const TraceEvent& e : events) pids.insert(int(e.pid));
-    for (int pid : pids) {
-      std::fprintf(f,
-                   "%s{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                   "\"tid\":0,\"args\":{\"name\":\"%s\"}}",
-                   first ? "" : ",\n", pid,
-                   json_escape(pid_name(pid)).c_str());
-      first = false;
-    }
+  const char* sep = "";
+  for (const auto& [pid, name] : process_names) {
+    std::fprintf(f,
+                 "%s{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
+                 "\"tid\":0,\"args\":{\"name\":\"%s\"}}",
+                 sep, pid, json_escape(name).c_str());
+    sep = ",\n";
   }
-
-  for (const TraceEvent& e : events) {
-    if (!e.name) continue;
-    std::fprintf(f, "%s{\"name\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f",
-                 first ? "" : ",\n", e.name, e.ph, double(e.ts_ns) / 1e3);
-    first = false;
-    if (e.ph == 'X') std::fprintf(f, ",\"dur\":%.3f", double(e.dur_ns) / 1e3);
+  for (const TraceJsonEvent& e : events) {
+    const bool flow = e.ph == 's' || e.ph == 'f';
+    std::fprintf(f, "%s{\"name\":\"%s\",%s\"ph\":\"%c\"", sep,
+                 json_escape(e.name).c_str(), flow ? "\"cat\":\"pic\"," : "",
+                 e.ph);
+    sep = ",\n";
     if (e.ph == 'i') std::fputs(",\"s\":\"t\"", f);
-    std::fprintf(f, ",\"pid\":%d,\"tid\":%d", int(e.pid), int(e.tid));
-    if (e.arg_pic != Tracer::kNoPic)
-      std::fprintf(f, ",\"args\":{\"pic\":%u}", e.arg_pic);
+    if (e.ph == 'f') std::fputs(",\"bp\":\"e\"", f);
+    if (flow) std::fprintf(f, ",\"id\":%" PRIu64, e.flow_id);
+    std::fprintf(f, ",\"pid\":%d,\"tid\":%d,\"ts\":%.3f", int(e.pid),
+                 int(e.tid), double(e.ts_ns) / 1e3);
+    if (e.ph == 'X') std::fprintf(f, ",\"dur\":%.3f", double(e.dur_ns) / 1e3);
+    if (!flow && e.pic != Tracer::kNoPic)
+      std::fprintf(f, ",\"args\":{\"pic\":%u}", e.pic);
     std::fputs("}", f);
   }
+  std::fprintf(f, "\n],\"otherData\":{%s}}\n", other_data.c_str());
+  return std::fclose(f) == 0;
+}
 
-  std::fprintf(f, "\n],\"otherData\":{\"droppedEvents\":%" PRIu64 "}}\n",
-               tracer.dropped());
-  const bool ok = std::fclose(f) == 0;
-  return ok;
+bool write_chrome_trace(const Tracer& tracer, const std::string& path,
+                        const std::function<std::string(int)>& pid_name) {
+  std::vector<TraceJsonEvent> events;
+  std::map<int, std::string> names;
+  for (const TraceEvent& e : tracer.collect()) {
+    if (!e.name) continue;
+    events.push_back(TraceJsonEvent{e.name, e.ph, e.pid, e.tid, e.ts_ns,
+                                    e.dur_ns, e.arg_pic, 0});
+    if (pid_name && !names.count(e.pid)) names[e.pid] = pid_name(e.pid);
+  }
+  return write_trace_events(
+      path, names, events,
+      format("\"droppedEvents\":%" PRIu64, tracer.dropped()));
 }
 
 std::string metrics_json(const MetricsSnapshot& snap) {

@@ -1,9 +1,11 @@
 // Exporters for the telemetry layer (obs/metrics.h, obs/trace.h):
 //
-//   * write_chrome_trace() — Chrome trace-event JSON ("traceEvents" array),
-//     loadable in Perfetto / chrome://tracing. Real-time spans from the
+//   * write_trace_events() — the one Chrome trace-event JSON writer
+//     ("traceEvents" array), loadable in Perfetto / chrome://tracing. Both
+//     write_chrome_trace() (one process's Tracer: real-time spans from the
 //     threaded or lockstep engines and virtual-time spans from the DES land
-//     in the same file as separate process groups;
+//     in the same file as separate process groups) and the collector's
+//     merged multi-process trace (obs/collector.h) go through it;
 //   * metrics_json() / write_metrics_json() — point-in-time snapshot of every
 //     registered metric as JSON;
 //   * metrics_report() — aligned text_table end-of-run report;
@@ -16,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,6 +28,28 @@ namespace pdw::obs {
 // `s` as the body of a JSON string literal (quotes, backslashes and control
 // characters escaped).
 std::string json_escape(const std::string& s);
+
+// One event for write_trace_events(): a complete span ('X') or instant
+// ('i'), tagged with its picture when `pic` is not Tracer::kNoPic, or one
+// end of a picture flow ('s' start, 'f' finish) paired by `flow_id`.
+struct TraceJsonEvent {
+  std::string name;
+  char ph = 'X';
+  int32_t pid = 0;
+  int32_t tid = 0;
+  uint64_t ts_ns = 0;
+  uint64_t dur_ns = 0;
+  uint32_t pic = Tracer::kNoPic;
+  uint64_t flow_id = 0;
+};
+
+// Write `events` in order, after process_name metadata for every entry of
+// `process_names`, then `other_data` (the members of a JSON object, without
+// braces) as "otherData". Returns false if the file could not be written.
+bool write_trace_events(const std::string& path,
+                        const std::map<int, std::string>& process_names,
+                        const std::vector<TraceJsonEvent>& events,
+                        const std::string& other_data);
 
 // Serialize all collected events. `pid_name`, when given, maps a pid to a
 // human-readable lane name emitted as process_name metadata. Returns false

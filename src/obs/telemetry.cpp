@@ -17,51 +17,112 @@ namespace {
 // at most 3/4 of this, well under the 64 KiB UDP datagram limit.
 constexpr size_t kMaxDatagramBytes = 32 * 1024;
 
-// Bounds-checked little-endian reader; any overrun latches fail.
-struct Reader {
-  const uint8_t* p;
-  size_t n;
-  size_t off = 0;
-  bool fail = false;
-
-  bool need(size_t k) {
-    if (n - off < k) {
-      fail = true;
-      return false;
-    }
-    return true;
-  }
-  uint8_t u8() {
-    if (!need(1)) return 0;
-    return p[off++];
-  }
-  uint16_t u16() {
-    if (!need(2)) return 0;
-    uint16_t v = uint16_t(p[off]) | uint16_t(p[off + 1]) << 8;
-    off += 2;
-    return v;
-  }
-  uint32_t u32() {
-    uint32_t lo = u16(), hi = u16();
-    return lo | hi << 16;
-  }
-  uint64_t u64() {
-    uint64_t lo = u32(), hi = u32();
-    return lo | hi << 32;
-  }
-  std::string_view bytes(size_t k) {
-    if (!need(k)) return {};
-    std::string_view s(reinterpret_cast<const char*>(p + off), k);
-    off += k;
-    return s;
-  }
-};
-
-constexpr size_t kHeaderBytes = 4 + 2 + 2 + 8 + 4 + 2;
 constexpr size_t kMaxSpansPerRecord = 2000;  // 31 B each, fits a u16 length
 
 uint64_t steady_ticks() {
   return uint64_t(std::chrono::steady_clock::now().time_since_epoch().count());
+}
+
+// --- Field lists (common/bytes.h), in wire order ---------------------------
+
+struct FrameHeader {
+  uint64_t token = 0;
+  uint32_t seq = 0;
+  uint16_t records = 0;
+};
+
+template <class IO, Layout<FrameHeader> H>
+void fields(IO& io, H& h) {
+  uint32_t magic = kTelemetryMagic;
+  uint16_t version = kTelemetryVersion, flags = 0;
+  io.u32(magic);
+  io.u16(version);
+  io.u16(flags);
+  io.check(magic == kTelemetryMagic && version == kTelemetryVersion);
+  io.u64(h.token);
+  io.u32(h.seq);
+  io.u16(h.records);
+}
+
+template <class IO, Layout<HelloRecord> R>
+void fields(IO& io, R& h) {
+  io.u32(h.os_pid);
+  io.u16(h.k);
+  io.u16(h.tiles);
+  io.u16(h.nodes);
+  io.count16(h.hosted, 2);
+  for (auto& n : h.hosted) io.u16(n);
+}
+
+template <class IO, Layout<ClockProbeRecord> R>
+void fields(IO& io, R& p) {
+  io.u32(p.seq);
+  io.u64(p.t0);
+}
+
+template <class IO, Layout<ClockReplyRecord> R>
+void fields(IO& io, R& p) {
+  io.u32(p.seq);
+  io.u64(p.t0);
+  io.u64(p.t1);
+  io.u64(p.t2);
+}
+
+template <class IO, Layout<OffsetRecord> R>
+void fields(IO& io, R& o) {
+  io.u64(o.offset_ns);
+  io.u64(o.min_rtt_ns);
+  io.u32(o.samples);
+  io.u8(o.valid);
+}
+
+// `family` is the string-table index of m.family.
+template <class IO, Layout<MetricRecord> R>
+void fields(IO& io, R& m, uint16_t& family) {
+  io.u16(family);
+  io.u8(m.kind);
+  io.u16(m.node);
+  io.u16(m.stream);
+  switch (m.kind) {
+    case MetricKind::kCounter:
+      io.u64(m.count);
+      break;
+    case MetricKind::kGauge:
+      io.u64(m.gauge);
+      break;
+    case MetricKind::kHistogram:
+      io.u64(m.count);
+      io.u64(m.sum);
+      io.count8(m.buckets, 9);
+      for (auto& [idx, cnt] : m.buckets) {
+        io.u8(idx);
+        io.check(idx < Histogram::kBuckets);
+        io.u64(cnt);
+      }
+      break;
+    default:
+      io.check(false);
+  }
+}
+
+// One span of a kSpans record; `name` is the string-table index of s.name.
+template <class IO, Layout<SpanRecord> R>
+void fields(IO& io, R& s, uint16_t& name) {
+  io.u16(name);
+  io.u8(s.ph);
+  io.u32(s.pid);
+  io.u32(s.tid);
+  io.u64(s.ts_ns);
+  io.u64(s.dur_ns);
+  io.u32(s.pic);
+}
+
+// The string-table index of `s`; false (decode fails) when out of range.
+bool lookup(const std::vector<std::string>& strings, uint16_t i,
+            std::string* s) {
+  if (i >= strings.size()) return false;
+  *s = strings[i];
+  return true;
 }
 
 }  // namespace
@@ -80,232 +141,120 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
 
   std::vector<uint8_t> body;
   ByteWriter w(&body);
-  uint16_t records = 0;
-  auto begin_record = [&](TelemetryRecordType t) {
-    w.u8(uint8_t(t));
-    w.u16(0);  // length, patched by end_record
-    ++records;
-    return body.size();
-  };
-  auto end_record = [&](size_t payload_start) {
-    const size_t len = body.size() - payload_start;
-    body[payload_start - 2] = uint8_t(len);
-    body[payload_start - 1] = uint8_t(len >> 8);
+  FrameHeader hdr{f.token, f.seq, 0};
+  // One (type, length, payload) record; `list(io)` states the payload.
+  const auto record = [&](TelemetryRecordType t, const auto& list) {
+    ByteSizer len;
+    list(len);
+    w.u8(t);
+    w.u16(len.size());
+    list(w);
+    ++hdr.records;
   };
 
   if (!strings.empty()) {
-    const size_t at = begin_record(TelemetryRecordType::kStrings);
-    w.u16(uint16_t(strings.size()));
-    for (std::string_view s : strings) {
-      const size_t len = std::min<size_t>(s.size(), 255);
-      w.u8(uint8_t(len));
-      w.bytes({reinterpret_cast<const uint8_t*>(s.data()), len});
-    }
-    end_record(at);
+    record(TelemetryRecordType::kStrings, [&](auto& io) {
+      io.u16(strings.size());
+      for (std::string_view s : strings) {
+        const size_t len = std::min<size_t>(s.size(), 255);
+        io.u8(len);
+        io.bytes({reinterpret_cast<const uint8_t*>(s.data()), len});
+      }
+    });
   }
-  if (f.hello) {
-    const size_t at = begin_record(TelemetryRecordType::kHello);
-    w.u32(f.hello->os_pid);
-    w.u16(f.hello->k);
-    w.u16(f.hello->tiles);
-    w.u16(f.hello->nodes);
-    w.u16(uint16_t(f.hello->hosted.size()));
-    for (uint16_t n : f.hello->hosted) w.u16(n);
-    end_record(at);
-  }
-  for (const auto& pr : f.probes) {
-    const size_t at = begin_record(TelemetryRecordType::kClockProbe);
-    w.u32(pr.seq);
-    w.u64(pr.t0);
-    end_record(at);
-  }
-  for (const auto& rp : f.replies) {
-    const size_t at = begin_record(TelemetryRecordType::kClockReply);
-    w.u32(rp.seq);
-    w.u64(rp.t0);
-    w.u64(rp.t1);
-    w.u64(rp.t2);
-    end_record(at);
-  }
-  if (f.offset) {
-    const size_t at = begin_record(TelemetryRecordType::kOffset);
-    w.u64(uint64_t(f.offset->offset_ns));
-    w.u64(f.offset->min_rtt_ns);
-    w.u32(f.offset->samples);
-    w.u8(f.offset->valid);
-    end_record(at);
-  }
+  if (f.hello)
+    record(TelemetryRecordType::kHello,
+           [&](auto& io) { fields(io, *f.hello); });
+  for (const auto& pr : f.probes)
+    record(TelemetryRecordType::kClockProbe,
+           [&](auto& io) { fields(io, pr); });
+  for (const auto& rp : f.replies)
+    record(TelemetryRecordType::kClockReply,
+           [&](auto& io) { fields(io, rp); });
+  if (f.offset)
+    record(TelemetryRecordType::kOffset,
+           [&](auto& io) { fields(io, *f.offset); });
   for (const auto& m : f.metrics) {
-    const size_t at = begin_record(TelemetryRecordType::kMetric);
-    w.u16(index.at(m.family));
-    w.u8(uint8_t(m.kind));
-    w.u16(uint16_t(m.node));
-    w.u16(uint16_t(m.stream));
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        w.u64(m.count);
-        break;
-      case MetricKind::kGauge:
-        w.u64(uint64_t(m.gauge));
-        break;
-      case MetricKind::kHistogram:
-        w.u64(m.count);
-        w.u64(m.sum);
-        w.u8(uint8_t(m.buckets.size()));
-        for (const auto& [idx, cnt] : m.buckets) {
-          w.u8(idx);
-          w.u64(cnt);
-        }
-        break;
-    }
-    end_record(at);
+    uint16_t family = index.at(m.family);
+    record(TelemetryRecordType::kMetric,
+           [&](auto& io) { fields(io, m, family); });
   }
   for (size_t base = 0; base < f.spans.size(); base += kMaxSpansPerRecord) {
-    const size_t count =
-        std::min(kMaxSpansPerRecord, f.spans.size() - base);
-    const size_t at = begin_record(TelemetryRecordType::kSpans);
-    w.u16(uint16_t(count));
-    for (size_t i = 0; i < count; ++i) {
-      const SpanRecord& s = f.spans[base + i];
-      w.u16(index.at(s.name));
-      w.u8(uint8_t(s.ph));
-      w.u32(uint32_t(s.pid));
-      w.u32(uint32_t(s.tid));
-      w.u64(s.ts_ns);
-      w.u64(s.dur_ns);
-      w.u32(s.pic);
-    }
-    end_record(at);
+    const size_t count = std::min(kMaxSpansPerRecord, f.spans.size() - base);
+    record(TelemetryRecordType::kSpans, [&](auto& io) {
+      io.u16(count);
+      for (size_t i = 0; i < count; ++i) {
+        const SpanRecord& s = f.spans[base + i];
+        uint16_t name = index.at(s.name);
+        fields(io, s, name);
+      }
+    });
   }
-  if (f.bye) {
-    const size_t at = begin_record(TelemetryRecordType::kBye);
-    end_record(at);
-  }
+  if (f.bye) record(TelemetryRecordType::kBye, [](auto&) {});
 
   std::vector<uint8_t> out;
-  out.reserve(kHeaderBytes + body.size());
   ByteWriter o(&out);
-  o.u32(kTelemetryMagic);
-  o.u16(kTelemetryVersion);
-  o.u16(0);  // flags
-  o.u64(f.token);
-  o.u32(f.seq);
-  o.u16(records);
+  fields(o, hdr);
   o.bytes(body);
   return out;
 }
 
 bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
   *out = TelemetryFrame{};
-  Reader r{data, len};
-  if (r.u32() != kTelemetryMagic) return false;
-  if (r.u16() != kTelemetryVersion) return false;
-  r.u16();  // flags
-  out->token = r.u64();
-  out->seq = r.u32();
-  const uint16_t records = r.u16();
-  if (r.fail) return false;
+  ByteReader r({data, len});
+  FrameHeader hdr;
+  fields(r, hdr);
+  out->token = hdr.token;
+  out->seq = hdr.seq;
 
   std::vector<std::string> strings;
-  for (uint16_t rec = 0; rec < records; ++rec) {
-    const uint8_t type = r.u8();
-    const uint16_t rlen = r.u16();
-    if (r.fail || !r.need(rlen)) return false;
-    Reader pr{r.p + r.off, rlen};
-    r.off += rlen;
+  for (uint16_t rec = 0; rec < hdr.records && r.ok(); ++rec) {
+    uint8_t type = 0;
+    uint16_t rlen = 0;
+    r.u8(type);
+    r.u16(rlen);
+    ByteReader pr(r.bytes(rlen));
+    if (!r.ok()) return false;
     switch (TelemetryRecordType(type)) {
       case TelemetryRecordType::kStrings: {
-        const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i) {
-          const uint8_t slen = pr.u8();
-          strings.emplace_back(pr.bytes(slen));
+        uint16_t count = 0;
+        pr.u16(count);
+        for (uint16_t i = 0; i < count && pr.ok(); ++i) {
+          uint8_t slen = 0;
+          pr.u8(slen);
+          const std::span<const uint8_t> s = pr.bytes(slen);
+          strings.emplace_back(reinterpret_cast<const char*>(s.data()),
+                               s.size());
         }
         break;
       }
-      case TelemetryRecordType::kHello: {
-        HelloRecord h;
-        h.os_pid = pr.u32();
-        h.k = pr.u16();
-        h.tiles = pr.u16();
-        h.nodes = pr.u16();
-        const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i)
-          h.hosted.push_back(pr.u16());
-        if (!pr.fail) out->hello = std::move(h);
+      case TelemetryRecordType::kHello:
+        fields(pr, out->hello.emplace());
         break;
-      }
-      case TelemetryRecordType::kClockProbe: {
-        ClockProbeRecord p;
-        p.seq = pr.u32();
-        p.t0 = pr.u64();
-        if (!pr.fail) out->probes.push_back(p);
+      case TelemetryRecordType::kClockProbe:
+        fields(pr, out->probes.emplace_back());
         break;
-      }
-      case TelemetryRecordType::kClockReply: {
-        ClockReplyRecord p;
-        p.seq = pr.u32();
-        p.t0 = pr.u64();
-        p.t1 = pr.u64();
-        p.t2 = pr.u64();
-        if (!pr.fail) out->replies.push_back(p);
+      case TelemetryRecordType::kClockReply:
+        fields(pr, out->replies.emplace_back());
         break;
-      }
-      case TelemetryRecordType::kOffset: {
-        OffsetRecord o;
-        o.offset_ns = int64_t(pr.u64());
-        o.min_rtt_ns = pr.u64();
-        o.samples = pr.u32();
-        o.valid = pr.u8();
-        if (!pr.fail) out->offset = o;
+      case TelemetryRecordType::kOffset:
+        fields(pr, out->offset.emplace());
         break;
-      }
       case TelemetryRecordType::kMetric: {
-        MetricRecord m;
-        const uint16_t fam = pr.u16();
-        if (fam >= strings.size()) return false;
-        m.family = strings[fam];
-        m.kind = MetricKind(pr.u8());
-        m.node = int16_t(pr.u16());
-        m.stream = int16_t(pr.u16());
-        switch (m.kind) {
-          case MetricKind::kCounter:
-            m.count = pr.u64();
-            break;
-          case MetricKind::kGauge:
-            m.gauge = int64_t(pr.u64());
-            break;
-          case MetricKind::kHistogram: {
-            m.count = pr.u64();
-            m.sum = pr.u64();
-            const uint8_t nb = pr.u8();
-            for (uint8_t i = 0; i < nb && !pr.fail; ++i) {
-              const uint8_t idx = pr.u8();
-              const uint64_t cnt = pr.u64();
-              if (idx >= Histogram::kBuckets) return false;
-              m.buckets.emplace_back(idx, cnt);
-            }
-            break;
-          }
-          default:
-            return false;
-        }
-        if (!pr.fail) out->metrics.push_back(std::move(m));
+        MetricRecord& m = out->metrics.emplace_back();
+        uint16_t family = 0;
+        fields(pr, m, family);
+        if (!lookup(strings, family, &m.family)) return false;
         break;
       }
       case TelemetryRecordType::kSpans: {
-        const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i) {
-          SpanRecord s;
-          const uint16_t name = pr.u16();
-          if (name >= strings.size()) return false;
-          s.name = strings[name];
-          s.ph = char(pr.u8());
-          s.pid = int32_t(pr.u32());
-          s.tid = int32_t(pr.u32());
-          s.ts_ns = pr.u64();
-          s.dur_ns = pr.u64();
-          s.pic = pr.u32();
-          if (!pr.fail) out->spans.push_back(std::move(s));
+        uint16_t count = 0;
+        pr.u16(count);
+        for (uint16_t i = 0; i < count && pr.ok(); ++i) {
+          SpanRecord& s = out->spans.emplace_back();
+          uint16_t name = 0;
+          fields(pr, s, name);
+          if (!lookup(strings, name, &s.name)) return false;
         }
         break;
       }
@@ -315,9 +264,9 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
       default:
         break;  // unknown record type: skip (forward compatibility)
     }
-    if (pr.fail) return false;
+    if (!pr.ok()) return false;
   }
-  return !r.fail;
+  return r.ok();
 }
 
 // ---------------------------------------------------------------------------

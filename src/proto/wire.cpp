@@ -1,7 +1,5 @@
 #include "proto/wire.h"
 
-#include <cstring>
-
 #include "common/bytes.h"
 #include "core/subpicture.h"
 
@@ -9,104 +7,282 @@ namespace pdw::proto {
 
 namespace {
 
-// Fixed body sizes of the non-bulk messages: [version][type][stream] + fields.
-constexpr size_t kGoAheadBodyBytes = 3 + 4;
-constexpr size_t kEndOfStreamBodyBytes = 3;
-constexpr size_t kHeartbeatBodyBytes = 3 + 2;
-constexpr size_t kFinishedBodyBytes = 3 + 2;
-constexpr size_t kDeathNoticeBodyBytes = 3 + 2 + 2 + 4;
-constexpr size_t kSkipBroadcastBodyBytes = 3 + 4 + 2;
-constexpr size_t kStreamRequestBodyBytes = 3 + 2 + 2 + 2 + 1;
-constexpr size_t kStreamReplyBodyBytes = 3 + 1 + 1;
+// --- Envelopes -------------------------------------------------------------
 
-// Allocate the exact-size pooled body and return a writer over it. The
-// PDW_CHECK in finish_body catches any drift between the size helpers and
-// the actual encoding.
-ByteWriter body_writer(Packed* p, size_t body_bytes) {
-  p->body = mem::Bytes::alloc(body_bytes);
-  return ByteWriter(p->body.mutable_data(), body_bytes);
+// The envelope fields transports key on (type, stream, seq, aux, bulk), as
+// derived from each message's typed fields. The type also names the body.
+Packed envelope(const PictureMsg& m) {
+  return {.type = MsgType::kPicture, .stream = m.stream, .seq = m.pic_index,
+          .aux = m.nsid, .bulk = true};
+}
+Packed envelope(const SpMsg& m) {
+  return {.type = MsgType::kSubPicture, .stream = m.stream,
+          .seq = m.pic_index, .aux = m.tile, .bulk = true};
+}
+Packed envelope(const GoAheadAck& m) {
+  return {.type = MsgType::kGoAheadAck, .stream = m.stream,
+          .seq = m.pic_index};
+}
+Packed envelope(const ExchangeMsg& m) {
+  return {.type = MsgType::kExchange, .stream = m.stream, .seq = m.pic_index,
+          .aux = m.src_tile};
+}
+Packed envelope(const EndOfStream& m) {
+  return {.type = MsgType::kEndOfStream, .stream = m.stream};
+}
+Packed envelope(const Heartbeat& m) {
+  return {.type = MsgType::kHeartbeat, .stream = m.stream, .aux = m.tile};
+}
+Packed envelope(const Finished& m) {
+  return {.type = MsgType::kFinished, .stream = m.stream, .aux = m.tile};
+}
+Packed envelope(const DeathNotice& m) {
+  return {.type = MsgType::kDeathNotice, .stream = m.stream,
+          .seq = m.resync_pic, .aux = m.dead_tile};
+}
+Packed envelope(const SkipBroadcast& m) {
+  return {.type = MsgType::kSkipBroadcast, .stream = m.stream,
+          .seq = m.pic_index, .aux = m.tile};
+}
+Packed envelope(const StreamRequest& m) {
+  return {.type = MsgType::kStreamRequest, .stream = m.stream,
+          .aux = uint16_t(m.priority)};
+}
+Packed envelope(const StreamReply& m) {
+  return {.type = MsgType::kStreamReply, .stream = m.stream,
+          .aux = uint16_t(m.verdict)};
+}
+Packed envelope(const PartitionUpdateMsg& m) {
+  return {.type = MsgType::kPartitionUpdate, .stream = m.stream,
+          .seq = m.apply_from_pic, .aux = uint16_t(m.epoch)};
+}
+Packed envelope(const CostReportMsg& m) {
+  return {.type = MsgType::kCostReport, .stream = m.stream,
+          .seq = m.pic_index};
 }
 
-void finish_body(const Packed& p, const ByteWriter& w) {
-  PDW_CHECK_EQ(w.size(), p.body.size());
+// --- Field lists (common/bytes.h), in wire order ---------------------------
+
+// An MEI instruction after its op byte.
+template <class IO, Layout<core::MeiInstruction> I>
+void mei_operands(IO& io, I& i) {
+  io.u8(i.ref);
+  io.u16(i.mb_x);
+  io.u16(i.mb_y);
+  io.u16(i.peer);
 }
 
-// Defensive little-endian reader: every accessor reports failure instead of
-// CHECK-crashing, so decode() survives arbitrary bytes (fuzz_wire.cpp).
-class TryReader {
- public:
-  explicit TryReader(std::span<const uint8_t> data) : data_(data) {}
+template <class IO, Layout<PictureMsg> M>
+void fields(IO& io, M& m) {
+  io.u32(m.pic_index);
+  io.u16(m.nsid);
+  io.u32(m.epoch);
+  io.bytes32(m.coded);
+}
 
-  bool u8(uint8_t* v) { return read(v); }
-  bool u16(uint16_t* v) { return read(v); }
-  bool u32(uint32_t* v) { return read(v); }
+// The SpMsg fields ahead of the serialized sub-picture (pack_sp writes the
+// sub-picture itself straight into the body).
+template <class IO, Layout<SpMsg> M>
+void sp_head(IO& io, M& m) {
+  io.u32(m.pic_index);
+  io.u16(m.tile);
+  io.u32(m.epoch);
+}
 
-  bool bytes(size_t n, std::span<const uint8_t>* out) {
-    if (n > data_.size() - pos_) return false;
-    *out = data_.subspan(pos_, n);
-    pos_ += n;
-    return true;
+template <class IO, class L>
+void mei_list(IO& io, L& mei) {
+  io.count32(mei, core::kMeiWireBytes);
+  for (auto& i : mei) {
+    io.u8(i.op);
+    io.check(i.op <= core::MeiOp::kConceal);
+    mei_operands(io, i);
   }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
-
- private:
-  template <typename T>
-  bool read(T* v) {
-    if (sizeof(T) > data_.size() - pos_) return false;
-    std::memcpy(v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
-
-// Every body begins [version][type][stream].
-void put_prefix(ByteWriter* w, MsgType type, uint8_t stream) {
-  w->u8(kWireVersion);
-  w->u8(uint8_t(type));
-  w->u8(stream);
 }
 
-bool take_prefix(TryReader* r, MsgType want, uint8_t* stream) {
-  uint8_t version = 0, type = 0;
-  if (!r->u8(&version) || !r->u8(&type) || !r->u8(stream)) return false;
-  return version == kWireVersion && type == uint8_t(want);
+template <class IO, Layout<SpMsg> M>
+void fields(IO& io, M& m) {
+  sp_head(io, m);
+  io.bytes32(m.subpicture);
+  mei_list(io, m.mei);
 }
 
-constexpr size_t kEntryBytes = kExchangeEntryWireBytes;
-static_assert(kEntryBytes == 392);
+template <class IO, Layout<GoAheadAck> M>
+void fields(IO& io, M& m) {
+  io.u32(m.pic_index);
+}
 
-// An exchange entry rides the 8-byte MEI instruction framing; the tainted
+// A halo macroblock rides the 8-byte MEI instruction framing; the tainted
 // flag lives in the op byte's high bit so the entry cost stays exactly
 // kExchangeEntryWireBytes.
-void put_entry(ByteWriter* w, const ExchangeEntry& e) {
-  w->u8(uint8_t(uint8_t(core::MeiOp::kRecv) | (e.tainted ? 0x80 : 0)));
-  w->u8(e.instr.ref);
-  w->u16(e.instr.mb_x);
-  w->u16(e.instr.mb_y);
-  w->u16(e.instr.peer);
-  w->bytes(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(&e.px), sizeof(e.px)));
+template <class IO, Layout<ExchangeEntry> E>
+void fields(IO& io, E& e) {
+  uint8_t op = uint8_t(core::MeiOp::kRecv) | (e.tainted ? 0x80 : 0);
+  io.u8(op);
+  io.check((op & 0x7F) == uint8_t(core::MeiOp::kRecv));
+  if constexpr (IO::kDecoding) {
+    e.instr.op = core::MeiOp::kRecv;
+    e.tainted = (op & 0x80) != 0;
+  }
+  mei_operands(io, e.instr);
+  io.raw(e.px);
+}
+static_assert(kExchangeEntryWireBytes == 392);
+
+template <class IO, Layout<ExchangeMsg> M>
+void fields(IO& io, M& m) {
+  io.u32(m.pic_index);
+  io.u16(m.src_tile);
+  io.u16(m.dst_tile);
+  io.count32(m.entries, kExchangeEntryWireBytes);
+  for (auto& e : m.entries) fields(io, e);
 }
 
-bool take_entry(TryReader* r, ExchangeEntry* e) {
-  uint8_t op = 0;
-  if (!r->u8(&op)) return false;
-  e->tainted = (op & 0x80) != 0;
-  if ((op & 0x7F) != uint8_t(core::MeiOp::kRecv)) return false;
-  e->instr.op = core::MeiOp::kRecv;
-  std::span<const uint8_t> px;
-  if (!r->u8(&e->instr.ref) || !r->u16(&e->instr.mb_x) ||
-      !r->u16(&e->instr.mb_y) || !r->u16(&e->instr.peer) ||
-      !r->bytes(sizeof(e->px), &px))
-    return false;
-  std::memcpy(&e->px, px.data(), sizeof(e->px));
+template <class IO, Layout<EndOfStream> M>
+void fields(IO&, M&) {}
+
+template <class IO, Layout<Heartbeat> M>
+void fields(IO& io, M& m) {
+  io.u16(m.tile);
+}
+
+template <class IO, Layout<Finished> M>
+void fields(IO& io, M& m) {
+  io.u16(m.tile);
+}
+
+template <class IO, Layout<DeathNotice> M>
+void fields(IO& io, M& m) {
+  io.u16(m.dead_tile);
+  io.u16(m.adopter_tile);
+  io.u32(m.resync_pic);
+}
+
+template <class IO, Layout<SkipBroadcast> M>
+void fields(IO& io, M& m) {
+  io.u32(m.pic_index);
+  io.u16(m.tile);
+}
+
+template <class IO, Layout<StreamRequest> M>
+void fields(IO& io, M& m) {
+  io.u16(m.width_mb);
+  io.u16(m.height_mb);
+  io.u16(m.fps);
+  io.u8(m.priority);
+  io.check(m.priority <= PriorityClass::kPremium);
+}
+
+template <class IO, Layout<StreamReply> M>
+void fields(IO& io, M& m) {
+  io.u8(m.verdict);
+  io.u8(m.level);
+  io.check(m.verdict <= AdmissionVerdict::kRenegotiate &&
+           m.level <= DegradeLevel::kFreeze);
+}
+
+// Cut lines must strictly increase from a nonzero start: malformed
+// partitions are rejected here so state machines never install an invalid
+// geometry.
+bool increasing(const std::vector<uint16_t>& v) {
+  for (size_t i = 0; i < v.size(); ++i)
+    if (v[i] == 0 || (i > 0 && v[i] <= v[i - 1])) return false;
   return true;
+}
+
+template <class IO, Layout<PartitionUpdateMsg> M>
+void fields(IO& io, M& m) {
+  io.u32(m.epoch);
+  io.u32(m.apply_from_pic);
+  io.count16(m.col_cuts_mb, 2);
+  io.count16(m.row_cuts_mb, 2);
+  for (auto& c : m.col_cuts_mb) io.u16(c);
+  for (auto& c : m.row_cuts_mb) io.u16(c);
+  io.check(increasing(m.col_cuts_mb) && increasing(m.row_cuts_mb));
+}
+
+template <class IO, Layout<CostReportMsg> M>
+void fields(IO& io, M& m) {
+  io.u32(m.pic_index);
+  io.count16(m.col_cost, 4);
+  io.count16(m.row_cost, 4);
+  for (auto& c : m.col_cost) io.u32(c);
+  for (auto& c : m.row_cost) io.u32(c);
+}
+
+// Every body opens [version][type][stream], then the message's fields.
+template <class IO, class M>
+void prefix(IO& io, M& m) {
+  const uint8_t type = uint8_t(envelope(m).type);
+  uint8_t version = kWireVersion, got = type;
+  io.u8(version);
+  io.u8(got);
+  io.u8(m.stream);
+  io.check(version == kWireVersion && got == type);
+}
+
+template <class IO, class M>
+void body(IO& io, M& m) {
+  prefix(io, m);
+  fields(io, m);
+}
+
+template <class M>
+size_t body_bytes(const M& m) {
+  ByteSizer s;
+  body(s, m);
+  return s.size();
+}
+
+// The envelope plus an exact-size pooled body, ready for `write` to fill.
+// The PDW_CHECK catches any drift between the sizer and the encoding.
+template <class M, class Write>
+Packed pack_into(const M& m, size_t body_size, Write&& write) {
+  Packed p = envelope(m);
+  p.body = mem::Bytes::alloc(body_size);
+  ByteWriter w(p.body.mutable_data(), body_size);
+  write(w);
+  PDW_CHECK_EQ(w.size(), body_size);
+  return p;
+}
+
+template <class M>
+Packed pack_msg(const M& m) {
+  return pack_into(m, body_bytes(m), [&](ByteWriter& w) { body(w, m); });
+}
+
+// Strict decode of one body; `parent` (the block `data` spans, if any)
+// makes the bulk fields views instead of copies.
+template <class M>
+bool decode_body(std::span<const uint8_t> data, const mem::Bytes* parent,
+                 M* out) {
+  ByteReader r(data, parent);
+  body(r, *out);
+  return r.done();
+}
+
+std::optional<AnyMsg> decode_any_body(std::span<const uint8_t> data,
+                                      const mem::Bytes* parent) {
+  if (data.size() < 2) return std::nullopt;
+  const auto as = [&](auto msg) -> std::optional<AnyMsg> {
+    if (!decode_body(data, parent, &msg)) return std::nullopt;
+    return AnyMsg(std::move(msg));
+  };
+  switch (MsgType(data[1])) {
+    case MsgType::kPicture: return as(PictureMsg{});
+    case MsgType::kSubPicture: return as(SpMsg{});
+    case MsgType::kGoAheadAck: return as(GoAheadAck{});
+    case MsgType::kExchange: return as(ExchangeMsg{});
+    case MsgType::kEndOfStream: return as(EndOfStream{});
+    case MsgType::kHeartbeat: return as(Heartbeat{});
+    case MsgType::kFinished: return as(Finished{});
+    case MsgType::kDeathNotice: return as(DeathNotice{});
+    case MsgType::kSkipBroadcast: return as(SkipBroadcast{});
+    case MsgType::kStreamRequest: return as(StreamRequest{});
+    case MsgType::kStreamReply: return as(StreamReply{});
+    case MsgType::kPartitionUpdate: return as(PartitionUpdateMsg{});
+    case MsgType::kCostReport: return as(CostReportMsg{});
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -158,519 +334,124 @@ const char* admission_verdict_name(AdmissionVerdict v) {
   return "unknown";
 }
 
-// --- PictureMsg ------------------------------------------------------------
+// --- Packing ---------------------------------------------------------------
 
 Packed pack_picture(uint32_t pic_index, uint16_t nsid, uint8_t stream,
                     std::span<const uint8_t> coded, uint32_t epoch) {
-  Packed p;
-  p.type = MsgType::kPicture;
-  p.stream = stream;
-  p.seq = pic_index;
-  p.aux = nsid;
-  p.bulk = true;
-  ByteWriter w = body_writer(&p, picture_msg_wire_bytes(coded.size()));
-  put_prefix(&w, MsgType::kPicture, stream);
-  w.u32(pic_index);
-  w.u16(nsid);
-  w.u32(epoch);
-  w.u32(uint32_t(coded.size()));
-  w.bytes(coded);
-  finish_body(p, w);
-  return p;
-}
-
-Packed pack(const PictureMsg& m) {
-  return pack_picture(m.pic_index, m.nsid, m.stream, m.coded, m.epoch);
-}
-
-namespace {
-
-bool decode_picture(std::span<const uint8_t> data, const mem::Bytes* parent,
-                    PictureMsg* out) {
-  TryReader r(data);
-  uint32_t len = 0;
-  std::span<const uint8_t> coded;
-  if (!take_prefix(&r, MsgType::kPicture, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->nsid) || !r.u32(&out->epoch) ||
-      !r.u32(&len) || len != r.remaining())
-    return false;
-  const size_t off = r.pos();
-  if (!r.bytes(len, &coded)) return false;
-  out->coded = parent ? parent->view(off, len) : mem::Bytes::copy_of(coded);
-  return r.done();
-}
-
-}  // namespace
-
-bool decode(std::span<const uint8_t> data, PictureMsg* out) {
-  return decode_picture(data, nullptr, out);
-}
-
-bool decode(const mem::Bytes& data, PictureMsg* out) {
-  return decode_picture(data.span(), &data, out);
-}
-
-// --- SpMsg -----------------------------------------------------------------
-
-namespace {
-
-void put_mei_list(ByteWriter* w, const std::vector<core::MeiInstruction>& mei) {
-  w->u32(uint32_t(mei.size()));
-  for (const core::MeiInstruction& i : mei) {
-    w->u8(uint8_t(i.op));
-    w->u8(i.ref);
-    w->u16(i.mb_x);
-    w->u16(i.mb_y);
-    w->u16(i.peer);
-  }
-}
-
-void put_sp_header(ByteWriter* w, uint32_t pic_index, uint16_t tile,
-                   uint8_t stream, uint32_t epoch, size_t sp_len) {
-  put_prefix(w, MsgType::kSubPicture, stream);
-  w->u32(pic_index);
-  w->u16(tile);
-  w->u32(epoch);
-  w->u32(uint32_t(sp_len));
-}
-
-Packed sp_envelope(uint32_t pic_index, uint16_t tile, uint8_t stream) {
-  Packed p;
-  p.type = MsgType::kSubPicture;
-  p.stream = stream;
-  p.seq = pic_index;
-  p.aux = tile;
-  p.bulk = true;
-  return p;
-}
-
-}  // namespace
-
-Packed pack(const SpMsg& m) {
-  Packed p = sp_envelope(m.pic_index, m.tile, m.stream);
-  ByteWriter w =
-      body_writer(&p, sp_msg_wire_bytes(m.subpicture.size(), m.mei.size()));
-  put_sp_header(&w, m.pic_index, m.tile, m.stream, m.epoch,
-                m.subpicture.size());
-  w.bytes(m.subpicture);
-  put_mei_list(&w, m.mei);
-  finish_body(p, w);
-  return p;
+  return pack_msg(PictureMsg{pic_index, nsid, stream, epoch,
+                             mem::Bytes::borrow(coded)});
 }
 
 Packed pack_sp(uint32_t pic_index, uint16_t tile, uint8_t stream,
                const core::SubPicture& sp,
                const std::vector<core::MeiInstruction>& mei, uint32_t epoch) {
-  Packed p = sp_envelope(pic_index, tile, stream);
+  SpMsg head;
+  head.pic_index = pic_index;
+  head.tile = tile;
+  head.stream = stream;
+  head.epoch = epoch;
   const size_t sp_len = sp.wire_bytes();
-  ByteWriter w = body_writer(&p, sp_msg_wire_bytes(sp_len, mei.size()));
-  put_sp_header(&w, pic_index, tile, stream, epoch, sp_len);
-  sp.serialize_into(&w);
-  put_mei_list(&w, mei);
-  finish_body(p, w);
-  return p;
+  return pack_into(head, sp_msg_wire_bytes(sp_len, mei.size()),
+                   [&](ByteWriter& w) {
+                     prefix(w, head);
+                     sp_head(w, head);
+                     w.u32(sp_len);  // SpMsg::subpicture's length prefix
+                     sp.serialize_into(&w);
+                     mei_list(w, mei);
+                   });
 }
 
-namespace {
+Packed pack(const PictureMsg& m) { return pack_msg(m); }
+Packed pack(const SpMsg& m) { return pack_msg(m); }
+Packed pack(const GoAheadAck& m) { return pack_msg(m); }
+Packed pack(const ExchangeMsg& m) { return pack_msg(m); }
+Packed pack(const EndOfStream& m) { return pack_msg(m); }
+Packed pack(const Heartbeat& m) { return pack_msg(m); }
+Packed pack(const Finished& m) { return pack_msg(m); }
+Packed pack(const DeathNotice& m) { return pack_msg(m); }
+Packed pack(const SkipBroadcast& m) { return pack_msg(m); }
+Packed pack(const StreamRequest& m) { return pack_msg(m); }
+Packed pack(const StreamReply& m) { return pack_msg(m); }
+Packed pack(const PartitionUpdateMsg& m) { return pack_msg(m); }
+Packed pack(const CostReportMsg& m) { return pack_msg(m); }
 
-bool decode_sp(std::span<const uint8_t> data, const mem::Bytes* parent,
-               SpMsg* out) {
-  TryReader r(data);
-  uint32_t sp_len = 0, mei_count = 0;
-  std::span<const uint8_t> sp;
-  if (!take_prefix(&r, MsgType::kSubPicture, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->tile) || !r.u32(&out->epoch) ||
-      !r.u32(&sp_len))
-    return false;
-  const size_t off = r.pos();
-  if (!r.bytes(sp_len, &sp) || !r.u32(&mei_count) ||
-      size_t(mei_count) * core::kMeiWireBytes != r.remaining())
-    return false;
-  out->subpicture =
-      parent ? parent->view(off, sp_len) : mem::Bytes::copy_of(sp);
-  out->mei.resize(mei_count);
-  for (core::MeiInstruction& i : out->mei) {
-    uint8_t op = 0;
-    if (!r.u8(&op) || op > uint8_t(core::MeiOp::kConceal)) return false;
-    i.op = core::MeiOp(op);
-    if (!r.u8(&i.ref) || !r.u16(&i.mb_x) || !r.u16(&i.mb_y) || !r.u16(&i.peer))
-      return false;
-  }
-  return r.done();
+// --- Decoding --------------------------------------------------------------
+
+bool decode(std::span<const uint8_t> d, PictureMsg* out) {
+  return decode_body(d, nullptr, out);
 }
-
-}  // namespace
-
-bool decode(std::span<const uint8_t> data, SpMsg* out) {
-  return decode_sp(data, nullptr, out);
+bool decode(std::span<const uint8_t> d, SpMsg* out) {
+  return decode_body(d, nullptr, out);
 }
-
-bool decode(const mem::Bytes& data, SpMsg* out) {
-  return decode_sp(data.span(), &data, out);
+bool decode(std::span<const uint8_t> d, GoAheadAck* out) {
+  return decode_body(d, nullptr, out);
 }
-
-size_t sp_msg_wire_bytes(size_t subpicture_bytes, size_t mei_count) {
-  return 3 /*prefix*/ + 4 /*pic*/ + 2 /*tile*/ + 4 /*epoch*/ + 4 +
-         subpicture_bytes + 4 + mei_count * core::kMeiWireBytes;
+bool decode(std::span<const uint8_t> d, ExchangeMsg* out) {
+  return decode_body(d, nullptr, out);
 }
-
-size_t picture_msg_wire_bytes(size_t coded_bytes) {
-  return 3 /*prefix*/ + 4 /*pic*/ + 2 /*nsid*/ + 4 /*epoch*/ + 4 + coded_bytes;
+bool decode(std::span<const uint8_t> d, EndOfStream* out) {
+  return decode_body(d, nullptr, out);
 }
-
-size_t exchange_msg_wire_bytes(size_t entry_count) {
-  return 3 /*prefix*/ + 4 /*pic*/ + 2 /*src*/ + 2 /*dst*/ + 4 +
-         entry_count * kExchangeEntryWireBytes;
+bool decode(std::span<const uint8_t> d, Heartbeat* out) {
+  return decode_body(d, nullptr, out);
 }
-
-size_t partition_update_wire_bytes(size_t col_cuts, size_t row_cuts) {
-  return 3 /*prefix*/ + 4 /*epoch*/ + 4 /*apply_from*/ + 2 + 2 +
-         (col_cuts + row_cuts) * 2;
+bool decode(std::span<const uint8_t> d, Finished* out) {
+  return decode_body(d, nullptr, out);
 }
-
-size_t cost_report_wire_bytes(size_t cols, size_t rows) {
-  return 3 /*prefix*/ + 4 /*pic*/ + 2 + 2 + (cols + rows) * 4;
+bool decode(std::span<const uint8_t> d, DeathNotice* out) {
+  return decode_body(d, nullptr, out);
 }
-
-// --- GoAheadAck ------------------------------------------------------------
-
-Packed pack(const GoAheadAck& m) {
-  Packed p;
-  p.type = MsgType::kGoAheadAck;
-  p.stream = m.stream;
-  p.seq = m.pic_index;
-  ByteWriter w = body_writer(&p, kGoAheadBodyBytes);
-  put_prefix(&w, MsgType::kGoAheadAck, m.stream);
-  w.u32(m.pic_index);
-  finish_body(p, w);
-  return p;
+bool decode(std::span<const uint8_t> d, SkipBroadcast* out) {
+  return decode_body(d, nullptr, out);
 }
-
-bool decode(std::span<const uint8_t> data, GoAheadAck* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kGoAheadAck, &out->stream) &&
-         r.u32(&out->pic_index) && r.done();
+bool decode(std::span<const uint8_t> d, StreamRequest* out) {
+  return decode_body(d, nullptr, out);
 }
-
-// --- ExchangeMsg -----------------------------------------------------------
-
-Packed pack(const ExchangeMsg& m) {
-  Packed p;
-  p.type = MsgType::kExchange;
-  p.stream = m.stream;
-  p.seq = m.pic_index;
-  p.aux = m.src_tile;
-  ByteWriter w = body_writer(&p, exchange_msg_wire_bytes(m.entries.size()));
-  put_prefix(&w, MsgType::kExchange, m.stream);
-  w.u32(m.pic_index);
-  w.u16(m.src_tile);
-  w.u16(m.dst_tile);
-  w.u32(uint32_t(m.entries.size()));
-  for (const ExchangeEntry& e : m.entries) put_entry(&w, e);
-  finish_body(p, w);
-  return p;
+bool decode(std::span<const uint8_t> d, StreamReply* out) {
+  return decode_body(d, nullptr, out);
 }
-
-bool decode(std::span<const uint8_t> data, ExchangeMsg* out) {
-  TryReader r(data);
-  uint32_t count = 0;
-  if (!take_prefix(&r, MsgType::kExchange, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->src_tile) ||
-      !r.u16(&out->dst_tile) || !r.u32(&count) ||
-      size_t(count) * kEntryBytes != r.remaining())
-    return false;
-  out->entries.resize(count);
-  for (ExchangeEntry& e : out->entries)
-    if (!take_entry(&r, &e)) return false;
-  return r.done();
+bool decode(std::span<const uint8_t> d, PartitionUpdateMsg* out) {
+  return decode_body(d, nullptr, out);
 }
-
-// --- EndOfStream -----------------------------------------------------------
-
-Packed pack(const EndOfStream& m) {
-  Packed p;
-  p.type = MsgType::kEndOfStream;
-  p.stream = m.stream;
-  ByteWriter w = body_writer(&p, kEndOfStreamBodyBytes);
-  put_prefix(&w, MsgType::kEndOfStream, m.stream);
-  finish_body(p, w);
-  return p;
+bool decode(std::span<const uint8_t> d, CostReportMsg* out) {
+  return decode_body(d, nullptr, out);
 }
-
-bool decode(std::span<const uint8_t> data, EndOfStream* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kEndOfStream, &out->stream) && r.done();
+bool decode(const mem::Bytes& d, PictureMsg* out) {
+  return decode_body(d.span(), &d, out);
 }
-
-// --- Heartbeat -------------------------------------------------------------
-
-Packed pack(const Heartbeat& m) {
-  Packed p;
-  p.type = MsgType::kHeartbeat;
-  p.stream = m.stream;
-  p.aux = m.tile;
-  ByteWriter w = body_writer(&p, kHeartbeatBodyBytes);
-  put_prefix(&w, MsgType::kHeartbeat, m.stream);
-  w.u16(m.tile);
-  finish_body(p, w);
-  return p;
+bool decode(const mem::Bytes& d, SpMsg* out) {
+  return decode_body(d.span(), &d, out);
 }
-
-bool decode(std::span<const uint8_t> data, Heartbeat* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kHeartbeat, &out->stream) &&
-         r.u16(&out->tile) && r.done();
-}
-
-// --- Finished --------------------------------------------------------------
-
-Packed pack(const Finished& m) {
-  Packed p;
-  p.type = MsgType::kFinished;
-  p.stream = m.stream;
-  p.aux = m.tile;
-  ByteWriter w = body_writer(&p, kFinishedBodyBytes);
-  put_prefix(&w, MsgType::kFinished, m.stream);
-  w.u16(m.tile);
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, Finished* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kFinished, &out->stream) &&
-         r.u16(&out->tile) && r.done();
-}
-
-// --- DeathNotice -----------------------------------------------------------
-
-Packed pack(const DeathNotice& m) {
-  Packed p;
-  p.type = MsgType::kDeathNotice;
-  p.stream = m.stream;
-  p.seq = m.resync_pic;
-  p.aux = m.dead_tile;
-  ByteWriter w = body_writer(&p, kDeathNoticeBodyBytes);
-  put_prefix(&w, MsgType::kDeathNotice, m.stream);
-  w.u16(m.dead_tile);
-  w.u16(m.adopter_tile);
-  w.u32(m.resync_pic);
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, DeathNotice* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kDeathNotice, &out->stream) &&
-         r.u16(&out->dead_tile) && r.u16(&out->adopter_tile) &&
-         r.u32(&out->resync_pic) && r.done();
-}
-
-// --- SkipBroadcast ---------------------------------------------------------
-
-Packed pack(const SkipBroadcast& m) {
-  Packed p;
-  p.type = MsgType::kSkipBroadcast;
-  p.stream = m.stream;
-  p.seq = m.pic_index;
-  p.aux = m.tile;
-  ByteWriter w = body_writer(&p, kSkipBroadcastBodyBytes);
-  put_prefix(&w, MsgType::kSkipBroadcast, m.stream);
-  w.u32(m.pic_index);
-  w.u16(m.tile);
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, SkipBroadcast* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kSkipBroadcast, &out->stream) &&
-         r.u32(&out->pic_index) && r.u16(&out->tile) && r.done();
-}
-
-// --- StreamRequest ---------------------------------------------------------
-
-Packed pack(const StreamRequest& m) {
-  Packed p;
-  p.type = MsgType::kStreamRequest;
-  p.stream = m.stream;
-  p.aux = uint16_t(m.priority);
-  ByteWriter w = body_writer(&p, kStreamRequestBodyBytes);
-  put_prefix(&w, MsgType::kStreamRequest, m.stream);
-  w.u16(m.width_mb);
-  w.u16(m.height_mb);
-  w.u16(m.fps);
-  w.u8(uint8_t(m.priority));
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, StreamRequest* out) {
-  TryReader r(data);
-  uint8_t priority = 0;
-  if (!take_prefix(&r, MsgType::kStreamRequest, &out->stream) ||
-      !r.u16(&out->width_mb) || !r.u16(&out->height_mb) || !r.u16(&out->fps) ||
-      !r.u8(&priority) || !r.done())
-    return false;
-  if (priority > uint8_t(PriorityClass::kPremium)) return false;
-  out->priority = PriorityClass(priority);
-  return true;
-}
-
-// --- StreamReply -----------------------------------------------------------
-
-Packed pack(const StreamReply& m) {
-  Packed p;
-  p.type = MsgType::kStreamReply;
-  p.stream = m.stream;
-  p.aux = uint16_t(m.verdict);
-  ByteWriter w = body_writer(&p, kStreamReplyBodyBytes);
-  put_prefix(&w, MsgType::kStreamReply, m.stream);
-  w.u8(uint8_t(m.verdict));
-  w.u8(uint8_t(m.level));
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, StreamReply* out) {
-  TryReader r(data);
-  uint8_t verdict = 0, level = 0;
-  if (!take_prefix(&r, MsgType::kStreamReply, &out->stream) ||
-      !r.u8(&verdict) || !r.u8(&level) || !r.done())
-    return false;
-  if (verdict > uint8_t(AdmissionVerdict::kRenegotiate) ||
-      level > uint8_t(DegradeLevel::kFreeze))
-    return false;
-  out->verdict = AdmissionVerdict(verdict);
-  out->level = DegradeLevel(level);
-  return true;
-}
-
-// --- PartitionUpdateMsg ----------------------------------------------------
-
-Packed pack(const PartitionUpdateMsg& m) {
-  Packed p;
-  p.type = MsgType::kPartitionUpdate;
-  p.stream = m.stream;
-  p.seq = m.apply_from_pic;
-  p.aux = uint16_t(m.epoch);
-  ByteWriter w = body_writer(
-      &p, partition_update_wire_bytes(m.col_cuts_mb.size(), m.row_cuts_mb.size()));
-  put_prefix(&w, MsgType::kPartitionUpdate, m.stream);
-  w.u32(m.epoch);
-  w.u32(m.apply_from_pic);
-  w.u16(uint16_t(m.col_cuts_mb.size()));
-  w.u16(uint16_t(m.row_cuts_mb.size()));
-  for (uint16_t c : m.col_cuts_mb) w.u16(c);
-  for (uint16_t c : m.row_cuts_mb) w.u16(c);
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, PartitionUpdateMsg* out) {
-  TryReader r(data);
-  uint16_t cols = 0, rows = 0;
-  if (!take_prefix(&r, MsgType::kPartitionUpdate, &out->stream) ||
-      !r.u32(&out->epoch) || !r.u32(&out->apply_from_pic) || !r.u16(&cols) ||
-      !r.u16(&rows) || (size_t(cols) + rows) * 2 != r.remaining())
-    return false;
-  out->col_cuts_mb.resize(cols);
-  out->row_cuts_mb.resize(rows);
-  for (uint16_t& c : out->col_cuts_mb)
-    if (!r.u16(&c)) return false;
-  for (uint16_t& c : out->row_cuts_mb)
-    if (!r.u16(&c)) return false;
-  // Cut lines must strictly increase from a nonzero start: reject malformed
-  // partitions here so state machines never install an invalid geometry.
-  const auto increasing = [](const std::vector<uint16_t>& v) {
-    for (size_t i = 0; i < v.size(); ++i)
-      if (v[i] == 0 || (i > 0 && v[i] <= v[i - 1])) return false;
-    return true;
-  };
-  return increasing(out->col_cuts_mb) && increasing(out->row_cuts_mb) &&
-         r.done();
-}
-
-// --- CostReportMsg ---------------------------------------------------------
-
-Packed pack(const CostReportMsg& m) {
-  Packed p;
-  p.type = MsgType::kCostReport;
-  p.stream = m.stream;
-  p.seq = m.pic_index;
-  ByteWriter w = body_writer(
-      &p, cost_report_wire_bytes(m.col_cost.size(), m.row_cost.size()));
-  put_prefix(&w, MsgType::kCostReport, m.stream);
-  w.u32(m.pic_index);
-  w.u16(uint16_t(m.col_cost.size()));
-  w.u16(uint16_t(m.row_cost.size()));
-  for (uint32_t c : m.col_cost) w.u32(c);
-  for (uint32_t c : m.row_cost) w.u32(c);
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, CostReportMsg* out) {
-  TryReader r(data);
-  uint16_t cols = 0, rows = 0;
-  if (!take_prefix(&r, MsgType::kCostReport, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&cols) || !r.u16(&rows) ||
-      (size_t(cols) + rows) * 4 != r.remaining())
-    return false;
-  out->col_cost.resize(cols);
-  out->row_cost.resize(rows);
-  for (uint32_t& c : out->col_cost)
-    if (!r.u32(&c)) return false;
-  for (uint32_t& c : out->row_cost)
-    if (!r.u32(&c)) return false;
-  return r.done();
-}
-
-// --- decode_any ------------------------------------------------------------
 
 std::optional<AnyMsg> decode_any(std::span<const uint8_t> data) {
-  if (data.size() < 2) return std::nullopt;
-  const auto type = MsgType(data[1]);
-  const auto try_decode = [&](auto msg) -> std::optional<AnyMsg> {
-    if (!decode(data, &msg)) return std::nullopt;
-    return AnyMsg(std::move(msg));
-  };
-  switch (type) {
-    case MsgType::kPicture: return try_decode(PictureMsg{});
-    case MsgType::kSubPicture: return try_decode(SpMsg{});
-    case MsgType::kGoAheadAck: return try_decode(GoAheadAck{});
-    case MsgType::kExchange: return try_decode(ExchangeMsg{});
-    case MsgType::kEndOfStream: return try_decode(EndOfStream{});
-    case MsgType::kHeartbeat: return try_decode(Heartbeat{});
-    case MsgType::kFinished: return try_decode(Finished{});
-    case MsgType::kDeathNotice: return try_decode(DeathNotice{});
-    case MsgType::kSkipBroadcast: return try_decode(SkipBroadcast{});
-    case MsgType::kStreamRequest: return try_decode(StreamRequest{});
-    case MsgType::kStreamReply: return try_decode(StreamReply{});
-    case MsgType::kPartitionUpdate: return try_decode(PartitionUpdateMsg{});
-    case MsgType::kCostReport: return try_decode(CostReportMsg{});
-  }
-  return std::nullopt;
+  return decode_any_body(data, nullptr);
 }
 
 std::optional<AnyMsg> decode_any(const mem::Bytes& data) {
-  if (data.size() < 2) return std::nullopt;
-  // Only the two bulk types carry payloads worth viewing; everything else
-  // takes the span path.
-  switch (MsgType(data[1])) {
-    case MsgType::kPicture: {
-      PictureMsg m;
-      if (!decode(data, &m)) return std::nullopt;
-      return AnyMsg(std::move(m));
-    }
-    case MsgType::kSubPicture: {
-      SpMsg m;
-      if (!decode(data, &m)) return std::nullopt;
-      return AnyMsg(std::move(m));
-    }
-    default:
-      return decode_any(data.span());
-  }
+  return decode_any_body(data.span(), &data);
+}
+
+// --- Accounting sizes ------------------------------------------------------
+
+size_t sp_msg_wire_bytes(size_t subpicture_bytes, size_t mei_count) {
+  return body_bytes(SpMsg{}) + subpicture_bytes +
+         mei_count * core::kMeiWireBytes;
+}
+
+size_t picture_msg_wire_bytes(size_t coded_bytes) {
+  return body_bytes(PictureMsg{}) + coded_bytes;
+}
+
+size_t exchange_msg_wire_bytes(size_t entry_count) {
+  return body_bytes(ExchangeMsg{}) + entry_count * kExchangeEntryWireBytes;
+}
+
+size_t partition_update_wire_bytes(size_t col_cuts, size_t row_cuts) {
+  return body_bytes(PartitionUpdateMsg{}) + (col_cuts + row_cuts) * 2;
+}
+
+size_t cost_report_wire_bytes(size_t cols, size_t rows) {
+  return body_bytes(CostReportMsg{}) + (cols + rows) * 4;
 }
 
 }  // namespace pdw::proto

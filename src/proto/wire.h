@@ -275,9 +275,9 @@ struct Packed {
   uint32_t seq = 0;   // picture index (0 when not applicable)
   uint16_t aux = 0;   // tile / NSID (0 when not applicable)
   bool bulk = false;  // consumes a posted receive buffer
-  // Pooled, exact-size buffer: pack() knows every body size up front (the
-  // *_wire_bytes() helpers), so encoding is a single pool pop + fill.
-  mem::Bytes body;
+  // Pooled, exact-size buffer: pack() sizes the body from the message's
+  // field list before writing it, so encoding is a single pool pop + fill.
+  mem::Bytes body{};
 
   size_t wire_bytes() const { return body.size() + kEnvelopeBytes; }
   // Models GM's small-message header (same figure net::Message uses).
@@ -341,7 +341,7 @@ std::optional<AnyMsg> decode_any(const mem::Bytes& data);
 
 // Accounting constants shared with the lockstep trace / DES cost model: the
 // per-entry wire cost of a halo macroblock exchange (pixels + the 8-byte MEI
-// instruction framing, as serialized by core::serialize_mei).
+// instruction framing of an SpMsg's MEI list).
 inline constexpr size_t kExchangeEntryWireBytes =
     sizeof(mpeg2::MacroblockPixels) + core::kMeiWireBytes;
 

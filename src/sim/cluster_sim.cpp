@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "net/fabric.h"
+#include "net/reliable.h"
 #include "obs/trace.h"
 #include "proto/nodes.h"
 
@@ -17,6 +18,8 @@ namespace {
 constexpr double kAckBytes = double(net::Message::kHeaderBytes);
 constexpr double kMsgHeader = double(net::Message::kHeaderBytes);
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// The real transport's retransmission timeouts: first RTO and backoff cap.
+constexpr net::ReliableConfig kRto{};
 }  // namespace
 
 SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
@@ -28,7 +31,6 @@ SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
   PDW_CHECK_GE(k, 1);
   const int N = int(traces.size());
   const LinkModel& link = params.link;
-  const double scale = params.cpu_scale;
   const SimFaultModel& fm = params.fault;
 
   SimResult result;
@@ -79,10 +81,10 @@ SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
     double t = link.transfer_s(bytes);
     if (fm.drop_rate <= 0) return t;
     uint64_t& ord = link_ord[size_t(src) * result.nodes + dst];
-    double rto = fm.rto_s;
+    double rto = kRto.rto_initial_s;
     while (inj.decide(src, dst, ord++, 0, bytes).drop) {
       t += rto + link.transfer_s(bytes);
-      rto = std::min(rto * 2, fm.rto_max_s);
+      rto = std::min(rto * 2, kRto.rto_max_s);
       ++result.retransmits;
     }
     return t;
@@ -111,7 +113,7 @@ SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
     double root_free = 0.0;
     for (int i = 0; i < N; ++i) {
       const PictureTrace& tr = traces[size_t(i)];
-      double t = root_free + tr.copy_s * scale;  // "Copy P to send buffer"
+      double t = root_free + tr.copy_s;  // "Copy P to send buffer"
       span(obs::span::kCopyPic, 0, 0, root_free, t, uint32_t(i));
       if (i > 0) {
         // Wait for the ack/go-ahead of the previous picture ("wait for ACK
@@ -141,7 +143,7 @@ SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
     double free_t = 0.0;
     for (int i = 0; i < N; ++i) {
       const double copy_start = free_t;
-      free_t += traces[size_t(i)].copy_s * scale;
+      free_t += traces[size_t(i)].copy_s;
       span(obs::span::kCopyPic, 0, 0, copy_start, free_t, uint32_t(i));
       recv_at_splitter[size_t(i)] = free_t;
     }
@@ -177,10 +179,10 @@ SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
     // Split.
     const double split_start =
         std::max(recv_at_splitter[size_t(i)], splitter_free[size_t(s)]);
-    const double split_end = split_start + tr.split_s * scale;
+    const double split_end = split_start + tr.split_s;
     span(obs::span::kSplitPic, splitter_node(s), 0, split_start, split_end,
          uint32_t(i));
-    result.splitter_busy_s[size_t(s)] += tr.split_s * scale;
+    result.splitter_busy_s[size_t(s)] += tr.split_s;
 
     // Gate on decoder acks for the previous picture (ANID redirection: those
     // acks were addressed to *this* splitter).
@@ -308,7 +310,7 @@ SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
         result.traffic_matrix.add(decoder_node(host), decoder_node(dh),
                                   uint64_t(bytes + kMsgHeader));
       }
-      const double serve = tr.serve_s[size_t(t)] * scale + tx;
+      const double serve = tr.serve_s[size_t(t)] + tx;
       bd.serve += serve;
       serve_end[size_t(t)] = st + link.ack_cpu_s + serve;
       span(obs::span::kServeSp, decoder_node(host), t, st + link.ack_cpu_s,
@@ -331,10 +333,10 @@ SimResult simulate_cluster(const std::vector<PictureTrace>& traces,
       bd.wait_remote += std::max(0.0, ready - serve_end[size_t(t)]);
       span(obs::span::kWaitHalo, decoder_node(host), t, serve_end[size_t(t)],
            ready, uint32_t(i));
-      const double decode_end = ready + tr.decode_s[size_t(t)] * scale;
+      const double decode_end = ready + tr.decode_s[size_t(t)];
       span(obs::span::kDecodeSp, decoder_node(host), t, ready, decode_end,
            uint32_t(i));
-      bd.work += tr.decode_s[size_t(t)] * scale;
+      bd.work += tr.decode_s[size_t(t)];
       decoder_free[size_t(host)] = decode_end;
       if (host != t) decoder_free[size_t(t)] = decode_end;
 

@@ -53,11 +53,10 @@ struct SimFaultModel {
   uint64_t seed = 0;
   // Per-transmission drop probability on bulk links (picture, sub-picture
   // and exchange messages). Each drop costs the sender one retransmit
-  // timeout (exponential backoff, capped) plus a repeat transfer —
-  // identical decisions to FaultInjector for the same seed.
+  // timeout (net::ReliableConfig's default first RTO, doubling up to its
+  // cap) plus a repeat transfer — identical decisions to FaultInjector for
+  // the same seed.
   double drop_rate = 0;
-  double rto_s = 0.004;
-  double rto_max_s = 0.064;
 
   // Kill the decoder node owning `crash_tile` right after it finishes
   // decoding picture `crash_at_picture` (-1 = no crash).
@@ -89,9 +88,6 @@ struct SimParams {
   int k = 1;              // second-level splitters
   bool two_level = true;  // false: 1-(m,n), the root splits macroblocks itself
   LinkModel link;
-  // Scale all measured compute times by this factor (1.0 = this host's
-  // speed). Exposed so experiments can model slower/faster node CPUs.
-  double cpu_scale = 1.0;
   SimFaultModel fault;
 };
 

@@ -137,16 +137,6 @@ TEST(ClusterSim, SlowNetworkReducesFps) {
   EXPECT_LT(rs.fps, rf.fps * 0.8);
 }
 
-TEST(ClusterSim, CpuScaleScalesComputeBoundFps) {
-  wall::TileGeometry geo(640, 480, 2, 2, 0);
-  const auto traces = uniform_traces(100, geo.tiles(), 1e-3, 5e-3);
-  SimParams p = fast_net_params(1);
-  const auto r1 = simulate_cluster(traces, geo, p);
-  p.cpu_scale = 2.0;
-  const auto r2 = simulate_cluster(traces, geo, p);
-  EXPECT_NEAR(r2.fps, r1.fps / 2.0, 0.05 * r1.fps);
-}
-
 TEST(ClusterSim, MeasureCosts) {
   auto traces = uniform_traces(10, 4, 3e-3, 2e-3);
   traces[0].decode_s[2] = 7e-3;  // one slow tile on one picture

@@ -43,37 +43,87 @@ TEST(Check, ComparisonVariants) {
   PDW_CHECK_GE(5, 5);
 }
 
-TEST(Bytes, RoundtripAllTypes) {
-  std::vector<uint8_t> buf;
-  ByteWriter w(&buf);
-  w.u8(0xAB);
-  w.u16(0x1234);
-  w.u32(0xDEADBEEF);
-  w.u64(0x0123456789ABCDEFull);
-  w.i16(-12345);
-  w.i32(-7654321);
-  w.f64(3.14159);
-  const uint8_t blob[3] = {1, 2, 3};
-  w.bytes(blob);
+// A layout exercising every field kind, stated once for all three visitors.
+struct Sample {
+  uint8_t a = 0;
+  uint16_t b = 0;
+  uint32_t c = 0;
+  uint64_t d = 0;
+  int16_t e = 0;
+  int32_t f = 0;
+  bool flag = false;
+  uint16_t narrow = 0;  // u32 on the wire, at most 0xFFFF
+  std::vector<uint16_t> list;
+};
 
-  ByteReader r(buf);
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_EQ(r.u16(), 0x1234);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.i16(), -12345);
-  EXPECT_EQ(r.i32(), -7654321);
-  EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
-  auto got = r.bytes(3);
-  EXPECT_EQ(got[2], 3);
-  EXPECT_TRUE(r.done());
+template <class IO, Layout<Sample> M>
+void fields(IO& io, M& m) {
+  io.u8(m.a);
+  io.u16(m.b);
+  io.u32(m.c);
+  io.u64(m.d);
+  io.i16(m.e);
+  io.i32(m.f);
+  io.u8(m.flag);
+  io.u32(m.narrow, 0xFFFF);
+  io.count16(m.list, 2);
+  for (auto& v : m.list) io.u16(v);
 }
 
-TEST(Bytes, ReaderOverrunThrows) {
+TEST(Bytes, OneLayoutEncodesDecodesAndSizes) {
+  const Sample in{0xAB, 0x1234, 0xDEADBEEF, 0x0123456789ABCDEFull,
+                  -12345, -7654321, true, 0xBEEF, {7, 8, 9}};
+  std::vector<uint8_t> buf;
+  ByteWriter w(&buf);
+  fields(w, in);
+  ByteSizer sizer;
+  fields(sizer, in);
+  EXPECT_EQ(sizer.size(), buf.size());
+  EXPECT_EQ(buf.size(), 1u + 2 + 4 + 8 + 2 + 4 + 1 + 4 + 2 + 3 * 2);
+
+  ByteReader r(buf);
+  Sample out;
+  fields(r, out);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(out.a, in.a);
+  EXPECT_EQ(out.b, in.b);
+  EXPECT_EQ(out.c, in.c);
+  EXPECT_EQ(out.d, in.d);
+  EXPECT_EQ(out.e, in.e);
+  EXPECT_EQ(out.f, in.f);
+  EXPECT_TRUE(out.flag);
+  EXPECT_EQ(out.narrow, in.narrow);
+  EXPECT_EQ(out.list, in.list);
+}
+
+TEST(Bytes, ReaderOverrunLatchesFailure) {
   std::vector<uint8_t> buf = {1, 2};
   ByteReader r(buf);
-  r.u16();
-  EXPECT_THROW(r.u8(), CheckError);
+  uint16_t v = 0;
+  r.u16(v);
+  EXPECT_TRUE(r.done());
+  uint8_t past = 7;
+  r.u8(past);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(past, 0);  // every field after a failure reads as zero
+  EXPECT_TRUE(r.bytes(1).empty());
+}
+
+TEST(Bytes, ReaderRejectsCountsAndValuesThatCannotFit) {
+  // A count of 0xFFFF two-byte elements with only 4 bytes behind it fails
+  // before the vector is resized.
+  Sample m;
+  std::vector<uint8_t> buf = {0xFF, 0xFF, 1, 0, 2, 0};
+  ByteReader counted(buf);
+  counted.count16(m.list, 2);
+  EXPECT_FALSE(counted.ok());
+  EXPECT_TRUE(m.list.empty());
+
+  // A bounded field refuses a wire value above its bound.
+  std::vector<uint8_t> wide = {0x00, 0x00, 0x01, 0x00};  // 65536
+  ByteReader bounded(wide);
+  bounded.u32(m.narrow, 0xFFFF);
+  EXPECT_FALSE(bounded.ok());
 }
 
 TEST(RunningStat, WelfordMoments) {

@@ -1,7 +1,7 @@
-// Sub-picture / SPH / MEI wire-format tests.
+// Sub-picture / SPH wire-format tests. The MEI list travels inside SpMsg
+// (test_wire.cpp).
 #include <gtest/gtest.h>
 
-#include "core/mei.h"
 #include "core/subpicture.h"
 
 namespace pdw::core {
@@ -97,43 +97,6 @@ TEST(PicInfo, PceRoundtrip) {
   EXPECT_EQ(back.intra_dc_precision, 1);
   EXPECT_TRUE(back.q_scale_type);
   EXPECT_TRUE(back.alternate_scan);
-}
-
-TEST(StreamInfo, Roundtrip) {
-  StreamInfo si;
-  si.seq.width = 3840;
-  si.seq.height = 2912;
-  si.seq.frame_rate_code = 5;
-  for (int i = 0; i < 64; ++i) {
-    si.seq.intra_quant[size_t(i)] = uint8_t(i + 1);
-    si.seq.non_intra_quant[size_t(i)] = uint8_t(64 - i);
-  }
-  std::vector<uint8_t> wire;
-  si.serialize(&wire);
-  const StreamInfo back = StreamInfo::deserialize(wire);
-  EXPECT_EQ(back.seq.width, 3840);
-  EXPECT_EQ(back.seq.height, 2912);
-  EXPECT_EQ(back.seq.intra_quant, si.seq.intra_quant);
-  EXPECT_EQ(back.seq.non_intra_quant, si.seq.non_intra_quant);
-}
-
-TEST(Mei, SerializeDeserializeRoundtrip) {
-  std::vector<MeiInstruction> list = {
-      {MeiOp::kSend, 0, 10, 20, 3},
-      {MeiOp::kRecv, 1, 200, 180, 15},
-      {MeiOp::kSend, 1, 0, 0, 0},
-  };
-  std::vector<uint8_t> wire;
-  serialize_mei(list, &wire);
-  EXPECT_EQ(wire.size(), 4 + list.size() * kMeiWireBytes);
-  const auto back = deserialize_mei(wire);
-  EXPECT_EQ(back, list);
-}
-
-TEST(Mei, EmptyListRoundtrips) {
-  std::vector<uint8_t> wire;
-  serialize_mei({}, &wire);
-  EXPECT_TRUE(deserialize_mei(wire).empty());
 }
 
 }  // namespace

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
+#include "core/subpicture.h"
+#include "net/rendezvous.h"
+#include "net/socket_fabric.h"
+#include "obs/telemetry.h"
 #include "proto/wire.h"
 
 namespace pdw::proto {
@@ -81,7 +86,7 @@ TEST(WireRoundtrip, Picture) {
 }
 
 TEST(WireRoundtrip, SubPicture) {
-  const SpMsg m = sample_sp();
+  SpMsg m = sample_sp();
   EXPECT_EQ(roundtrip(m), m);
   const Packed p = pack(m);
   EXPECT_EQ(p.type, MsgType::kSubPicture);
@@ -90,6 +95,12 @@ TEST(WireRoundtrip, SubPicture) {
   EXPECT_TRUE(p.bulk);
   EXPECT_EQ(p.body.size(),
             sp_msg_wire_bytes(m.subpicture.size(), m.mei.size()));
+  // Every MEI op, and the empty list, survive the list's one layout.
+  m.mei.push_back({core::MeiOp::kRecv, 1, 200, 180, 15});
+  EXPECT_EQ(roundtrip(m), m);
+  m.mei.clear();
+  EXPECT_EQ(roundtrip(m), m);
+  EXPECT_EQ(pack(m).body.size(), sp_msg_wire_bytes(m.subpicture.size(), 0));
 }
 
 TEST(WireRoundtrip, GoAheadAck) {
@@ -353,6 +364,213 @@ TEST(WireSizes, AccountingHelpersMatchPackedBodies) {
             sp_msg_wire_bytes(sp.subpicture.size(), sp.mei.size()));
   const PictureMsg pic = sample_picture();
   EXPECT_EQ(pack(pic).body.size(), picture_msg_wire_bytes(pic.coded.size()));
+}
+
+// --- Pinned layouts ----------------------------------------------------------
+
+std::vector<uint8_t> body_of(const Packed& p) {
+  return {p.body.span().begin(), p.body.span().end()};
+}
+
+std::string hex(std::span<const uint8_t> bytes) {
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out += "0123456789abcdef"[b >> 4];
+    out += "0123456789abcdef"[b & 15];
+  }
+  return out;
+}
+
+// A sub-picture with two runs whose every field differs from its default.
+core::SubPicture pinned_subpicture() {
+  core::SubPicture sp;
+  sp.info.pic_index = 17;
+  sp.info.type = mpeg2::PicType::P;
+  sp.info.f_code[0][0] = 2;
+  sp.info.f_code[0][1] = 3;
+  sp.info.intra_dc_precision = 1;
+  sp.info.q_scale_type = true;
+  sp.info.temporal_reference = 5;
+  core::SpRun a;
+  a.state.dc_pred[0] = 128;
+  a.state.dc_pred[1] = -3;
+  a.state.dc_pred[2] = 1024;
+  a.state.pmv[0][0] = -2;
+  a.state.pmv[0][1] = 7;
+  a.state.quant_scale_code = 9;
+  a.state.prev_motion_flags = 2;
+  a.skip_bits = 3;
+  a.first_coded_addr = 45;
+  a.num_coded = 4;
+  a.lead_skip_addr = 44;
+  a.lead_skip_count = 1;
+  a.payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
+  core::SpRun b;
+  b.state.dc_pred[0] = 1;
+  b.state.dc_pred[1] = 2;
+  b.state.dc_pred[2] = 3;
+  b.first_coded_addr = 90;
+  b.num_coded = 2;
+  b.trail_skip_addr = 92;
+  b.trail_skip_count = 3;
+  b.payload = {0x11, 0x22};
+  sp.runs = {a, b};
+  return sp;
+}
+
+// The header of the first datagram of a 10-byte message node 1 sends.
+std::vector<uint8_t> pinned_datagram_header() {
+  net::DatagramHeader h;
+  h.header.src = 1;
+  h.header.type = 4;
+  h.header.seq = 77;
+  h.header.aux = 5;
+  h.header.stream = 2;
+  h.header.bulk = true;
+  h.header.tseq = 9;
+  h.header.crc = 0xCAFEBABE;
+  h.msg_id = 1;
+  h.count = 1;
+  h.total = 10;
+  std::vector<uint8_t> out(net::kDatagramHeaderBytes);
+  net::encode_datagram_header(
+      h, std::span<uint8_t, net::kDatagramHeaderBytes>(out.data(),
+                                                       out.size()));
+  return out;
+}
+
+obs::TelemetryFrame pinned_frame() {
+  obs::TelemetryFrame f;
+  f.token = 7;
+  f.seq = 3;
+  f.hello = obs::HelloRecord{4242, 1, 1, 3, {0, 1, 2}};
+  f.metrics.push_back({"pictures_decoded", 2, 0, obs::MetricKind::kCounter,
+                       42, 0, 0, {}});
+  f.metrics.push_back(
+      {"queue_depth", 1, -1, obs::MetricKind::kGauge, 0, -5, 0, {}});
+  f.metrics.push_back({"decode_ns", 2, -1, obs::MetricKind::kHistogram, 3, 0,
+                       9000, {{12, 2}, {13, 1}}});
+  f.spans.push_back({"decode_sp", 'X', 2, 1, 1000, 500, 7});
+  f.probes.push_back({5, 123456});
+  f.replies.push_back({5, 123456, 200000, 200100});
+  f.offset = obs::OffsetRecord{-37000, 800, 4, 1};
+  f.bye = true;
+  return f;
+}
+
+// Every wire layout's bytes, as the hand-written encoders produced them
+// before the field lists (common/bytes.h) replaced them. Round trips pass
+// whenever both sides move together; these catch a layout that moved.
+TEST(WireLayout, BytesMatchParent) {
+  ExchangeMsg ex;
+  ex.pic_index = 9;
+  ex.src_tile = 1;
+  ex.dst_tile = 2;
+  ex.stream = 1;
+  ExchangeEntry e;
+  e.instr = {core::MeiOp::kRecv, 1, 11, 13, 1};
+  e.tainted = true;
+  auto* px = reinterpret_cast<uint8_t*>(&e.px);
+  for (size_t i = 0; i < sizeof(e.px); ++i) px[i] = uint8_t(i * 7);
+  ex.entries.push_back(e);
+  PartitionUpdateMsg pu;
+  pu.epoch = 2;
+  pu.apply_from_pic = 12;
+  pu.stream = 1;
+  pu.col_cuts_mb = {5, 11};
+  pu.row_cuts_mb = {4};
+  CostReportMsg cr;
+  cr.pic_index = 7;
+  cr.stream = 1;
+  cr.col_cost = {10, 20, 30, 40};
+  cr.row_cost = {25, 75};
+  std::vector<uint8_t> sub;
+  pinned_subpicture().serialize(&sub);
+  using Kind = net::RendezvousMsg::Kind;
+  const net::Endpoint ep{net::kLoopbackIp, 40000};
+
+  const struct {
+    const char* name;
+    std::vector<uint8_t> got;
+    const char* want;
+  } cases[] = {
+      {"picture", body_of(pack(sample_picture())),
+       "020103290000000200040000000600000000000100abcd"},
+      {"subpicture", body_of(pack(sample_sp())),
+       "020201070000000500020000000500000001020304050200000000010a00"
+       "140003000280040006006070"},
+      {"goahead", body_of(pack(GoAheadAck{6, 2})),
+       "02030206000000"},
+      {"exchange", body_of(pack(ex)),
+       "02040109000000010002000100000081010b000d00010000070e151c232a"
+       "31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc"
+       "030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ce"
+       "d5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0"
+       "a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b72"
+       "7980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d44"
+       "4b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f16"
+       "1d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8"
+       "eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3ba"
+       "c1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c"
+       "939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e"
+       "656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930"
+       "373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb02"
+       "0910171e252c333a41484f565d646b7279"},
+      {"end_of_stream", body_of(pack(EndOfStream{4})),
+       "020504"},
+      {"heartbeat", body_of(pack(Heartbeat{3, 1})),
+       "0206010300"},
+      {"finished", body_of(pack(Finished{2, 1})),
+       "0207010200"},
+      {"death_notice", body_of(pack(DeathNotice{1, 3, 12, 2})),
+       "020802010003000c000000"},
+      {"skip", body_of(pack(SkipBroadcast{4, 1, 0})),
+       "020900040000000100"},
+      {"stream_request",
+       body_of(pack(StreamRequest{45, 30, 24, PriorityClass::kPremium, 3})),
+       "020a032d001e00180002"},
+      {"stream_reply",
+       body_of(pack(StreamReply{AdmissionVerdict::kRenegotiate,
+                                DegradeLevel::kSkipB, 3})),
+       "020b030201"},
+      {"partition_update", body_of(pack(pu)),
+       "020c01020000000c0000000200010005000b000400"},
+      {"cost_report", body_of(pack(cr)),
+       "020d0107000000040002000a000000140000001e00000028000000190000"
+       "004b000000"},
+      {"sub_picture", sub,
+       "110000000202030f0f01010005000200000080000000fdffffff00040000"
+       "feff0700000000000902032d00000004002c000000010000000000000005"
+       "000000deadbeef0101000000020000000300000000000000000000000100"
+       "005a00000002000000000000005c0000000300020000001122"},
+      {"datagram_header", pinned_datagram_header(),
+       "4657445001000000040000004d0000000500020109000000bebafeca0100"
+       "0000000001000a0000000000000025ac949f"},
+      {"rendezvous_join",
+       net::encode_rendezvous({Kind::kJoin, 1, ep, {}}),
+       "5257445001000000010000000100007f409c0000"},
+      {"rendezvous_wait", net::encode_rendezvous({Kind::kWait, 0, {}, {}}),
+       "5257445002000000"},
+      {"rendezvous_map",
+       net::encode_rendezvous({Kind::kMap, 0, {}, {ep, ep, ep}}),
+       "5257445003000000030000000100007f409c00000100007f409c00000100"
+       "007f409c0000"},
+      {"rendezvous_map_ack",
+       net::encode_rendezvous({Kind::kMapAck, 2, {}, {}}),
+       "525744500400000002000000"},
+      {"telemetry_frame", obs::encode_frame(pinned_frame()),
+       "50445754020000000700000000000000030000000a000133000400107069"
+       "6374757265735f6465636f6465640b71756575655f646570746809646563"
+       "6f64655f6e73096465636f64655f73700212009210000001000100030003"
+       "00000001000200050c000500000040e2010000000000061c000500000040"
+       "e2010000000000400d030000000000a40d030000000000071500786fffff"
+       "ffffffff20030000000000000400000001030f00000000020000002a0000"
+       "0000000000030f000100010100fffffbffffffffffffff032a0002000202"
+       "00ffff03000000000000002823000000000000020c02000000000000000d"
+       "010000000000000004210001000300580200000001000000e80300000000"
+       "0000f40100000000000007000000080000"},
+  };
+  for (const auto& c : cases) EXPECT_EQ(hex(c.got), c.want) << c.name;
 }
 
 }  // namespace
