@@ -168,7 +168,8 @@ int main(int argc, char** argv) {
       {"join", {Kind::kJoin, 1, ep, {}}},
       {"wait", {Kind::kWait, 0, {}, {}}},
       {"map", {Kind::kMap, 0, {}, {ep, ep, ep}}},
-      {"map_ack", {Kind::kMapAck, 2, {}, {}}}};
+      {"map_ack", {Kind::kMapAck, 2, {}, {}}},
+      {"done", {Kind::kDone, 0, {}, {}}}};
   for (const auto& [name, msg] : rv)
     write_file(root + "/rendezvous/" + name + ".bin",
                net::encode_rendezvous(msg));

@@ -16,6 +16,11 @@ constexpr uint32_t kRvMagic = 0x50445752u;  // 'PDWR'
 // JOIN retry delay: doubles from the first value up to the cap.
 constexpr double kBackoffInitialS = 0.02;
 constexpr double kBackoffMaxS = 0.5;
+// Once a joiner holds the map it re-sends MAP_ACK this often until DONE.
+constexpr double kAckResendS = 0.01;
+// Fallback for a lost DONE: a joiner holding the map leaves once this long
+// passes without a MAP (the listener heard every ack and returned).
+constexpr double kQuietWindowS = 0.12;
 
 using Kind = RendezvousMsg::Kind;
 
@@ -34,7 +39,7 @@ void fields(IO& io, M& m, uint32_t wall) {
   io.u32(magic);
   io.u32(m.kind);
   io.check(magic == kRvMagic && m.kind >= Kind::kJoin &&
-           m.kind <= Kind::kMapAck);
+           m.kind <= Kind::kDone);
   if (m.kind == Kind::kJoin || m.kind == Kind::kMapAck) {
     io.u32(m.node);
     io.check(uint32_t(m.node) < wall);
@@ -95,31 +100,40 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
   PDW_CHECK(sock.ok()) << std::strerror(sock.error());
   const WallTimer clock;
   double backoff = kBackoffInitialS;
-  bool have_map = false;
+  double next_send = 0;    // next JOIN (backoff slot) or MAP_ACK resend
+  double quiet_until = 0;  // with the map: fallback exit without DONE
+  bool have_map = false, done = false;
   // One spare byte: an overlong datagram reads as one and fails the parse.
   std::vector<uint8_t> buf(12 + 8 * size_t(std::max(nodes, 0)) + 1);
   const std::vector<uint8_t> join = encode(Kind::kJoin, self, local);
+  const std::vector<uint8_t> ack = encode(Kind::kMapAck, self);
 
-  while (clock.seconds() < cfg.timeout_s) {
-    if (!have_map) sock.send(server, join);
-    // After the map arrived, linger briefly re-acking resends (our first
-    // MAP_ACK may have been lost); a quiet window means the listener heard.
-    const double wait =
-        have_map ? 0.12 : std::min(backoff, cfg.timeout_s - clock.seconds());
-    backoff = std::min(backoff * 2, kBackoffMaxS);
+  while (!done && clock.seconds() < cfg.timeout_s) {
+    const double now = clock.seconds();
+    if (have_map && now >= quiet_until) break;  // DONE lost, listener gone
+    // JOIN only when its backoff slot is up, never in reply to a WAIT (that
+    // would ping-pong with the listener until the last node joins).
+    if (now >= next_send) {
+      sock.send(server, have_map ? ack : join);
+      next_send = now + (have_map ? kAckResendS : backoff);
+      if (!have_map) backoff = std::min(backoff * 2, kBackoffMaxS);
+    }
+    const double until =
+        std::min(next_send, have_map ? quiet_until : cfg.timeout_s);
 
     const std::optional<size_t> n =
-        sock.wait(wait) ? sock.recv(buf) : std::nullopt;
-    if (!n) {
-      if (have_map) break;  // quiet after MAP: done
-      continue;
-    }
+        sock.wait(until - now) ? sock.recv(buf) : std::nullopt;
     std::optional<RendezvousMsg> msg =
-        decode_rendezvous({buf.data(), *n}, nodes);
-    if (!msg || msg->kind != Kind::kMap) continue;  // WAIT, or noise
-    *out = std::move(msg->map);
-    sock.send(server, encode(Kind::kMapAck, self));
-    have_map = true;
+        n ? decode_rendezvous({buf.data(), *n}, nodes) : std::nullopt;
+    if (msg && msg->kind == Kind::kDone) {
+      done = have_map;
+    } else if (msg && msg->kind == Kind::kMap) {
+      // The first MAP or a resend: the loop head acks it at once.
+      *out = std::move(msg->map);
+      have_map = true;
+      next_send = 0;
+      quiet_until = clock.seconds() + kQuietWindowS;
+    }  // WAIT or noise: keep to the timers
   }
   return finish(sock, cfg, self, have_map, "join");
 }
@@ -166,7 +180,9 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
       // iteration pushes the map). Tell the joiner to hold on.
       if (!all_joined) sock_.send(from, encode(Kind::kWait));
     } else if (msg && msg->kind == Kind::kMapAck) {
+      // Confirm every ack, duplicates included: the joiner leaves on DONE.
       acked_[size_t(msg->node)] = true;
+      sock_.send(from, encode(Kind::kDone));
     }
 
     if (all(joined_) && t >= next_push) {

@@ -2,14 +2,24 @@
 // only share one well-known address find each other's ephemeral endpoints.
 //
 // Protocol (all datagrams, all idempotent, safe under loss/duplication):
-//   * joiner -> listener  JOIN(node, endpoint)   retried with capped backoff
-//   * listener -> joiner  WAIT                    not everyone has joined yet
-//   * listener -> joiner  MAP(node -> endpoint)   complete map, resent until
-//   * joiner -> listener  MAP_ACK(node)           ...every node has acked
+//   * joiner -> listener  JOIN(node, endpoint)   on its backoff timer only
+//   * listener -> joiner  WAIT                   not everyone has joined yet
+//   * listener -> joiner  MAP(node -> endpoint)  complete map, resent until
+//   * joiner -> listener  MAP_ACK(node)          ...that node acks
+//   * listener -> joiner  DONE                   the reply to every MAP_ACK
 //
-// Joiners never hang: rendezvous_join() retries JOIN under capped
-// exponential backoff and returns a typed kTimeout when the deadline
-// passes (a missing peer process is an operator error, not a livelock).
+// Timers: a joiner sends JOIN when its backoff slot (20 ms, doubling to
+// 500 ms) is up, never in reply to WAIT, so an early joiner sleeps instead
+// of ping-ponging with the listener until the last node joins. The listener
+// resends MAP every 50 ms to each node that has not acked. A joiner acks
+// every MAP it receives and re-sends MAP_ACK every 10 ms until DONE.
+//
+// The listener returns once every node has joined and acked; a joiner
+// returns on DONE. If DONE is lost after the listener returned, the joiner
+// still holds the map and leaves after a quiet window of 120 ms without a
+// MAP. Joiners never hang: rendezvous_join() returns a typed kTimeout when
+// the deadline passes without a map (a missing peer process is an operator
+// error, not a livelock).
 //
 // A failed send is counted, not ignored: when a side finishes it adds its
 // socket's failed sends to rendezvous_send_failures (joiners labeled
@@ -45,8 +55,11 @@ struct RendezvousConfig {
 //   WAIT:    magic, kind=2
 //   MAP:     magic, kind=3, count, count x (ip, port)
 //   MAP_ACK: magic, kind=4, node
+//   DONE:    magic, kind=5
 struct RendezvousMsg {
-  enum class Kind : uint32_t { kJoin = 1, kWait = 2, kMap = 3, kMapAck = 4 };
+  enum class Kind : uint32_t {
+    kJoin = 1, kWait = 2, kMap = 3, kMapAck = 4, kDone = 5
+  };
   Kind kind = Kind::kWait;
   int node = 0;               // JOIN, MAP_ACK
   Endpoint endpoint;          // JOIN: the joiner's fabric endpoint
@@ -71,7 +84,8 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
                                  RendezvousConfig cfg = {});
 
 // The one listener (hosted by the root process, or by the test driver for
-// an in-process wall). Collects JOINs, then pushes MAP until acked.
+// an in-process wall). Collects JOINs, then pushes MAP until acked, and
+// answers every MAP_ACK with DONE.
 class RendezvousServer {
  public:
   // port 0 binds an ephemeral port; endpoint() reports the actual one.

@@ -7,8 +7,10 @@
 // surviving seeded datagram faults.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -119,6 +121,7 @@ TEST(RendezvousCodec, RoundTripsEveryKindAndRejectsMalformed) {
       {Kind::kWait, 0, {}, {}},
       {Kind::kMap, 0, {}, {{kLoopbackIp, 1}, {kLoopbackIp, 2}, {1, 3}}},
       {Kind::kMapAck, 1, {}, {}},
+      {Kind::kDone, 0, {}, {}},
   };
   for (const RendezvousMsg& m : msgs) {
     const std::vector<uint8_t> d = encode_rendezvous(m);
@@ -401,6 +404,154 @@ TEST(Rendezvous, FailedJoinSendsAreCounted) {
       reg.counter(obs::family::kRendezvousSendFailures, obs::Labels{3, -1})
           .value(),
       0u);
+}
+
+// --- Rendezvous against scripted fake peers ---------------------------------
+//
+// Each fake peer is a plain UdpSocket that the test drives datagram by
+// datagram, so loss is injected exactly where the test says and every
+// assertion counts datagrams instead of timing them.
+
+using Kind = RendezvousMsg::Kind;
+
+// The next rendezvous datagram on `sock` within `timeout_s`, or nullopt.
+std::optional<RendezvousMsg> next_rv(UdpSocket& sock, int nodes,
+                                     Endpoint* from, double timeout_s) {
+  uint8_t buf[64];
+  if (!sock.wait(timeout_s)) return std::nullopt;
+  const std::optional<size_t> n = sock.recv(buf, from);
+  return n ? decode_rendezvous({buf, *n}, nodes) : std::nullopt;
+}
+
+// A fake listener on its own thread: hands every datagram to `on_msg`, and
+// nullopt after each 5 ms without one, until stop(); then the counters it
+// updates are safe to read.
+class FakeListener {
+ public:
+  using Handler = std::function<void(
+      UdpSocket&, const std::optional<RendezvousMsg>&, Endpoint from)>;
+  FakeListener(int nodes, Handler on_msg)
+      : thread_([this, nodes, on_msg] {
+          while (!stop_.load()) {
+            Endpoint from;
+            on_msg(sock_, next_rv(sock_, nodes, &from, 0.005), from);
+          }
+        }) {}
+  ~FakeListener() { stop(); }
+  FakeListener(const FakeListener&) = delete;
+  FakeListener& operator=(const FakeListener&) = delete;
+
+  Endpoint endpoint() const { return sock_.local(); }
+  void stop() {
+    stop_ = true;
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  UdpSocket sock_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+const std::vector<Endpoint> kFakeMap = {{kLoopbackIp, 7000},
+                                        {kLoopbackIp, 7001}};
+
+bool is(const std::optional<RendezvousMsg>& m, Kind kind) {
+  return m && m->kind == kind;
+}
+
+TEST(RendezvousLoss, JoinerResendsJoinOnlyOnItsBackoffNotOnWait) {
+  int joins = 0;
+  FakeListener listener(2, [&](UdpSocket& s, const auto& m, Endpoint from) {
+    if (!is(m, Kind::kJoin)) return;
+    ++joins;
+    s.send(from, encode_rendezvous({Kind::kWait, 0, {}, {}}));
+  });
+  RendezvousConfig cfg;
+  cfg.timeout_s = 0.3;
+  std::vector<Endpoint> map;
+  EXPECT_EQ(rendezvous_join(listener.endpoint(), 0, kFakeMap[0], 2, &map, cfg),
+            RendezvousStatus::kTimeout);
+  listener.stop();
+  // Backoff slots at 0, 20, 60, 140 and 300 ms: about five JOINs. A joiner
+  // that answered every WAIT with a JOIN sends thousands.
+  EXPECT_GE(joins, 2);
+  EXPECT_LE(joins, 10);
+}
+
+TEST(RendezvousLoss, JoinerReacksALostMapAckAndLeavesOnDone) {
+  int acks = 0, dones = 0;
+  Endpoint joiner;
+  FakeListener listener(2, [&](UdpSocket& s, const auto& m, Endpoint from) {
+    if (is(m, Kind::kJoin)) joiner = from;
+    // The first MAP_ACK is "lost": only later ones are confirmed.
+    if (is(m, Kind::kMapAck) && ++acks > 1) {
+      s.send(from, encode_rendezvous({Kind::kDone, 0, {}, {}}));
+      ++dones;
+    }
+    // Push the map whenever idle, before and after DONE alike. The quiet
+    // window never opens, so the joiner can leave early only on DONE;
+    // without it the joiner would ack every push until its 5 s deadline.
+    if (!m && joiner.port != 0)
+      s.send(joiner, encode_rendezvous({Kind::kMap, 0, {}, kFakeMap}));
+  });
+  RendezvousConfig cfg;
+  cfg.timeout_s = 5.0;
+  std::vector<Endpoint> map;
+  EXPECT_EQ(rendezvous_join(listener.endpoint(), 1, kFakeMap[1], 2, &map, cfg),
+            RendezvousStatus::kOk);
+  listener.stop();
+  EXPECT_EQ(map, kFakeMap);
+  EXPECT_GE(acks, 2);
+  EXPECT_LE(acks, 20);
+  EXPECT_GE(dones, 1);
+}
+
+TEST(RendezvousLoss, JoinerWithTheMapLeavesWhenDoneNeverComes) {
+  int acks = 0;
+  FakeListener listener(2, [&](UdpSocket& s, const auto& m, Endpoint from) {
+    if (is(m, Kind::kJoin))
+      s.send(from, encode_rendezvous({Kind::kMap, 0, {}, kFakeMap}));
+    if (is(m, Kind::kMapAck)) ++acks;  // never confirmed
+  });
+  RendezvousConfig cfg;
+  cfg.timeout_s = 5.0;
+  std::vector<Endpoint> map;
+  EXPECT_EQ(rendezvous_join(listener.endpoint(), 0, kFakeMap[0], 2, &map, cfg),
+            RendezvousStatus::kOk);
+  listener.stop();
+  EXPECT_EQ(map, kFakeMap);
+  // One MAP, yet more than one ack: the joiner re-acks on its timer while
+  // it waits out the quiet window.
+  EXPECT_GE(acks, 2);
+}
+
+TEST(RendezvousLoss, ListenerResendsALostMapAndConfirmsTheLateAck) {
+  RendezvousServer server(1);
+  RendezvousConfig cfg;
+  cfg.timeout_s = 5.0;
+  server.serve_async(cfg);
+
+  // A fake joiner that "loses" the first MAP.
+  UdpSocket joiner;
+  const Endpoint fabric{kLoopbackIp, 7000};
+  joiner.send(server.endpoint(), encode_rendezvous({Kind::kJoin, 0, fabric, {}}));
+  int maps = 0;
+  bool done = false;
+  while (!done) {
+    Endpoint from;
+    const std::optional<RendezvousMsg> m = next_rv(joiner, 1, &from, 5.0);
+    ASSERT_TRUE(m.has_value()) << "after " << maps << " MAPs";
+    if (m->kind == Kind::kMap) {
+      EXPECT_EQ(m->map, std::vector<Endpoint>{fabric});
+      if (++maps > 1)
+        joiner.send(server.endpoint(),
+                    encode_rendezvous({Kind::kMapAck, 0, {}, {}}));
+    }
+    done = m->kind == Kind::kDone;
+  }
+  EXPECT_GE(maps, 2);
+  EXPECT_EQ(server.result(), RendezvousStatus::kOk);
 }
 
 // --- Adaptive RTO over real sockets ----------------------------------------

@@ -558,6 +558,8 @@ TEST(WireLayout, BytesMatchParent) {
       {"rendezvous_map_ack",
        net::encode_rendezvous({Kind::kMapAck, 2, {}, {}}),
        "525744500400000002000000"},
+      {"rendezvous_done", net::encode_rendezvous({Kind::kDone, 0, {}, {}}),
+       "5257445005000000"},
       {"telemetry_frame", obs::encode_frame(pinned_frame()),
        "50445754020000000700000000000000030000000a000133000400107069"
        "6374757265735f6465636f6465640b71756575655f646570746809646563"
