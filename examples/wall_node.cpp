@@ -2,8 +2,9 @@
 // shape. Every process is launched with its node id, the shared wall
 // parameters and the rendezvous address; node 0 (the root) additionally
 // hosts the UDP rendezvous listener that hands every process the full
-// node -> endpoint map. The processes then run exactly the hosts the
-// in-process engines run (core/hosts.h), over per-process SocketFabrics.
+// node -> endpoint map. Each process then makes the one core::run_node call
+// the in-process runner makes per node thread (core/hosts.h), over a
+// WallContext and a SocketFabric of its own.
 //
 // The test stream is generated deterministically inside every process from
 // the shared (width, height, scene, seed, frames) parameters — same binary,
@@ -23,7 +24,6 @@
 // FaultInjector that this process's SocketFabric applies to every datagram
 // it receives. Each process impairs only what it receives, so pass the same
 // flags to every node to impair the whole wall.
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -36,26 +36,23 @@
 #include <thread>
 #include <vector>
 
-#include "common/timing.h"
 #include "core/hosts.h"
 #include "core/lockstep.h"
-#include "core/pipeline.h"
-#include "core/root_splitter.h"
+#include "core/socket_wall.h"
 #include "enc/encoder.h"
 #include "net/fault.h"
-#include "net/rendezvous.h"
-#include "net/socket_fabric.h"
 #include "obs/flight.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "video/generator.h"
 #include "wall/geometry.h"
 
 namespace {
 
-using pdw::core::HostShared;
 using pdw::core::TileDisplayInfo;
+using pdw::core::WallContext;
 
+// Process and stream fields. The wall's own settings (--hb-timeout, the
+// impairment and the telemetry flags) parse into a core::SocketWallOptions.
 struct Options {
   bool check = false;
   int node = -1;
@@ -66,14 +63,9 @@ struct Options {
   uint16_t rv_port = 0;
   std::string report;
   std::vector<std::string> reports;
-  double loss = 0, dup = 0, delay = 0;
-  uint64_t impair_seed = 1;
   double timeout_s = 30;
   double linger_s = 1.0;
-  uint16_t telemetry_port = 0;  // 0: sideband off
-  double telemetry_interval_s = 0.2;
   std::string flight_dir;   // non-empty: per-node flight recorder on
-  double hb_timeout_s = 0;  // 0: protocol default (effectively infinite)
   // Chaos hook: raise SIGTERM after this many displayed tile-pictures
   // (decoders only; 0 = never). Deterministic "node killed mid-run" for the
   // obs-smoke flight-recorder leg.
@@ -97,7 +89,15 @@ int usage() {
   return 2;
 }
 
-bool parse(int argc, char** argv, Options* o) {
+// Every process builds the same seeded schedule into `injector` and
+// applies it to what it receives; decisions key on (sender, receiver), so
+// the processes together impair every link. wall->injector points at it
+// only when a rate is set.
+bool parse(int argc, char** argv, Options* o,
+           pdw::core::SocketWallOptions* wall,
+           pdw::net::FaultInjector* injector) {
+  pdw::net::FaultRates rates;
+  uint64_t impair_seed = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
@@ -123,22 +123,28 @@ bool parse(int argc, char** argv, Options* o) {
       else if (a == "--seed") o->seed = uint64_t(std::atoll(v));
       else if (a == "--rv-port") o->rv_port = uint16_t(std::atoi(v));
       else if (a == "--report") o->report = v;
-      else if (a == "--loss") o->loss = std::atof(v);
-      else if (a == "--dup") o->dup = std::atof(v);
-      else if (a == "--delay") o->delay = std::atof(v);
-      else if (a == "--impair-seed") o->impair_seed = uint64_t(std::atoll(v));
+      else if (a == "--loss") rates.drop = std::atof(v);
+      else if (a == "--dup") rates.dup = std::atof(v);
+      else if (a == "--delay") rates.delay = std::atof(v);
+      else if (a == "--impair-seed") impair_seed = uint64_t(std::atoll(v));
       else if (a == "--timeout") o->timeout_s = std::atof(v);
       else if (a == "--linger") o->linger_s = std::atof(v);
       else if (a == "--telemetry-port")
-        o->telemetry_port = uint16_t(std::atoi(v));
+        wall->telemetry_port = uint16_t(std::atoi(v));
       else if (a == "--telemetry-interval")
-        o->telemetry_interval_s = std::atof(v);
+        wall->telemetry_interval_s = std::atof(v);
       else if (a == "--flight-dir") o->flight_dir = v;
-      else if (a == "--hb-timeout") o->hb_timeout_s = std::atof(v);
-      else if (a == "--die-after") o->die_after = std::atoi(v);
+      else if (a == "--hb-timeout") {
+        // 0 keeps the protocol default (effectively infinite).
+        if (const double t = std::atof(v); t > 0)
+          wall->protocol.heartbeat_timeout_s = t;
+      } else if (a == "--die-after") o->die_after = std::atoi(v);
       else return false;
     }
   }
+  *injector = pdw::net::FaultInjector(impair_seed, rates);
+  if (rates.drop > 0 || rates.dup > 0 || rates.delay > 0)
+    wall->injector = injector;
   return true;
 }
 
@@ -183,19 +189,19 @@ uint64_t digest_tile(const pdw::mpeg2::TileFrame& tf) {
 using DigestMap = std::map<std::pair<int, int>, uint64_t>;
 
 void write_report(const std::string& path, int node, int nodes,
-                  const HostShared& shared, const pdw::net::ReliableStats& rs,
+                  const WallContext& ctx, const pdw::net::ReliableStats& rs,
                   const DigestMap& digests) {
   std::ofstream f(path, std::ios::trunc);
   f << "pdw-wallnode-report 1\n";
   f << "node " << node << " nodes " << nodes << "\n";
   f << "stats " << rs.sent << " " << rs.retransmits << " " << rs.abandoned
     << " " << rs.delivered << " " << rs.rtt_samples << "\n";
-  f << "degraded " << shared.degraded.load() << "\n";
-  for (const auto& [type, count] : shared.acct.counts)
+  f << "degraded " << ctx.degraded.load() << "\n";
+  for (const auto& [type, count] : ctx.acct.counts)
     f << "count " << int(type) << " " << count << "\n";
   for (int s = 0; s < nodes; ++s)
     for (int d = 0; d < nodes; ++d)
-      if (const uint64_t b = shared.acct.traffic.at(s, d))
+      if (const uint64_t b = ctx.acct.traffic.at(s, d))
         f << "traffic " << s << " " << d << " " << b << "\n";
   for (const auto& [key, h] : digests)
     f << "digest " << key.first << " " << key.second << " " << h << "\n";
@@ -355,7 +361,7 @@ int run_check(const Options& o) {
   return ok ? 0 : 1;
 }
 
-int run_node(const Options& o) {
+int run_process(const Options& o, const pdw::core::SocketWallOptions& wall) {
   const pdw::wall::TileGeometry geo(o.width, o.height, o.m, o.n, o.overlap);
   const pdw::proto::Topology topo{o.k, geo.tiles()};
   const int nodes = topo.nodes();
@@ -365,7 +371,7 @@ int run_node(const Options& o) {
   // Observability sideband, all off by default. The tracer is global and the
   // hosts stamp spans with their node id, so a single-node process's spans
   // carry exactly this node's pid in the merged trace.
-  if (o.telemetry_port != 0 && !pdw::obs::Tracer::global().enabled())
+  if (wall.telemetry_port != 0 && !pdw::obs::Tracer::global().enabled())
     pdw::obs::Tracer::global().enable(size_t(1) << 15);
   if (!o.flight_dir.empty()) {
     pdw::obs::FlightRecorder::Config fc;
@@ -374,36 +380,26 @@ int run_node(const Options& o) {
     pdw::obs::FlightRecorder::global().configure(fc);
     pdw::obs::FlightRecorder::install_signal_handlers();
   }
-  std::unique_ptr<pdw::obs::TelemetryExporter> telemetry;
-  if (o.telemetry_port != 0) {
-    pdw::obs::TelemetryExporterConfig tc;
-    tc.collector = {pdw::net::kLoopbackIp, o.telemetry_port};
-    tc.interval_s = o.telemetry_interval_s;
-    tc.k = uint16_t(o.k);
-    tc.tiles = uint16_t(geo.tiles());
-    tc.nodes = uint16_t(nodes);
-    tc.hosted = {uint16_t(o.node)};
-    telemetry = std::make_unique<pdw::obs::TelemetryExporter>(tc);
-    telemetry->start();
-  }
+  const auto telemetry =
+      pdw::core::start_telemetry(wall, topo, {uint16_t(o.node)});
 
   const std::vector<uint8_t> es = make_stream(o);
-  pdw::core::RootSplitter root(es);
-  const int total_pictures = root.picture_count();
-  pdw::core::prewarm_wire_pool(root, topo);
+  DigestMap digests;
+  int displayed = 0;
+  const pdw::core::TileDisplayFn on_display =
+      [&](int t, const pdw::mpeg2::TileFrame& tf,
+          const TileDisplayInfo& info) {
+        digests[{t, info.display_index}] = digest_tile(tf);
+        // Chaos hook: die mid-run via the real fatal-signal path, so the
+        // flight recorder's handler writes the post-mortem dump.
+        if (o.die_after > 0 && ++displayed >= o.die_after)
+          std::raise(SIGTERM);
+      };
+  WallContext ctx(geo, o.k, es, wall, on_display);
+  pdw::core::prewarm_wire_pool(ctx.root, topo);
 
-  const pdw::core::ProtocolConfig cfg;
-  // Every process builds the same seeded schedule and applies it to what it
-  // receives; decisions key on (sender, receiver), so the processes
-  // together impair every link.
-  pdw::net::FaultRates rates;
-  rates.drop = o.loss;
-  rates.dup = o.dup;
-  rates.delay = o.delay;
-  const pdw::net::FaultInjector injector(o.impair_seed, rates);
-  pdw::net::SocketFabricConfig fab_cfg;
-  if (o.loss > 0 || o.dup > 0 || o.delay > 0) fab_cfg.injector = &injector;
-  pdw::net::SocketFabric fabric(o.node, nodes, fab_cfg);
+  pdw::net::SocketFabric fabric(
+      o.node, nodes, {.metrics = wall.metrics, .injector = wall.injector});
   pdw::net::RendezvousConfig rv_cfg;
   rv_cfg.timeout_s = o.timeout_s;
 
@@ -414,102 +410,38 @@ int run_node(const Options& o) {
     rv->serve_async(rv_cfg);
   }
 
-  HostShared shared;
-  shared.ep_stats.resize(size_t(nodes));
-  shared.acct.reset(nodes);
-  std::mutex display_mu;
-  DigestMap digests;
-  pdw::WallTimer timer;
-
   // Post before the peer map even exists, so the first inbound picture
   // never finds the mailbox empty.
   pdw::core::post_initial_credits(fabric, topo, o.node);
-
-  std::vector<pdw::net::Endpoint> peers;
-  const pdw::net::Endpoint server{pdw::net::kLoopbackIp, o.rv_port};
-  if (pdw::net::rendezvous_join(server, o.node, fabric.local_endpoint(),
-                                nodes, &peers,
-                                rv_cfg) != pdw::net::RendezvousStatus::kOk) {
+  if (!pdw::core::join_wall(fabric, {pdw::net::kLoopbackIp, o.rv_port},
+                            rv_cfg)) {
     std::fprintf(stderr, "node %d: rendezvous timeout\n", o.node);
     return 3;
   }
-  fabric.set_peers(peers);
-
-  // A splitter or decoder runs its host on a thread until the role's done
-  // counter rises, then lingers so peers' tail retransmissions are still
-  // t-acked, and stops the fabric.
-  auto run_role = [&](const std::atomic<int>& done, auto host_body) {
-    std::thread th(host_body);
-    while (done.load(std::memory_order_acquire) < 1)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(int(o.linger_s * 1000)));
-    fabric.shutdown();
-    th.join();
-    return shared.ep_stats[size_t(o.node)];
-  };
-
-  pdw::net::ReliableStats final_stats;
-  if (o.node == topo.root()) {
-    if (rv->result() != pdw::net::RendezvousStatus::kOk) {
-      std::fprintf(stderr, "root: rendezvous listener timed out\n");
-      return 3;
-    }
-    pdw::proto::RootNode::Options ro;
-    ro.heartbeat_timeout_s =
-        o.hb_timeout_s > 0 ? o.hb_timeout_s : cfg.heartbeat_timeout_s;
-    // No coordinator process: the root leaves as soon as every decoder
-    // reported (root_stop raised up front).
-    shared.root_stop.store(true);
-    pdw::core::RootHost host(&fabric, &shared, &timer, &root, topo,
-                             cfg.reliable, ro, nullptr);
-    host.run();
-    // Absorb the tail: keep t-acking peers' retransmissions for the linger
-    // window so nobody retries into a vanished mailbox.
-    pdw::WallTimer linger;
-    while (linger.seconds() < o.linger_s) {
-      pdw::net::Message m;
-      if (host.ep.recv(&m, 0.02) ==
-          pdw::net::ReliableEndpoint::Status::kShutdown)
-        break;
-    }
-    final_stats = host.ep.stats();
-  } else if (o.node <= o.k) {
-    final_stats = run_role(shared.splitters_done, [&] {
-      pdw::core::SplitterHost host(&fabric, &shared, topo, o.node - 1,
-                                   cfg.reliable, geo, root.stream_info(),
-                                   nullptr);
-      host.run();
-    });
-  } else {
-    const int tile = topo.tile_of(o.node);
-    int displayed = 0;
-    pdw::core::TileDisplayFn on_display =
-        [&](int t, const pdw::mpeg2::TileFrame& tf,
-            const TileDisplayInfo& info) {
-          digests[{t, info.display_index}] = digest_tile(tf);
-          // Chaos hook: die mid-run via the real fatal-signal path, so the
-          // flight recorder's handler writes the post-mortem dump.
-          if (o.die_after > 0 && ++displayed >= o.die_after)
-            std::raise(SIGTERM);
-        };
-    final_stats = run_role(shared.decoders_done, [&] {
-      pdw::proto::DecoderNode::Options dopts;
-      dopts.heartbeat_interval_s = cfg.heartbeat_interval_s;
-      dopts.total_pictures = uint32_t(total_pictures);
-      pdw::core::DecoderHost host(&fabric, &shared, &timer, topo, tile,
-                                  cfg.reliable, geo, root.stream_info(),
-                                  on_display, &display_mu, dopts, nullptr);
-      host.run(uint32_t(total_pictures));
-    });
+  if (rv && rv->result() != pdw::net::RendezvousStatus::kOk) {
+    std::fprintf(stderr, "root: rendezvous listener timed out\n");
+    return 3;
   }
 
+  // No coordinator process: the root leaves its health monitor as soon as
+  // every decoder reported.
+  ctx.root_stop.store(true);
+  // Every role alike: host the node until it is done, linger so peers' tail
+  // retransmissions are still t-acked, then stop the fabric.
+  std::thread host([&] { pdw::core::run_node(ctx, fabric, o.node); });
+  ctx.wait_done(o.node);
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(int(o.linger_s * 1000)));
   fabric.shutdown();
+  host.join();
+
   if (telemetry) telemetry->stop();  // final flush + Bye, after all spans
-  write_report(o.report, o.node, nodes, shared, final_stats, digests);
+  const pdw::net::ReliableStats& final_stats = ctx.ep_stats[size_t(o.node)];
+  write_report(o.report, o.node, nodes, ctx, final_stats, digests);
   std::printf("node %d done: %llu sent, %llu retransmits, %.2fs\n", o.node,
               (unsigned long long)final_stats.sent,
-              (unsigned long long)final_stats.retransmits, timer.seconds());
+              (unsigned long long)final_stats.retransmits,
+              ctx.timer.seconds());
   return 0;
 }
 
@@ -517,7 +449,9 @@ int run_node(const Options& o) {
 
 int main(int argc, char** argv) {
   Options o;
-  if (!parse(argc, argv, &o)) return usage();
+  pdw::core::SocketWallOptions wall;
+  pdw::net::FaultInjector injector;
+  if (!parse(argc, argv, &o, &wall, &injector)) return usage();
   if (o.check) return run_check(o);
-  return run_node(o);
+  return run_process(o, wall);
 }

@@ -360,11 +360,14 @@ int run_remote_mode(int argc, char** argv) {
 
   const int seen = int(collector.nodes_seen().size());
   std::printf("\ncollector: %d nodes seen, %zu processes, %llu datagrams "
-              "(%llu bytes), %llu failed probe replies, complete=%s\n",
+              "(%llu bytes), %llu failed probe replies, %llu frames and %llu "
+              "metric records over the caps, complete=%s\n",
               seen, collector.processes().size(),
               (unsigned long long)collector.datagrams_received(),
               (unsigned long long)collector.bytes_received(),
               (unsigned long long)collector.send_failures(),
+              (unsigned long long)collector.dropped_frames(),
+              (unsigned long long)collector.dropped_metrics(),
               complete ? "yes" : "no");
   if (!trace_path.empty()) {
     if (!collector.write_merged_trace(trace_path)) {

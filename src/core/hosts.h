@@ -8,19 +8,21 @@
 // what it records. Two schedulers host the bodies:
 //   * LockstepPipeline (core/lockstep.h) — one picture at a time over a
 //     synchronous in-memory bus, the reference the engines are held to;
-//   * the per-node hosts below — each pumps a net::ReliableEndpoint over any
-//     net::FabricBackend, feeds decoded wire messages to its state machine,
-//     transmits whatever the machine returns and runs its body when the
-//     machine says the inputs are complete.
+//   * run_node below — one node's host, which pumps a net::ReliableEndpoint
+//     over any net::FabricBackend, feeds decoded wire messages to its state
+//     machine, transmits whatever the machine returns and runs its body when
+//     the machine says the inputs are complete.
 //
-// Two places construct the per-node hosts:
+// run_node is the one way to host a node. Two places call it, each over a
+// WallContext:
 //   * run_wall (core/wall_runner.h) — the in-process wall, one thread per
-//     node. Its two fabric adapters are ClusterPipeline (core/pipeline.h:
-//     every node on one shared in-process Fabric, the fast, deterministic
-//     test path) and run_socket_wall (core/socket_wall.h: one SocketFabric
-//     per node over real UDP loopback, wired by a rendezvous);
+//     node sharing one context. Its two fabric adapters are ClusterPipeline
+//     (core/pipeline.h: every node on one shared in-process Fabric, the
+//     fast, deterministic test path) and run_socket_wall
+//     (core/socket_wall.h: one SocketFabric per node over real UDP loopback,
+//     wired by a rendezvous);
 //   * wall_node (examples/wall_node.cpp) — one OS process per node, the
-//     paper's actual deployment shape.
+//     paper's actual deployment shape, each with a context of its own.
 // Both size the wire pool and post the initial credits with the helpers
 // below. The protocol machines cannot tell the shapes apart, which is what
 // the ProtocolEquivalence suite proves.
@@ -32,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/timing.h"
@@ -61,27 +64,81 @@ struct RecoveryEvent {
 using TileDisplayFn = std::function<void(int tile, const mpeg2::TileFrame&,
                                          const TileDisplayInfo&)>;
 
-// State the hosts of one wall share. In the threaded engines every host
-// points at the same instance; in the multi-process wall each process has
-// its own (its accounting is merged externally).
-struct HostShared {
+struct ProtocolConfig {
+  net::ReliableConfig reliable;
+  double heartbeat_interval_s = 0.02;
+  // Default is "effectively never": a fault-free run must not declare
+  // anything dead no matter how badly the scheduler (or a sanitizer)
+  // stalls a thread. Fault tests override with something small.
+  double heartbeat_timeout_s = 1e9;
+};
+
+// The policy enum lives with the rest of the protocol; core keeps the
+// spelling for existing callers.
+using RecoveryPolicy = proto::RecoveryPolicy;
+
+// What every wall is configured with, whatever its fabric.
+struct WallOptions {
+  ProtocolConfig protocol;
+  RecoveryPolicy recovery = RecoveryPolicy::kAdopt;
+  // Also record per-picture tile x tile exchange matrices in stats.wire
+  // (test_parallel_equivalence compares them against the lockstep traces).
+  bool per_picture_exchange = false;
+  // Registry telemetry lands in (nullptr: the process-global one).
+  obs::MetricsRegistry* metrics = nullptr;
+  // Adaptive per-GOP tile rebalancing. The engine fills in `geo` itself.
+  proto::RootNode::AdaptivePartition adaptive;
+  // Faults on every node's fabric (borrowed; may be null): per message on
+  // the in-process fabric, per received datagram on socket fabrics.
+  const net::FaultInjector* injector = nullptr;
+};
+
+// Everything the hosts of one wall share, built and sized in one place: its
+// constructor. In run_wall every host holds the same context; a wall_node
+// process builds its own for the one node it hosts, and the processes'
+// accounting is merged afterwards. The geometry, the stream bytes, the
+// options and the display callback are borrowed and must outlive it.
+struct WallContext {
+  WallContext(const wall::TileGeometry& geometry, int k,
+              std::span<const uint8_t> es, const WallOptions& options,
+              const TileDisplayFn& display);
+
+  WallContext(const WallContext&) = delete;
+  WallContext& operator=(const WallContext&) = delete;
+
+  const wall::TileGeometry& geo;
+  const proto::Topology topo;
+  const RootSplitter root;  // the stream's start-code scan
+  const WallOptions& opts;
+  const TileDisplayFn& on_display;
+  std::mutex display_mu;   // serializes on_display across decoder hosts
+  const WallTimer timer;   // the protocol clock, started after the scan
+
   std::mutex mu;  // guards recoveries
   std::vector<RecoveryEvent> recoveries;
   std::atomic<uint64_t> degraded{0};
   std::atomic<uint64_t> skipped{0};
-  std::vector<net::ReliableStats> ep_stats;  // by node, written pre-join
+  std::vector<net::ReliableStats> ep_stats;  // by node, written at host exit
+  // The root leaves its health-monitor loop only once this is raised and
+  // every decoder reported: run_wall raises it when every decoder thread is
+  // done; a wall_node process, with no coordinator, raises it up front.
   std::atomic<bool> root_stop{false};
-  // Decoder threads done with their stream (finished or killed). They then
-  // stay resident t-acking peer retransmissions until fabric shutdown, so a
-  // slow retransmit to an already-finished node is never falsely abandoned.
-  std::atomic<int> decoders_done{0};
-  // Splitter threads that consumed their whole stream and entered their
-  // resident drain loop. The multi-process wall uses this (plus a linger)
-  // to decide when a splitter process may tear its fabric down.
-  std::atomic<int> splitters_done{0};
+  // By node: the host finished its role's work (a decoder also when it was
+  // killed). Every host then stays resident, t-acking peers' tail
+  // retransmissions, until its fabric shuts down, so a slow retransmit to a
+  // finished node is never falsely abandoned.
+  std::vector<std::atomic<bool>> done;
   std::mutex acct_mu;  // guards acct
   proto::WireAccounting acct;
+
+  void wait_done(int node) const;
 };
+
+// Host `node` of the wall over `fabric` until the fabric shuts down (or the
+// node is killed): the role follows from the node id. This is the one place
+// RootNode::Options and DecoderNode::Options are built from ctx.opts (the
+// lockstep engine keeps its own mapping).
+void run_node(WallContext& ctx, net::FabricBackend& fabric, int node);
 
 void accumulate_transport(net::ReliableStats* into,
                           const net::ReliableStats& s);
@@ -103,14 +160,6 @@ void prewarm_wire_pool(const RootSplitter& root, const proto::Topology& topo);
 // dispatch from burning retransmit budget on a creditless receiver.
 void post_initial_credits(net::FabricBackend& fabric,
                           const proto::Topology& topo, int node);
-
-// Map a state-machine emission onto the transport and record it.
-void emit(net::ReliableEndpoint& ep, HostShared& shared, int src,
-          proto::Outgoing o);
-
-// Decode a received wire body. The transport CRC-verified it, so a decode
-// failure is a local protocol bug, not damage — crash loudly.
-proto::AnyMsg decode_trusted(const net::Message& m);
 
 // --- Role bodies: the compute both schedulers share ------------------------
 
@@ -186,94 +235,6 @@ struct TileDecoderSet {
   void skip(int tile, uint32_t i, const TileDecoder::DisplayFn& display);
   // End of stream: emit the tile's pending reference, if it has a decoder.
   void flush(int tile, const TileDecoder::DisplayFn& display);
-};
-
-// --- Root host (Table 3, root) + health monitor ----------------------------
-
-struct RootHost {
-  net::FabricBackend& fabric;
-  HostShared& shared;
-  const WallTimer& timer;
-  const RootSplitter& root;
-  proto::Topology topo;
-  net::ReliableEndpoint ep;
-  proto::RootNode node;
-
-  obs::RootInstruments inst;
-
-  RootHost(net::FabricBackend* f, HostShared* sh, const WallTimer* t,
-           const RootSplitter* r, const proto::Topology& tp,
-           const net::ReliableConfig& rc, const proto::RootNode::Options& ro,
-           obs::MetricsRegistry* metrics);
-
-  void apply(proto::RootNode::Step step);
-  void pump(double timeout);
-  void run();
-};
-
-// --- Splitter host (Table 3, splitter) -------------------------------------
-
-struct SplitterHost {
-  net::FabricBackend& fabric;
-  HostShared& shared;
-  proto::Topology topo;
-  int index;
-  net::ReliableEndpoint ep;
-  proto::SplitterNode node;
-  wall::PartitionTable table;  // epochs learned from the root's updates
-  SplitterBody body;
-  obs::Gauge* queue_depth = nullptr;
-
-  SplitterHost(net::FabricBackend* f, HostShared* sh,
-               const proto::Topology& tp, int s,
-               const net::ReliableConfig& rc, const wall::TileGeometry& geo,
-               const StreamInfo& info, obs::MetricsRegistry* metrics,
-               bool adaptive_enabled = false);
-
-  int self() const { return topo.splitter(index); }
-
-  void apply(proto::SplitterNode::Step step);
-  void handle(net::Message& m);
-  void pump(double timeout);
-  void run();
-};
-
-// --- Decoder host (Table 3, decoder) ---------------------------------------
-
-struct DecoderHost {
-  net::FabricBackend& fabric;
-  HostShared& shared;
-  const WallTimer& timer;
-  proto::Topology topo;
-  int home_tile;
-  const TileDisplayFn& on_display;
-  std::mutex& display_mu;
-  double heartbeat_interval_s;
-  net::ReliableEndpoint ep;
-  proto::DecoderNode node;
-  wall::PartitionTable table;  // epochs learned from the root's updates
-  TileDecoderSet decs;
-  bool gone = false;  // killed (or fabric torn down) — exit silently
-  obs::Gauge* queue_depth = nullptr;
-
-  DecoderHost(net::FabricBackend* f, HostShared* sh, const WallTimer* t,
-              const proto::Topology& tp, int tile,
-              const net::ReliableConfig& rc, const wall::TileGeometry& g,
-              const StreamInfo& si, const TileDisplayFn& display,
-              std::mutex* dmu, const proto::DecoderNode::Options& dopts,
-              obs::MetricsRegistry* metrics);
-
-  int self() const { return topo.decoder(home_tile); }
-
-  TileDecoder::DisplayFn display_fn(int tile);
-  void apply(proto::DecoderNode::Step step);
-  // Pump the transport once; returns false when this node is dead.
-  bool pump(double timeout);
-  // Phase 1 for one tile: wait for the sub-picture, then serve it.
-  void serve(const proto::DecoderNode::OwnedTile& ot, uint32_t i);
-  // Phase 2 for one tile: wait for the halos it still expects, then decode.
-  void work(const proto::DecoderNode::OwnedTile& ot, uint32_t i);
-  void run(uint32_t total_pictures);
 };
 
 }  // namespace pdw::core

@@ -66,35 +66,6 @@ struct ClusterStats {
   FtStats ft;
 };
 
-struct ProtocolConfig {
-  net::ReliableConfig reliable;
-  double heartbeat_interval_s = 0.02;
-  // Default is "effectively never": a fault-free run must not declare
-  // anything dead no matter how badly the scheduler (or a sanitizer)
-  // stalls a thread. Fault tests override with something small.
-  double heartbeat_timeout_s = 1e9;
-};
-
-// The policy enum lives with the rest of the protocol; core keeps the
-// spelling for existing callers.
-using RecoveryPolicy = proto::RecoveryPolicy;
-
-// What every in-process wall is configured with, whatever its fabric.
-struct WallOptions {
-  ProtocolConfig protocol;
-  RecoveryPolicy recovery = RecoveryPolicy::kAdopt;
-  // Also record per-picture tile x tile exchange matrices in stats.wire
-  // (test_parallel_equivalence compares them against the lockstep traces).
-  bool per_picture_exchange = false;
-  // Registry telemetry lands in (nullptr: the process-global one).
-  obs::MetricsRegistry* metrics = nullptr;
-  // Adaptive per-GOP tile rebalancing. The engine fills in `geo` itself.
-  proto::RootNode::AdaptivePartition adaptive;
-  // Faults on every node's fabric (borrowed; may be null): per message on
-  // the in-process fabric, per received datagram on socket fabrics.
-  const net::FaultInjector* injector = nullptr;
-};
-
 // Kept for callers that spell the options FtOptions.
 using FtOptions = WallOptions;
 

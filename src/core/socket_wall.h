@@ -1,10 +1,12 @@
-// The wall over real UDP sockets, in one process: one thread per node, each
-// with its *own* SocketFabric, discovered through a genuine UDP rendezvous —
-// exactly the multi-process deployment shape (examples/wall_node.cpp) minus
-// fork/exec, so tests and CI can exercise the socket transport, the
-// rendezvous flow and datagram loss without process management. The
-// node threads are the one wall runner's (core/wall_runner.h); this engine
-// only adds the fabrics and the rendezvous bring-up.
+// The wall over real UDP sockets. run_socket_wall hosts it in one process:
+// one thread per node, each with its *own* SocketFabric, discovered through
+// a genuine UDP rendezvous — exactly the multi-process deployment shape
+// (examples/wall_node.cpp) minus fork/exec, so tests and CI can exercise the
+// socket transport, the rendezvous flow and datagram loss without process
+// management. The node threads are the one wall runner's
+// (core/wall_runner.h); this engine only adds the fabrics and the rendezvous
+// bring-up. The helpers below are the bring-up steps run_socket_wall and
+// wall_node share: the telemetry exporter and joining the rendezvous.
 //
 // WallOptions::injector reaches every node's SocketFabric, which applies it
 // to each datagram that node receives: a dropped datagram never reaches
@@ -12,9 +14,14 @@
 // while the schedule stays a pure function of the seed.
 #pragma once
 
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "core/pipeline.h"
+#include "net/rendezvous.h"
+#include "net/socket_fabric.h"
+#include "obs/telemetry.h"
 
 namespace pdw::core {
 
@@ -33,5 +40,17 @@ ClusterStats run_socket_wall(const wall::TileGeometry& geo, int k,
                              std::span<const uint8_t> es,
                              const TileDisplayFn& on_display,
                              SocketWallOptions opts = {});
+
+// The started telemetry exporter of a process hosting the `hosted` nodes of
+// a `topo` wall, shipping opts.metrics and the global tracer; null when
+// opts.telemetry_port is 0. stop() it after the last span.
+std::unique_ptr<obs::TelemetryExporter> start_telemetry(
+    const SocketWallOptions& opts, const proto::Topology& topo,
+    std::vector<uint16_t> hosted);
+
+// Join the rendezvous listening at `server` as fabric.self() and install the
+// node -> endpoint map it hands out. False when cfg.timeout_s passes first.
+bool join_wall(net::SocketFabric& fabric, net::Endpoint server,
+               const net::RendezvousConfig& cfg);
 
 }  // namespace pdw::core

@@ -1,10 +1,11 @@
 // The one in-process wall runner behind ClusterPipeline (core/pipeline.h)
 // and run_socket_wall (core/socket_wall.h). It owns everything the two
-// engines share: pool prewarm, initial credits, one thread per node (root,
-// splitters, decoders) hosting the proto machines, the completion wait, the
+// engines share: one WallContext, pool prewarm, initial credits, one thread
+// per node running core::run_node (core/hosts.h), the completion wait, the
 // bounded quiescence drain, shutdown and the ClusterStats. The engines only
 // differ in the fabric each node talks over and in how a node is brought up
-// before its host starts.
+// before its host starts. wall_node (examples/wall_node.cpp) calls the same
+// run_node, one node per process.
 #pragma once
 
 #include <functional>

@@ -12,17 +12,13 @@ namespace pdw::net {
 namespace {
 
 constexpr uint32_t kMagic = 0x50445746u;  // 'PDWF'
-// Largest fragment payload per datagram (= kMaxFragmentBytes): comfortably
-// under the 64 KiB UDP limit. Receive buffers are sized for this maximum
-// whatever this node's configured send-side fragment size is.
 constexpr size_t kFragBytes = size_t(kMaxFragmentBytes);
 // Kernel socket buffer depth. Loopback bursts (a whole picture fans out as
 // dozens of 56 KiB fragments) overflow the kernel default and look like
 // network loss; 4 MiB absorbs them.
 constexpr int kSocketBufferBytes = 4 << 20;
-// The largest message must fit the u16 fragment count at the smallest
-// fragment size.
-static_assert(kMaxMessageBytes / kMinFragmentBytes < 65536);
+// The largest message must fit the u16 fragment count.
+static_assert(kMaxMessageBytes / kFragBytes < 65536);
 
 uint64_t partial_key(int src, uint32_t msg_id) {
   return (uint64_t(uint32_t(src)) << 32) | msg_id;
@@ -87,8 +83,6 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
       counters_(size_t(nodes)) {
   PDW_CHECK_GE(self, 0);
   PDW_CHECK_LT(self, nodes);
-  frag_bytes_ = size_t(
-      std::clamp(cfg_.fragment_bytes, kMinFragmentBytes, kMaxFragmentBytes));
   PDW_CHECK(sock_.ok()) << std::strerror(sock_.error());
   sock_.enable_send_errors();
   sock_.set_buffer_bytes(kSocketBufferBytes);
@@ -130,13 +124,13 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
   const size_t total = payload.size();
   PDW_CHECK_LE(total, kMaxMessageBytes);
   DatagramHeader h{std::move(msg), next_msg_id_++, 0,
-                   uint16_t(total == 0 ? 1 : (total + frag_bytes_ - 1) /
-                                                 frag_bytes_),
+                   uint16_t(total == 0 ? 1 : (total + kFragBytes - 1) /
+                                                 kFragBytes),
                    uint32_t(total), 0};
   const Endpoint to = peers_[size_t(dst)];
   for (; h.index < h.count; ++h.index) {
-    h.off = uint32_t(size_t(h.index) * frag_bytes_);
-    const size_t n = std::min(frag_bytes_, total - h.off);
+    h.off = uint32_t(size_t(h.index) * kFragBytes);
+    const size_t n = std::min(kFragBytes, total - h.off);
     uint8_t hdr[kDatagramHeaderBytes];
     encode_datagram_header(h, hdr);
     // The fragment goes out straight from the payload, behind the header.

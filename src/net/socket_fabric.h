@@ -57,11 +57,9 @@
 
 namespace pdw::net {
 
-// Bounds on SocketFabricConfig::fragment_bytes. The upper bound keeps
-// header + payload comfortably under the 64 KiB UDP datagram limit; the
-// lower bound keeps fragment counts (u16 on the wire) sane for the largest
-// coded pictures.
-inline constexpr int kMinFragmentBytes = 4096;
+// Fragment payload bytes per datagram: every sender cuts messages at this
+// size, and it is the most a receiver accepts in one datagram. Header +
+// payload stay comfortably under the 64 KiB UDP datagram limit.
 inline constexpr int kMaxFragmentBytes = 56 * 1024;
 
 // Largest message payload a SocketFabric sends or reassembles. The largest
@@ -101,11 +99,6 @@ std::optional<DatagramHeader> parse_datagram_header(
     std::span<const uint8_t> dgram, int nodes);
 
 struct SocketFabricConfig {
-  // Fragment payload bytes per datagram, clamped to
-  // [kMinFragmentBytes, kMaxFragmentBytes]. Receivers reassemble from the
-  // per-datagram framing fields, so nodes with different settings still
-  // interoperate; smaller fragments model smaller-MTU fabrics.
-  int fragment_bytes = kMaxFragmentBytes;
   // Registry for the datagram-level counters (nullptr: process-global).
   obs::MetricsRegistry* metrics = nullptr;
   // Faults applied to every datagram this node receives (borrowed; must
@@ -124,8 +117,6 @@ class SocketFabric final : public FabricBackend {
 
   int self() const { return self_; }
   Endpoint local_endpoint() const { return sock_.local(); }
-  // The clamped per-datagram fragment payload size in effect.
-  size_t fragment_bytes() const { return frag_bytes_; }
 
   // Install the node -> endpoint map (from rendezvous). Must be called
   // before send().
@@ -190,7 +181,6 @@ class SocketFabric final : public FabricBackend {
   const int self_;
   const int nodes_;
   SocketFabricConfig cfg_;
-  size_t frag_bytes_ = size_t(kMaxFragmentBytes);
   UdpSocket sock_;
 
   std::vector<Endpoint> peers_;

@@ -92,7 +92,15 @@ void Collector::handle_datagram(const uint8_t* data, size_t len,
   std::lock_guard<std::mutex> lock(mu_);
   datagrams_ += 1;
   bytes_ += len;
-  Proc& proc = procs_[f.token];
+  auto it = procs_.find(f.token);
+  if (it == procs_.end()) {
+    if (procs_.size() >= kMaxProcesses) {
+      dropped_frames_ += 1;
+      return;
+    }
+    it = procs_.try_emplace(f.token).first;
+  }
+  Proc& proc = it->second;
   proc.info.token = f.token;
   proc.info.datagrams += 1;
   proc.info.bytes += len;
@@ -128,6 +136,11 @@ void Collector::handle_datagram(const uint8_t* data, size_t len,
     for (MetricRecord& m : f.metrics) {
       const auto key = std::make_tuple(m.family, int(m.node), int(m.stream),
                                        int(m.kind));
+      if (!proc.metrics.contains(key) &&
+          proc.metrics.size() >= kMaxMetricsPerProcess) {
+        dropped_metrics_ += 1;
+        continue;
+      }
       proc.metrics[key] = std::move(m);
     }
   for (SpanRecord& s : f.spans) {
@@ -243,6 +256,16 @@ uint64_t Collector::datagrams_received() const {
 uint64_t Collector::bytes_received() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_;
+}
+
+uint64_t Collector::dropped_frames() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_frames_;
+}
+
+uint64_t Collector::dropped_metrics() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_metrics_;
 }
 
 bool Collector::write_merged_trace(const std::string& path) const {

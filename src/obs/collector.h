@@ -32,6 +32,14 @@ namespace pdw::obs {
 
 class Collector {
  public:
+  // Bounds on what one collector keeps, whatever arrives on its port. A
+  // frame with a new token once kMaxProcesses processes are known is
+  // dropped whole; a metric record with a new (family, node, stream, kind)
+  // key once its process holds kMaxMetricsPerProcess keys is dropped.
+  // Clock probes are answered either way (they add no state).
+  static constexpr size_t kMaxProcesses = 256;
+  static constexpr size_t kMaxMetricsPerProcess = 8192;
+
   // Binds 127.0.0.1:port (0: ephemeral; endpoint() reports the bound port).
   // A port already in use leaves the collector !ok().
   explicit Collector(uint16_t port = 0);
@@ -86,6 +94,9 @@ class Collector {
 
   uint64_t datagrams_received() const;
   uint64_t bytes_received() const;
+  // What the caps above refused: whole frames, and single metric records.
+  uint64_t dropped_frames() const;
+  uint64_t dropped_metrics() const;
   // Clock-probe replies the socket failed to send.
   uint64_t send_failures() const { return sock_.send_failures(); }
 
@@ -111,6 +122,7 @@ class Collector {
   std::map<uint64_t, Proc> procs_;
   int k_ = 0, tiles_ = 0, nodes_expected_ = 0;
   uint64_t datagrams_ = 0, bytes_ = 0;
+  uint64_t dropped_frames_ = 0, dropped_metrics_ = 0;
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -4,11 +4,16 @@
 // CHECK-fails on overruns), and traffic accounting invariants.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <thread>
 
+#include "core/hosts.h"
+#include "core/lockstep.h"
 #include "core/pipeline.h"
 #include "core/socket_wall.h"
 #include "enc/encoder.h"
+#include "net/fault.h"
 #include "mpeg2/decoder.h"
 #include "video/generator.h"
 #include "wall/assembler.h"
@@ -208,6 +213,142 @@ TEST(ThreadedPipelineStats, SplitterSendOverheadIsModest) {
   // benchmark, not here.
   EXPECT_LT(double(sent), double(recv) * 2.5);
 }
+
+// --- The multi-process shape, hosted on threads ------------------------------
+
+uint64_t digest_tile(const mpeg2::TileFrame& tf) {
+  uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (const mpeg2::Plane* pl : {&tf.y(), &tf.cb(), &tf.cr()})
+    for (int y = 0; y < pl->height(); ++y)
+      for (int x = 0; x < pl->width(); ++x) {
+        h ^= pl->row(y)[x];
+        h *= 1099511628211ull;
+      }
+  return h;
+}
+
+// (tile, display index) -> digest.
+using DigestMap = std::map<std::pair<int, int>, uint64_t>;
+
+struct ProcessWallRun {
+  proto::WireAccounting acct;  // merged over every node's own accounting
+  DigestMap digests;
+  uint64_t degraded = 0;
+  uint64_t retransmits = 0;
+};
+
+// Every node of the wall hosted the way one wall_node process hosts its
+// node, each on a thread of its own: its own context and accounting, its own
+// SocketFabric, the rendezvous, run_node, then the tail every role shares —
+// wait until the node is done, linger, shut the fabric down, join.
+ProcessWallRun run_process_wall(const std::vector<uint8_t>& es,
+                                const wall::TileGeometry& geo, int k,
+                                const net::FaultInjector* injector) {
+  const proto::Topology topo{k, geo.tiles()};
+  const int n = topo.nodes();
+  core::SocketWallOptions opts;
+  opts.injector = injector;
+  net::RendezvousServer rv(n);
+  net::RendezvousConfig rv_cfg;
+  rv_cfg.timeout_s = 20;
+  rv.serve_async(rv_cfg);
+
+  std::vector<proto::WireAccounting> accts(static_cast<size_t>(n));
+  std::vector<DigestMap> digests(static_cast<size_t>(n));
+  std::vector<uint64_t> degraded(static_cast<size_t>(n));
+  std::vector<uint64_t> retransmits(static_cast<size_t>(n));
+  std::vector<std::thread> processes;
+  for (int node = 0; node < n; ++node)
+    processes.emplace_back([&, node] {
+      const core::TileDisplayFn on_display =
+          [&](int tile, const mpeg2::TileFrame& tf,
+              const TileDisplayInfo& info) {
+            digests[size_t(node)][{tile, info.display_index}] =
+                digest_tile(tf);
+          };
+      core::WallContext ctx(geo, k, es, opts, on_display);
+      core::prewarm_wire_pool(ctx.root, topo);
+      net::SocketFabric fabric(
+          node, n, {.metrics = opts.metrics, .injector = opts.injector});
+      core::post_initial_credits(fabric, topo, node);
+      PDW_CHECK(core::join_wall(fabric, rv.endpoint(), rv_cfg))
+          << " node " << node << " rendezvous timeout";
+      ctx.root_stop.store(true);
+      std::thread host([&] { core::run_node(ctx, fabric, node); });
+      ctx.wait_done(node);
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+      fabric.shutdown();
+      host.join();
+      accts[size_t(node)] = std::move(ctx.acct);
+      degraded[size_t(node)] = ctx.degraded.load();
+      retransmits[size_t(node)] = ctx.ep_stats[size_t(node)].retransmits;
+    });
+  for (std::thread& p : processes) p.join();
+  EXPECT_EQ(rv.result(), net::RendezvousStatus::kOk);
+
+  ProcessWallRun run;
+  run.acct.reset(n);
+  for (int node = 0; node < n; ++node) {
+    for (const auto& [type, count] : accts[size_t(node)].counts)
+      run.acct.counts[type] += count;
+    for (int src = 0; src < n; ++src)
+      for (int dst = 0; dst < n; ++dst)
+        run.acct.traffic.add(src, dst,
+                             accts[size_t(node)].traffic.at(src, dst));
+    run.digests.merge(digests[size_t(node)]);
+    run.degraded += degraded[size_t(node)];
+    run.retransmits += retransmits[size_t(node)];
+  }
+  return run;
+}
+
+// The merged per-node accounting and the tile frames of a 1-2-(2,2) wall
+// hosted one context per node match the lockstep reference exactly: per-type
+// message counts, the traffic matrix and every tile's frame digest. Under
+// the seeded injector every node impairs what it receives, as wall_node does
+// with the same --loss/--dup/--delay flags on every process.
+class ProcessShapedWall : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ProcessShapedWall, MatchesLockstepReference) {
+  const int w = 256, h = 192, k = 2;
+  const auto es = make_stream(w, h, 8);
+  const wall::TileGeometry geo(w, h, 2, 2, 0);
+
+  core::LockstepPipeline reference(geo, k, es);
+  DigestMap expected;
+  reference.run(
+      [&](int tile, const mpeg2::TileFrame& tf, const TileDisplayInfo& info) {
+        expected[{tile, info.display_index}] = digest_tile(tf);
+      },
+      nullptr);
+  const proto::WireAccounting& ref = reference.accounting();
+
+  net::FaultRates rates;
+  rates.drop = 0.05;
+  rates.dup = 0.02;
+  rates.delay = 0.05;
+  const net::FaultInjector injector(11, rates);
+  const ProcessWallRun run =
+      run_process_wall(es, geo, k, GetParam() ? &injector : nullptr);
+
+  EXPECT_EQ(run.acct.counts, ref.counts);
+  const int n = proto::Topology{k, geo.tiles()}.nodes();
+  for (int src = 0; src < n; ++src)
+    for (int dst = 0; dst < n; ++dst)
+      EXPECT_EQ(run.acct.traffic.at(src, dst), ref.traffic.at(src, dst))
+          << src << " -> " << dst;
+  EXPECT_EQ(run.digests, expected);
+  EXPECT_EQ(run.degraded, 0u);
+  if (GetParam()) {
+    EXPECT_GT(run.retransmits, 0u);  // the injector did drop datagrams
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Links, ProcessShapedWall, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? std::string("lossy")
+                                             : std::string("clean");
+                         });
 
 }  // namespace
 }  // namespace pdw

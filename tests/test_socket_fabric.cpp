@@ -182,52 +182,6 @@ TEST(SocketFabric, LargePayloadIsFragmentedAndReassembled) {
   EXPECT_TRUE(b.quiescent());
 }
 
-TEST(SocketFabric, FragmentBytesIsClampedToTheDocumentedRange) {
-  SocketFabricConfig cfg;
-  EXPECT_EQ(SocketFabric(0, 1, cfg).fragment_bytes(),
-            size_t(kMaxFragmentBytes));  // default unchanged: 56 KiB
-  cfg.fragment_bytes = 512;  // below the floor
-  EXPECT_EQ(SocketFabric(0, 1, cfg).fragment_bytes(),
-            size_t(kMinFragmentBytes));
-  cfg.fragment_bytes = 1 << 20;  // above the 64 KiB-datagram-safe ceiling
-  EXPECT_EQ(SocketFabric(0, 1, cfg).fragment_bytes(),
-            size_t(kMaxFragmentBytes));
-  cfg.fragment_bytes = 8192;
-  EXPECT_EQ(SocketFabric(0, 1, cfg).fragment_bytes(), 8192u);
-}
-
-TEST(SocketFabric, SmallFragmentsRoundTripAndInteropWithDefaultReceiver) {
-  // Sender fragments at 4 KiB; the receiver is left at the default 56 KiB.
-  // Reassembly is driven by the per-datagram framing fields, so mismatched
-  // settings must interoperate.
-  SocketFabricConfig small;
-  small.fragment_bytes = kMinFragmentBytes;
-  SocketFabric a(0, 2, small), b(1, 2);
-  wire({&a, &b});
-  const size_t big = 100 * 1024;  // 25 fragments at 4 KiB
-  Message m = make_msg(0, 1, 5, big);
-  for (size_t i = 0; i < big; ++i)
-    m.payload.mutable_data()[i] = uint8_t(i * 13 + (i >> 8));
-  m.aux = 3;
-  ASSERT_EQ(a.send(0, 1, std::move(m)), SendStatus::kOk);
-  Message got;
-  ASSERT_EQ(b.receive_for(1, 2.0, &got), RecvStatus::kOk);
-  EXPECT_EQ(got.seq, 5u);
-  EXPECT_EQ(got.aux, 3);
-  ASSERT_EQ(got.payload.size(), big);
-  for (size_t i = 0; i < big; ++i)
-    ASSERT_EQ(got.payload.data()[i], uint8_t(i * 13 + (i >> 8))) << i;
-  EXPECT_TRUE(b.quiescent());
-
-  // And the reverse direction: 56 KiB fragments into a 4 KiB-configured
-  // receiver (receive buffers are sized for the max either way).
-  Message back = make_msg(1, 2, 9, big, 0x3e);
-  ASSERT_EQ(b.send(1, 0, std::move(back)), SendStatus::kOk);
-  ASSERT_EQ(a.receive_for(0, 2.0, &got), RecvStatus::kOk);
-  ASSERT_EQ(got.payload.size(), big);
-  for (uint8_t byte : got.payload.span()) ASSERT_EQ(byte, 0x3e);
-}
-
 TEST(SocketFabric, BulkWithoutCreditIsDroppedAndRecoverable) {
   SocketFabric a(0, 2), b(1, 2);
   wire({&a, &b});

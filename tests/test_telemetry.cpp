@@ -3,7 +3,8 @@
 // 2x min-RTT of the truth when one leg is much slower than the other;
 // the wire codec must round-trip every record type and reject every
 // truncation; a live exporter/collector pair must merge a skewed process
-// into the collector clock domain; the flight recorder must produce a
+// into the collector clock domain; forged frames must not grow the
+// collector's state past its caps; the flight recorder must produce a
 // parseable post-mortem; and an in-process 7-node socket wall must stream
 // itself into ONE merged multi-pid trace.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/udp.h"
 #include "core/socket_wall.h"
 #include "enc/encoder.h"
 #include "obs/collector.h"
@@ -339,6 +341,54 @@ TEST(TelemetrySideband, FailedExportIsCounted) {
   TelemetryExporter exporter(cfg);
   exporter.flush();  // one probe frame and one export frame
   EXPECT_EQ(exporter.send_failures(), 2u);
+}
+
+TEST(TelemetrySideband, ForgedFramesCannotGrowCollectorStateUnbounded) {
+  Collector collector;
+  ASSERT_TRUE(collector.ok());
+  net::UdpSocket forger;
+  ASSERT_TRUE(forger.ok());
+  // Loopback delivers each datagram into the collector's queue within the
+  // send, so draining after every send loses none.
+  auto deliver = [&](const TelemetryFrame& f) {
+    ASSERT_TRUE(forger.send(collector.endpoint(), obs::encode_frame(f)));
+    collector.poll();
+  };
+
+  // A fresh token per frame: the process table stops at its cap.
+  const size_t extra = 16;
+  for (size_t t = 1; t <= Collector::kMaxProcesses + extra; ++t) {
+    TelemetryFrame f;
+    f.token = t;
+    f.seq = 1;
+    deliver(f);
+  }
+  EXPECT_EQ(collector.processes().size(), Collector::kMaxProcesses);
+  EXPECT_EQ(collector.dropped_frames(), extra);
+
+  // A known token's frames still land, each with fresh metric keys: the
+  // process's metric map stops at its cap.
+  const size_t per_frame = 512;
+  const size_t frames = Collector::kMaxMetricsPerProcess / per_frame + 1;
+  for (size_t i = 0; i < frames; ++i) {
+    TelemetryFrame f;
+    f.token = 1;
+    f.seq = uint32_t(2 + i);
+    for (size_t j = 0; j < per_frame; ++j) {
+      obs::MetricRecord m;
+      m.family = "forged";
+      m.node = int16_t(i * per_frame + j);
+      m.kind = obs::MetricKind::kCounter;
+      m.count = 1;
+      f.metrics.push_back(m);
+    }
+    deliver(f);
+  }
+  EXPECT_EQ(collector.merged_metrics().values.size(),
+            Collector::kMaxMetricsPerProcess);
+  EXPECT_EQ(collector.dropped_metrics(),
+            frames * per_frame - Collector::kMaxMetricsPerProcess);
+  EXPECT_EQ(collector.dropped_frames(), extra);
 }
 
 // ---------------------------------------------------------------------------
