@@ -72,8 +72,9 @@ int main() {
   // The full node x node byte matrix behind the bandwidth figures.
   auto node_name = [&](int nid) {
     if (nid == 0) return std::string("root");
-    if (nid < 1 + p.k) return "S" + std::to_string(nid);
-    return "D" + std::to_string(nid);
+    std::string name = nid < 1 + p.k ? "S" : "D";
+    name += std::to_string(nid);
+    return name;
   };
   std::printf("\nnode x node traffic matrix:\n");
   r.traffic_matrix.to_table(node_name).print(stdout);

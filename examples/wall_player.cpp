@@ -120,8 +120,9 @@ int main(int argc, char** argv) {
     // Fig. 9: node x node byte matrix of the simulated cluster.
     auto node_name = [&](int nid) {
       if (nid == 0) return std::string("root");
-      if (nid < r.first_decoder_node) return "S" + std::to_string(nid);
-      return "D" + std::to_string(nid);
+      std::string name = nid < r.first_decoder_node ? "S" : "D";
+      name += std::to_string(nid);
+      return name;
     };
     std::printf("\ntraced Fig. 9 traffic matrix (simulated cluster):\n");
     r.traffic_matrix.to_table(node_name).print(stdout);

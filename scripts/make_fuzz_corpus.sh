@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Build a seed corpus for the fuzz harnesses in fuzz/.
 #
-# Seeds are real outputs of our own encoder and muxers — tiny elementary
-# streams in several configurations, plus program-stream and transport-stream
-# wrappings — followed by deterministic single-bit-flip variants of each.
+# Seeds are real outputs of our own encoder and wire codecs — tiny elementary
+# streams in several configurations, plus protocol, sideband and datagram
+# seeds — followed by deterministic single-bit-flip variants of each.
 # Valid-but-slightly-damaged inputs reach far deeper into the parsers than
 # random bytes, which is what makes the corpus worth seeding.
 #
@@ -15,33 +15,23 @@ set -euo pipefail
 BUILD="${1:-build}"
 OUT="${2:-fuzz/corpus}"
 TRANSCODE="$BUILD/examples/transcode_tool"
-PSTOOL="$BUILD/examples/ps_tool"
 WIRESEED="$BUILD/examples/wire_seed_tool"
 
-for tool in "$TRANSCODE" "$PSTOOL" "$WIRESEED"; do
+for tool in "$TRANSCODE" "$WIRESEED"; do
   if [ ! -x "$tool" ]; then
-    echo "error: $tool not built (cmake --build $BUILD --target transcode_tool ps_tool wire_seed_tool)" >&2
+    echo "error: $tool not built (cmake --build $BUILD --target transcode_tool wire_seed_tool)" >&2
     exit 1
   fi
 done
 
-mkdir -p "$OUT/es" "$OUT/container" "$OUT/wire" "$OUT/telemetry" \
-  "$OUT/rendezvous" "$OUT/fabric"
-TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+mkdir -p "$OUT/es" "$OUT/wire" "$OUT/telemetry" "$OUT/rendezvous" \
+  "$OUT/fabric"
 
 # Tiny elementary streams: one per scene kind, small frame counts so each
 # seed stays a few kilobytes. transcode_tool args: scene w h frames bpp out.
-i=0
 for scene in moving-objects panning-texture animation localized-detail; do
-  "$TRANSCODE" "$scene" 96 64 4 0.4 "$TMP/seed_$i.m2v" > /dev/null
-  cp "$TMP/seed_$i.m2v" "$OUT/es/seed_${scene}.m2v"
-  i=$((i + 1))
+  "$TRANSCODE" "$scene" 96 64 4 0.4 "$OUT/es/seed_${scene}.m2v" > /dev/null
 done
-
-# Container wrappings of the first ES seed.
-"$PSTOOL" mux "$TMP/seed_0.m2v" "$OUT/container/seed.mpg" > /dev/null
-"$PSTOOL" tsmux "$TMP/seed_0.m2v" "$OUT/container/seed.ts" > /dev/null
 
 # Typed protocol message bodies (one per wire message type) for fuzz_wire,
 # sideband datagrams for fuzz_telemetry and fuzz_rendezvous, and fabric
@@ -78,9 +68,6 @@ EOF
 
 for f in "$OUT"/es/*.m2v; do
   flip_variants "$f" "${f%.m2v}"
-done
-for f in "$OUT/container/seed.mpg" "$OUT/container/seed.ts"; do
-  flip_variants "$f" "${f%.*}_$(basename "${f##*.}")"
 done
 for f in "$OUT"/wire/*.wire; do
   flip_variants "$f" "${f%.wire}"

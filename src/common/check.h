@@ -31,9 +31,8 @@ class InternalError : public CheckError {
   explicit InternalError(std::string msg) : CheckError(std::move(msg)) {}
 };
 
-// Malformed input: a damaged elementary stream, a truncated pack, a bad
-// system-layer structure. Recoverable in principle — the decoder conceals,
-// resyncs or drops the affected unit and keeps running.
+// Malformed input: a damaged elementary stream. Recoverable in principle —
+// the decoder conceals, resyncs or drops the affected unit and keeps running.
 class BitstreamError : public CheckError {
  public:
   explicit BitstreamError(std::string msg) : CheckError(std::move(msg)) {}

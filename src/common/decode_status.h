@@ -6,8 +6,7 @@
 // the buffer being parsed), and how much of the stream is poisoned (the
 // severity ladder). Callers contain the damage at the matching boundary:
 // a kSlice error conceals the rest of the slice and resyncs at the next
-// slice start code; a kPicture error drops/skips the picture; a kStream
-// error abandons the stream.
+// slice start code; a kPicture error drops/skips the picture.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +30,6 @@ enum class DecodeSeverity {
   kNone = 0,
   kSlice,    // contained by slice resync + macroblock concealment
   kPicture,  // picture undecodable; drop it and broadcast a skip
-  kStream,   // nothing after this point can be trusted
 };
 
 struct DecodeStatus {
@@ -74,7 +72,6 @@ inline const char* to_string(DecodeSeverity s) {
     case DecodeSeverity::kNone: return "none";
     case DecodeSeverity::kSlice: return "slice";
     case DecodeSeverity::kPicture: return "picture";
-    case DecodeSeverity::kStream: return "stream";
   }
   return "?";
 }

@@ -38,8 +38,8 @@ template <class IO, Layout<PicInfo> M>
 void fields(IO& io, M& info) {
   io.u32(info.pic_index);
   io.u8(info.type);
-  for (auto& dir : info.f_code)
-    for (auto& f : dir) io.u8(f);
+  for (int s = 0; s < 2; ++s)
+    for (int t = 0; t < 2; ++t) io.u8(info.f_code[s][t]);
   io.u8(info.intra_dc_precision);
   io.u8(info.q_scale_type);
   io.u8(info.alternate_scan);

@@ -12,47 +12,59 @@ namespace pdw::video {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+// One Table-4 row, with the skewed-family fields at their defaults.
+StreamSpec row(int id, const char* name, int width, int height, double fps,
+               double target_bpp, SceneKind scene, int tiles_m, int tiles_n,
+               const char* note) {
+  return {id, name, width, height, fps, target_bpp, scene, tiles_m, tiles_n,
+          note, /*scene_seed=*/0, /*custom_hot=*/false, /*hot=*/{}};
+}
+
+}  // namespace
+
 const std::vector<StreamSpec>& stream_catalog() {
   using SK = SceneKind;
   static const std::vector<StreamSpec> kCatalog = {
       // DVD-class clips (the paper's three movie trailers; higher bpp).
-      {1, "spr", 720, 480, 24, 0.55, SK::kMovingObjects, 1, 1,
-       "Saving Private Ryan clip -> moving-objects scene"},
-      {2, "matrix", 720, 480, 24, 0.60, SK::kPanningTexture, 1, 1,
-       "The Matrix clip -> panning texture"},
-      {3, "t2", 720, 480, 24, 0.50, SK::kMovingObjects, 1, 1,
-       "Terminator 2 clip -> moving-objects scene"},
+      row(1, "spr", 720, 480, 24, 0.55, SK::kMovingObjects, 1, 1,
+          "Saving Private Ryan clip -> moving-objects scene"),
+      row(2, "matrix", 720, 480, 24, 0.60, SK::kPanningTexture, 1, 1,
+          "The Matrix clip -> panning texture"),
+      row(3, "t2", 720, 480, 24, 0.50, SK::kMovingObjects, 1, 1,
+          "Terminator 2 clip -> moving-objects scene"),
       // XGA animation.
-      {4, "anim1", 1024, 768, 30, 0.30, SK::kAnimation, 2, 1,
-       "short animation (A. Finkelstein) -> flat-shaded shapes"},
+      row(4, "anim1", 1024, 768, 30, 0.30, SK::kAnimation, 2, 1,
+          "short animation (A. Finkelstein) -> flat-shaded shapes"),
       // HDTV fish-tank captures (Intel MRL).
-      {5, "fish1", 1280, 720, 30, 0.30, SK::kMovingObjects, 2, 1,
-       "HDTV fish tank shot 1"},
-      {6, "fish2", 1280, 720, 30, 0.30, SK::kMovingObjects, 2, 1,
-       "HDTV fish tank shot 2"},
-      {7, "fish3", 1280, 720, 30, 0.30, SK::kMovingObjects, 2, 1,
-       "HDTV fish tank shot 3"},
-      {8, "fish4", 1280, 720, 30, 0.30, SK::kMovingObjects, 2, 1,
-       "HDTV fish tank shot 4"},
+      row(5, "fish1", 1280, 720, 30, 0.30, SK::kMovingObjects, 2, 1,
+          "HDTV fish tank shot 1"),
+      row(6, "fish2", 1280, 720, 30, 0.30, SK::kMovingObjects, 2, 1,
+          "HDTV fish tank shot 2"),
+      row(7, "fish3", 1280, 720, 30, 0.30, SK::kMovingObjects, 2, 1,
+          "HDTV fish tank shot 3"),
+      row(8, "fish4", 1280, 720, 30, 0.30, SK::kMovingObjects, 2, 1,
+          "HDTV fish tank shot 4"),
       // Broadcast HDTV captures.
-      {9, "fox", 1280, 720, 60, 0.30, SK::kPanningTexture, 2, 1,
-       "FOX5 720p broadcast"},
-      {10, "nbc", 1920, 1088, 30, 0.30, SK::kMovingObjects, 2, 2,
-       "NBC4 1080i broadcast (progressive 1920x1088 here)"},
-      {11, "cbs", 1920, 1088, 30, 0.30, SK::kPanningTexture, 2, 2,
-       "CBS3 1080i broadcast (progressive 1920x1088 here)"},
+      row(9, "fox", 1280, 720, 60, 0.30, SK::kPanningTexture, 2, 1,
+          "FOX5 720p broadcast"),
+      row(10, "nbc", 1920, 1088, 30, 0.30, SK::kMovingObjects, 2, 2,
+          "NBC4 1080i broadcast (progressive 1920x1088 here)"),
+      row(11, "cbs", 1920, 1088, 30, 0.30, SK::kPanningTexture, 2, 2,
+          "CBS3 1080i broadcast (progressive 1920x1088 here)"),
       // Quadrupled-resolution animation.
-      {12, "anim2", 2048, 1536, 30, 0.30, SK::kAnimation, 3, 2,
-       "anim1 rendered at 4x resolution"},
+      row(12, "anim2", 2048, 1536, 30, 0.30, SK::kAnimation, 3, 2,
+          "anim1 rendered at 4x resolution"),
       // Orion Nebula flyby visualizations (UCSD) — localized detail.
-      {13, "orion1", 2048, 1536, 30, 0.30, SK::kLocalizedDetail, 3, 2,
-       "Orion flyby, lowest resolution"},
-      {14, "orion2", 2560, 1920, 30, 0.30, SK::kLocalizedDetail, 3, 3,
-       "Orion flyby"},
-      {15, "orion3", 3200, 2304, 30, 0.30, SK::kLocalizedDetail, 4, 3,
-       "Orion flyby"},
-      {16, "orion4", 3840, 2912, 30, 0.30, SK::kLocalizedDetail, 4, 4,
-       "Orion flyby, near-IMAX (~100 Mbps at 30 fps)"},
+      row(13, "orion1", 2048, 1536, 30, 0.30, SK::kLocalizedDetail, 3, 2,
+          "Orion flyby, lowest resolution"),
+      row(14, "orion2", 2560, 1920, 30, 0.30, SK::kLocalizedDetail, 3, 3,
+          "Orion flyby"),
+      row(15, "orion3", 3200, 2304, 30, 0.30, SK::kLocalizedDetail, 4, 3,
+          "Orion flyby"),
+      row(16, "orion4", 3840, 2912, 30, 0.30, SK::kLocalizedDetail, 4, 4,
+          "Orion flyby, near-IMAX (~100 Mbps at 30 fps)"),
   };
   return kCatalog;
 }

@@ -157,9 +157,15 @@ TEST_P(NonFatalSchedule, StaysBitExact) {
 
   // The transport actually had to work for it.
   const net::ReliableStats& tr = run.stats.ft.transport;
-  if (sched.rates.drop > 0) EXPECT_GT(tr.retransmits, 0u) << sched.name;
-  if (sched.rates.dup > 0) EXPECT_GT(tr.dup_drops, 0u) << sched.name;
-  if (sched.rates.corrupt > 0) EXPECT_GT(tr.crc_drops, 0u) << sched.name;
+  if (sched.rates.drop > 0) {
+    EXPECT_GT(tr.retransmits, 0u) << sched.name;
+  }
+  if (sched.rates.dup > 0) {
+    EXPECT_GT(tr.dup_drops, 0u) << sched.name;
+  }
+  if (sched.rates.corrupt > 0) {
+    EXPECT_GT(tr.crc_drops, 0u) << sched.name;
+  }
   EXPECT_EQ(tr.abandoned, 0u) << sched.name;
 }
 

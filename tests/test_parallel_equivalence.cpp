@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 
 #include "core/lockstep.h"
 #include "core/mb_splitter.h"
@@ -139,9 +140,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConfigParam{4, 4, 4, 0}, ConfigParam{2, 2, 1, 32},
                       ConfigParam{4, 3, 5, 16}),
     [](const auto& info) {
-      return "m" + std::to_string(info.param.m) + "n" +
-             std::to_string(info.param.n) + "k" + std::to_string(info.param.k) +
-             "ov" + std::to_string(info.param.overlap);
+      const ConfigParam& p = info.param;
+      std::ostringstream name;
+      name << "m" << p.m << "n" << p.n << "k" << p.k << "ov" << p.overlap;
+      return name.str();
     });
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <map>
+#include <sstream>
 #include <thread>
 
 #include "core/hosts.h"
@@ -119,9 +120,11 @@ INSTANTIATE_TEST_SUITE_P(Configs, ThreadedPipeline,
                                            std::make_tuple(3, 2, 3),
                                            std::make_tuple(2, 2, 5)),
                          [](const auto& info) {
-                           return "m" + std::to_string(std::get<0>(info.param)) +
-                                  "n" + std::to_string(std::get<1>(info.param)) +
-                                  "k" + std::to_string(std::get<2>(info.param));
+                           const auto& p = info.param;
+                           std::ostringstream name;
+                           name << "m" << std::get<0>(p) << "n" << std::get<1>(p)
+                                << "k" << std::get<2>(p);
+                           return name.str();
                          });
 
 // Both engines run through the one wall runner, which assembles the traffic
