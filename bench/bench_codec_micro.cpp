@@ -202,21 +202,6 @@ void bm_kernel_add_residual(benchmark::State& state,
   state.SetItemsProcessed(state.iterations());
 }
 
-void bm_kernel_dequant(benchmark::State& state, const kernels::KernelTable* t) {
-  SplitMix64 rng(4);
-  int16_t qfs[64];
-  for (auto& v : qfs)
-    v = rng.next_below(3) == 0 ? 0 : int16_t(int(rng.next_below(600)) - 300);
-  const auto& scan = mpeg2::scan_table(false);
-  const auto& w = mpeg2::kDefaultIntraQuant;
-  int16_t out[64];
-  for (auto _ : state) {
-    t->dequant_intra(qfs, out, w.data(), 16, 4, scan.data());
-    benchmark::DoNotOptimize(out[0]);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
 void bm_kernel_sad(benchmark::State& state, const kernels::KernelTable* t) {
   SplitMix64 rng(5);
   uint8_t a[64 * 16], b[64 * 17];
@@ -240,8 +225,6 @@ void register_kernel_benches() {
                       bm_kernel_interp, t);
     RegisterBenchmark(("BM_KernelAddResidual" + suffix).c_str(),
                       bm_kernel_add_residual, t);
-    RegisterBenchmark(("BM_KernelDequantIntra" + suffix).c_str(),
-                      bm_kernel_dequant, t);
     RegisterBenchmark(("BM_KernelSad16x16" + suffix).c_str(), bm_kernel_sad, t);
   }
 }

@@ -1,12 +1,16 @@
 // MSB-first bit reader over a borrowed byte buffer.
 //
 // This is the hot inner loop of both the decoder and the macroblock-level
-// splitter, so the design follows the usual codec idiom: a 64-bit cache
-// refilled byte-wise, with peek/skip split so VLC decoding can peek a fixed
-// window and then consume the matched length.
+// splitter, so the design follows the usual codec idiom: a left-aligned
+// 64-bit cache, with peek/skip split so VLC decoding can peek a fixed window
+// and then consume the matched length. While 8 bytes remain the cache is
+// refilled with one unaligned big-endian load; the last 7 bytes, and the
+// zero-fill past the end, go byte by byte.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "common/check.h"
@@ -102,7 +106,22 @@ class BitReader {
  private:
   static constexpr int kCacheBits = 64;
 
+  // Postcondition: cache_bits_ >= n. The bulk path tops the cache up to
+  // 57..64 bits and leaves the following stream bits (not zeros) below
+  // them; a later refill ORs the same bits back in, so that is harmless.
   void fill(int n) {
+    if (cache_bits_ >= n) return;
+    if (data_.size() >= 8 && byte_pos_ <= data_.size() - 8) {
+      uint64_t v;
+      std::memcpy(&v, data_.data() + byte_pos_, 8);
+      if constexpr (std::endian::native == std::endian::little)
+        v = __builtin_bswap64(v);
+      cache_ |= v >> cache_bits_;
+      const int bytes = (kCacheBits - cache_bits_) >> 3;
+      byte_pos_ += size_t(bytes);
+      cache_bits_ += bytes * 8;
+      return;
+    }
     while (cache_bits_ < n) {
       const uint64_t byte =
           byte_pos_ < data_.size() ? data_[byte_pos_] : 0;  // zero-pad past end

@@ -1,13 +1,17 @@
 // CPU-feature-dispatched kernels for the codec hot paths.
 //
-// Every per-pixel / per-coefficient inner loop of the decode and encode
-// paths — 8x8 IDCT, half-pel interpolation, bidirectional averaging,
-// residual add/saturate, dequantisation with mismatch control, and the
-// encoder's SAD — lives behind one function-pointer table. The table is
-// filled at startup with the best implementation the running CPU supports
-// (scalar reference, SSE2, or AVX2), so the serial decoder, the tile
-// decoders, the encoder and the slice-parallel baseline all share the same
-// selected kernels.
+// Every per-pixel inner loop of the decode and encode paths — 8x8 IDCT,
+// half-pel interpolation, bidirectional averaging, residual add/saturate,
+// and the encoder's SAD — lives behind one function-pointer table.
+// Dequantisation is not a kernel: a coded block holds about five nonzero
+// coefficients (EXPERIMENTS.md, "One pass from bits to coefficients"), so
+// the macroblock parser dequantises each one as it decodes it
+// (mpeg2/mb_parser.h) instead of running a dense 64-lane pass.
+//
+// The table is filled at startup with the best implementation the running
+// CPU supports (scalar reference, SSE2, or AVX2), so the serial decoder, the
+// tile decoders, the encoder and the slice-parallel baseline all share the
+// same selected kernels.
 //
 // Bit-exactness contract (DESIGN.md §5.1 invariant 1): every implementation
 // of every kernel produces byte-identical output to the scalar reference for
@@ -56,17 +60,6 @@ struct KernelTable {
 
   // dst[r][c] = clamp(res[r*8+c], 0, 255): intra block store.
   void (*put_residual_8x8)(const int16_t res[64], uint8_t* dst, int stride);
-
-  // Inverse quantisation (§7.4) including saturation to [-2048, 2047] and
-  // §7.4.4 mismatch control. `scan` must be a permutation of 0..63 with
-  // scan[0] == 0 (true for both MPEG-2 scan orders). Signatures match
-  // mpeg2::dequant_intra / dequant_non_intra.
-  void (*dequant_intra)(const int16_t qfs[64], int16_t out[64],
-                        const uint8_t w[64], int scale, int dc_mult,
-                        const uint8_t scan[64]);
-  void (*dequant_non_intra)(const int16_t qfs[64], int16_t out[64],
-                            const uint8_t w[64], int scale,
-                            const uint8_t scan[64]);
 
   // 16x16 sum of absolute differences with threshold semantics: returns the
   // SAD if it is < best, otherwise UINT32_MAX (callers use it as a pruned

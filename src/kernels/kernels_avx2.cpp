@@ -1,7 +1,7 @@
 // AVX2 kernel table. This TU is compiled with -mavx2 (scoped to this file in
 // CMake); every entry point is only ever reached through the dispatcher,
 // which verifies CPU support first. 256-bit versions are provided where the
-// wider lanes pay (IDCT, 16-wide quad interpolation, SAD, dequant); the rest
+// wider lanes pay (IDCT, 16-wide quad interpolation, SAD); the rest
 // reuses the shared 128-bit implementations, recompiled VEX-encoded here.
 #include "kernels/kernels_internal.h"
 
@@ -9,7 +9,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -108,69 +107,6 @@ void avg_pixels(uint8_t* p, const uint8_t* q, size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Dequantisation: eight coefficients per iteration.
-// ---------------------------------------------------------------------------
-
-inline __m256i div32_trunc(__m256i v) {
-  const __m256i bias =
-      _mm256_and_si256(_mm256_srai_epi32(v, 31), _mm256_set1_epi32(31));
-  return _mm256_srai_epi32(_mm256_add_epi32(v, bias), 5);
-}
-
-void dequant_common(const int16_t qfs[64], int16_t out[64],
-                    const uint8_t w[64], int scale, int dc_mult, bool intra,
-                    const uint8_t scan[64]) {
-  alignas(16) int16_t raster[64];
-  for (int i = 0; i < 64; ++i) raster[scan[i]] = qfs[i];
-
-  const __m256i z = _mm256_setzero_si256();
-  const __m256i vscale = _mm256_set1_epi32(scale);
-  const __m256i sat_hi = _mm256_set1_epi32(2047);
-  const __m256i sat_lo = _mm256_set1_epi32(-2048);
-  __m256i vsum = z;
-  for (int i = 0; i < 64; i += 8) {
-    const __m256i q = _mm256_cvtepi16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(raster + i)));
-    const __m256i wv = _mm256_cvtepu8_epi32(m128::load8(w + i));
-    __m256i t = _mm256_slli_epi32(q, 1);  // 2 * qf
-    if (!intra) {
-      const __m256i gt = _mm256_cmpgt_epi32(q, z);
-      const __m256i lt = _mm256_cmpgt_epi32(z, q);
-      t = _mm256_add_epi32(t, _mm256_sub_epi32(lt, gt));  // +sign(qf), 0 at 0
-    }
-    const __m256i wsc = _mm256_mullo_epi32(wv, vscale);
-    __m256i v = div32_trunc(_mm256_mullo_epi32(t, wsc));
-    v = _mm256_min_epi32(_mm256_max_epi32(v, sat_lo), sat_hi);
-    vsum = _mm256_add_epi32(vsum, v);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     pack_epi32_to_epi16(v));
-  }
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(vsum),
-                            _mm256_extracti128_si256(vsum, 1));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-  int32_t sum = _mm_cvtsi128_si32(s);
-
-  if (intra) {
-    const int32_t wrong = out[0];
-    out[0] = int16_t(std::clamp(dc_mult * int32_t(qfs[0]), -2048, 2047));
-    sum += out[0] - wrong;
-  }
-  m128::mismatch_control(out, sum);
-}
-
-void dequant_intra(const int16_t qfs[64], int16_t out[64], const uint8_t w[64],
-                   int scale, int dc_mult, const uint8_t scan[64]) {
-  dequant_common(qfs, out, w, scale, dc_mult, true, scan);
-}
-
-void dequant_non_intra(const int16_t qfs[64], int16_t out[64],
-                       const uint8_t w[64], int scale,
-                       const uint8_t scan[64]) {
-  dequant_common(qfs, out, w, scale, 0, false, scan);
-}
-
-// ---------------------------------------------------------------------------
 // SAD: two rows per 256-bit psadbw.
 // ---------------------------------------------------------------------------
 
@@ -213,8 +149,6 @@ const KernelTable kTable = {
     .avg_pixels = avg_pixels,
     .add_residual_8x8 = m128::add_residual_8x8,
     .put_residual_8x8 = m128::put_residual_8x8,
-    .dequant_intra = dequant_intra,
-    .dequant_non_intra = dequant_non_intra,
     .sad16x16 = sad16x16,
     .sad16x16_halfpel = sad16x16_halfpel,
 };

@@ -11,7 +11,6 @@
 
 #include <emmintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -218,98 +217,6 @@ inline void put_residual_8x8(const int16_t res[64], uint8_t* dst, int stride) {
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(res + 8 * r));
     store8(dst + size_t(r) * stride, _mm_packus_epi16(res16, res16));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Dequantisation
-// ---------------------------------------------------------------------------
-
-inline __m128i saturate2048(__m128i v) {
-  const __m128i hi = _mm_set1_epi32(2047);
-  const __m128i lo = _mm_set1_epi32(-2048);
-  __m128i m = _mm_cmpgt_epi32(v, hi);
-  v = _mm_or_si128(_mm_and_si128(m, hi), _mm_andnot_si128(m, v));
-  m = _mm_cmpgt_epi32(lo, v);
-  return _mm_or_si128(_mm_and_si128(m, lo), _mm_andnot_si128(m, v));
-}
-
-// Truncating (toward zero) division by 32, matching the scalar "/ 32".
-inline __m128i div32_trunc(__m128i v) {
-  const __m128i bias = _mm_and_si128(_mm_srai_epi32(v, 31), _mm_set1_epi32(31));
-  return _mm_srai_epi32(_mm_add_epi32(v, bias), 5);
-}
-
-inline void mismatch_control(int16_t out[64], int32_t sum) {
-  if ((sum & 1) == 0) {
-    if (out[63] & 1)
-      out[63] = int16_t(out[63] - 1);
-    else
-      out[63] = int16_t(out[63] + 1);
-  }
-}
-
-// Shared intra/non-intra dequant: permute QFS to raster order (valid because
-// `scan` is a permutation), then vectorise the per-coefficient multiply,
-// truncating /32, saturation and coefficient sum. A zero coefficient yields
-// exactly 0 through the arithmetic (the non-intra +/-1 "third" term is
-// masked to 0 at qf == 0), which matches the scalar code's skip.
-inline void dequant_common(const int16_t qfs[64], int16_t out[64],
-                           const uint8_t w[64], int scale, int dc_mult,
-                           bool intra, const uint8_t scan[64]) {
-  alignas(16) int16_t raster[64];
-  for (int i = 0; i < 64; ++i) raster[scan[i]] = qfs[i];
-
-  const __m128i z = _mm_setzero_si128();
-  const __m128i vscale = _mm_set1_epi32(scale);
-  __m128i vsum = z;
-  for (int i = 0; i < 64; i += 8) {
-    const __m128i q16 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(raster + i));
-    const __m128i w16 = _mm_unpacklo_epi8(load8(w + i), z);
-    const __m128i q[2] = {simd::sext_lo16(q16), simd::sext_hi16(q16)};
-    const __m128i ws[2] = {_mm_unpacklo_epi16(w16, z),
-                           _mm_unpackhi_epi16(w16, z)};
-    __m128i res[2];
-    for (int h = 0; h < 2; ++h) {
-      __m128i t = _mm_slli_epi32(q[h], 1);  // 2 * qf
-      if (!intra) {
-        const __m128i gt = _mm_cmpgt_epi32(q[h], z);
-        const __m128i lt = _mm_cmpgt_epi32(z, q[h]);
-        t = _mm_add_epi32(t, _mm_sub_epi32(lt, gt));  // +sign(qf), 0 at 0
-      }
-      const __m128i wsc = simd::mul_lo32(ws[h], vscale);
-      __m128i v = div32_trunc(simd::mul_lo32(t, wsc));
-      v = saturate2048(v);
-      vsum = _mm_add_epi32(vsum, v);
-      res[h] = v;
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_packs_epi32(res[0], res[1]));
-  }
-  __m128i s = _mm_add_epi32(vsum, _mm_srli_si128(vsum, 8));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-  int32_t sum = _mm_cvtsi128_si32(s);
-
-  if (intra) {
-    // The vector pass treated the DC slot (raster 0 == scan 0) like an AC
-    // coefficient; replace it with the spec DC reconstruction.
-    const int32_t wrong = out[0];
-    out[0] = int16_t(std::clamp(dc_mult * int32_t(qfs[0]), -2048, 2047));
-    sum += out[0] - wrong;
-  }
-  mismatch_control(out, sum);
-}
-
-inline void dequant_intra(const int16_t qfs[64], int16_t out[64],
-                          const uint8_t w[64], int scale, int dc_mult,
-                          const uint8_t scan[64]) {
-  dequant_common(qfs, out, w, scale, dc_mult, true, scan);
-}
-
-inline void dequant_non_intra(const int16_t qfs[64], int16_t out[64],
-                              const uint8_t w[64], int scale,
-                              const uint8_t scan[64]) {
-  dequant_common(qfs, out, w, scale, 0, false, scan);
 }
 
 // ---------------------------------------------------------------------------

@@ -205,57 +205,6 @@ void put_residual_8x8(const int16_t res[64], uint8_t* dst, int stride) {
 }
 
 // ---------------------------------------------------------------------------
-// Dequantisation (§7.4) with saturation and mismatch control.
-// ---------------------------------------------------------------------------
-
-inline int16_t saturate(int32_t v) {
-  return int16_t(std::clamp(v, -2048, 2047));
-}
-
-// Mismatch control (§7.4.4): if the sum of all coefficients is even, toggle
-// the least significant bit of F[7][7].
-inline void mismatch_control(int16_t out[64], int32_t sum) {
-  if ((sum & 1) == 0) {
-    if (out[63] & 1)
-      out[63] = int16_t(out[63] - 1);
-    else
-      out[63] = int16_t(out[63] + 1);
-  }
-}
-
-void dequant_intra(const int16_t qfs[64], int16_t out[64], const uint8_t w[64],
-                   int scale, int dc_mult, const uint8_t scan[64]) {
-  for (int i = 0; i < 64; ++i) out[i] = 0;
-  out[0] = saturate(dc_mult * qfs[0]);
-  int32_t sum = out[0];
-  for (int i = 1; i < 64; ++i) {
-    if (qfs[i] == 0) continue;
-    const int pos = scan[i];
-    const int32_t v = (2 * int32_t(qfs[i]) * w[pos] * scale) / 32;
-    out[pos] = saturate(v);
-    sum += out[pos];
-  }
-  mismatch_control(out, sum);
-}
-
-void dequant_non_intra(const int16_t qfs[64], int16_t out[64],
-                       const uint8_t w[64], int scale,
-                       const uint8_t scan[64]) {
-  for (int i = 0; i < 64; ++i) out[i] = 0;
-  int32_t sum = 0;
-  for (int i = 0; i < 64; ++i) {
-    const int32_t qf = qfs[i];
-    if (qf == 0) continue;
-    const int pos = scan[i];
-    const int32_t third = qf > 0 ? 1 : -1;
-    const int32_t v = ((2 * qf + third) * w[pos] * scale) / 32;
-    out[pos] = saturate(v);
-    sum += out[pos];
-  }
-  mismatch_control(out, sum);
-}
-
-// ---------------------------------------------------------------------------
 // SAD (encoder motion estimation).
 // ---------------------------------------------------------------------------
 
@@ -303,8 +252,6 @@ const KernelTable kTable = {
     .avg_pixels = avg_pixels,
     .add_residual_8x8 = add_residual_8x8,
     .put_residual_8x8 = put_residual_8x8,
-    .dequant_intra = dequant_intra,
-    .dequant_non_intra = dequant_non_intra,
     .sad16x16 = sad16x16,
     .sad16x16_halfpel = sad16x16_halfpel,
 };

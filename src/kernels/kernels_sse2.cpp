@@ -17,8 +17,6 @@ const KernelTable kTable = {
     .avg_pixels = m128::avg_pixels,
     .add_residual_8x8 = m128::add_residual_8x8,
     .put_residual_8x8 = m128::put_residual_8x8,
-    .dequant_intra = m128::dequant_intra,
-    .dequant_non_intra = m128::dequant_non_intra,
     .sad16x16 = m128::sad16x16,
     .sad16x16_halfpel = m128::sad16x16_halfpel,
 };

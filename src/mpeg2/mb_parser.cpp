@@ -255,9 +255,7 @@ bool MbSyntaxDecoder::parse_coded(BitReader& r, int addr, size_t bit_begin,
       return fail(DecodeErr::kBadValue, r);  // MV references out-of-picture
   }
 
-  // Blocks.
-  if (mode_ == ParseMode::kFull)
-    for (auto& block : mb.coeff) std::memset(block, 0, sizeof(block));
+  // Blocks. Only coded blocks are written; reconstruction reads only those.
   for (int b = 0; b < kBlocksPerMb; ++b)
     if (mb.cbp & (0x20 >> b))
       if (!parse_block(r, mb, b)) return false;
@@ -311,12 +309,21 @@ bool MbSyntaxDecoder::parse_motion_vector(BitReader& r, Macroblock& mb,
 
 bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
                                   int block_index) {
-  int16_t qfs[64];
+  // kFull dequantises each nonzero coefficient into its raster slot as it is
+  // decoded (§7.4 via mpeg2/quant.h) and keeps the mismatch-control sum.
   const bool full = mode_ == ParseMode::kFull;
-  if (full) std::memset(qfs, 0, sizeof(qfs));
+  const bool intra = mb.flags & kIntra;
+  int16_t* f = mb.coeff[block_index];
+  const uint8_t* scan = scan_table(ctx_.pce.alternate_scan).data();
+  const uint8_t* w = intra ? ctx_.seq->intra_quant.data()
+                           : ctx_.seq->non_intra_quant.data();
+  const int scale =
+      full ? quantiser_scale(ctx_.pce.q_scale_type, state_.quant_scale_code)
+           : 0;
+  int32_t sum = 0;
+  if (full) std::memset(f, 0, sizeof(mb.coeff[0]));
 
   int n;  // next scan position to fill
-  const bool intra = mb.flags & kIntra;
   if (intra) {
     // DC coefficient: size VLC + differential, predicted per component.
     const int cc = block_index < 4 ? 0 : (block_index == 4 ? 1 : 2);
@@ -331,7 +338,10 @@ bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
       diff = bits >= half ? bits : bits - (1 << size) + 1;
     }
     state_.dc_pred[cc] += diff;
-    if (full) qfs[0] = int16_t(state_.dc_pred[cc]);
+    if (full) {
+      f[0] = dequant_dc(int16_t(state_.dc_pred[cc]), ctx_.pce.intra_dc_mult());
+      sum = f[0];
+    }
     n = 1;
   } else {
     n = 0;
@@ -349,22 +359,14 @@ bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
     if (c.eob) break;
     n += c.run;
     if (n >= 64) return fail(DecodeErr::kBadValue, r);  // run beyond block
-    if (full) qfs[n] = int16_t(c.level);
+    if (full) {
+      const int pos = scan[n];
+      f[pos] = dequant_ac(c.level, w[pos], scale, intra);
+      sum += f[pos];
+    }
     ++n;
   }
-
-  if (!full) return true;
-
-  const auto& scan = scan_table(ctx_.pce.alternate_scan);
-  const int scale =
-      quantiser_scale(ctx_.pce.q_scale_type, state_.quant_scale_code);
-  if (intra) {
-    dequant_intra(qfs, mb.coeff[block_index], ctx_.seq->intra_quant.data(),
-                  scale, ctx_.pce.intra_dc_mult(), scan.data());
-  } else {
-    dequant_non_intra(qfs, mb.coeff[block_index],
-                      ctx_.seq->non_intra_quant.data(), scale, scan.data());
-  }
+  if (full) mismatch_control(f, sum);
   return true;
 }
 

@@ -10,6 +10,11 @@
 //   * tile decoders — parse sub-picture *runs*: a forced start address, a
 //     known count of coded macroblocks, and SPH-provided initial state.
 //
+// kFull goes from bits to dequantised coefficients in one pass: each B.14
+// run/level pair is dequantised (§7.4, mpeg2/quant.h) straight into its
+// raster slot of Macroblock::coeff, with the mismatch sum kept on the way.
+// Only the blocks set in `cbp` are written; the others hold stale data.
+//
 // The driver receives every macroblock, coded or skipped, through MbSink in
 // picture order, along with the decode state *before* the macroblock and the
 // exact bit range its coded representation occupies (for payload extraction).
@@ -22,7 +27,7 @@
 namespace pdw::mpeg2 {
 
 enum class ParseMode {
-  kFull,  // reconstruct dequantised coefficients into Macroblock::coeff
+  kFull,  // dequantised coefficients of the coded blocks in Macroblock::coeff
   kScan,  // consume syntax only (splitter's cheap pass)
 };
 

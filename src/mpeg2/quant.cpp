@@ -2,22 +2,34 @@
 
 #include <algorithm>
 
-#include "kernels/kernels.h"
-
 namespace pdw::mpeg2 {
 
-// Decoder-side dequant lives in src/kernels (scalar reference plus bit-exact
-// SIMD variants selected at runtime). Encoder-side quantisation below stays
-// scalar: it runs once per block at encode time and is not a decode hot path.
 void dequant_intra(const int16_t qfs[64], int16_t out[64], const uint8_t w[64],
                    int scale, int dc_mult, const uint8_t scan[64]) {
-  kernels::active().dequant_intra(qfs, out, w, scale, dc_mult, scan);
+  std::fill_n(out, 64, int16_t(0));
+  out[0] = dequant_dc(qfs[0], dc_mult);
+  int32_t sum = out[0];
+  for (int i = 1; i < 64; ++i) {
+    if (qfs[i] == 0) continue;
+    const int pos = scan[i];
+    out[pos] = dequant_ac(qfs[i], w[pos], scale, /*intra=*/true);
+    sum += out[pos];
+  }
+  mismatch_control(out, sum);
 }
 
 void dequant_non_intra(const int16_t qfs[64], int16_t out[64],
                        const uint8_t w[64], int scale,
                        const uint8_t scan[64]) {
-  kernels::active().dequant_non_intra(qfs, out, w, scale, scan);
+  std::fill_n(out, 64, int16_t(0));
+  int32_t sum = 0;
+  for (int i = 0; i < 64; ++i) {
+    if (qfs[i] == 0) continue;
+    const int pos = scan[i];
+    out[pos] = dequant_ac(qfs[i], w[pos], scale, /*intra=*/false);
+    sum += out[pos];
+  }
+  mismatch_control(out, sum);
 }
 
 int quant_intra(const int16_t coeff[64], int16_t qfs[64], const uint8_t w[64],

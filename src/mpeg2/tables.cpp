@@ -306,7 +306,7 @@ struct B14Entry {
 
 // All 111 run/level codes of Table B.14 ('11' form of run 0 / level 1; the
 // '1' first-coefficient form is special-cased in decode/encode).
-const B14Entry kB14[] = {
+constexpr B14Entry kB14[] = {
     {0, 1, 0b11, 2},
     {1, 1, 0b011, 3},
     {0, 2, 0b0100, 4},
@@ -425,33 +425,6 @@ constexpr int kEobLen = 2;
 constexpr uint16_t kEscapeCode = 0b000001;
 constexpr int kEscapeLen = 6;
 
-// Decode LUT over a 16-bit peek window (code without sign).
-struct DctLut {
-  int8_t run;    // -1 = EOB, -2 = escape, -3 = invalid
-  int8_t level;  // magnitude
-  uint8_t len;   // code length without sign
-};
-
-const DctLut* dct_lut() {
-  static const std::vector<DctLut>* lut = [] {
-    auto* t = new std::vector<DctLut>(1 << 16, DctLut{-3, 0, 0});
-    auto fill = [&](uint16_t code, int len, DctLut v) {
-      const uint32_t base = uint32_t(code) << (16 - len);
-      const uint32_t span = 1u << (16 - len);
-      for (uint32_t j = 0; j < span; ++j) {
-        PDW_CHECK_EQ((*t)[base + j].run, -3) << "B.14 not prefix-free";
-        (*t)[base + j] = v;
-      }
-    };
-    for (const B14Entry& e : kB14)
-      fill(e.code, e.len, DctLut{int8_t(e.run), int8_t(e.level), e.len});
-    fill(kEobCode, kEobLen, DctLut{-1, 0, kEobLen});
-    fill(kEscapeCode, kEscapeLen, DctLut{-2, 0, kEscapeLen});
-    return t;
-  }();
-  return lut->data();
-}
-
 // Encode lookup keyed by run * 64 + |level| (levels above 40 always escape).
 const std::unordered_map<int, const B14Entry*>& b14_encode_map() {
   static const auto* map = [] {
@@ -464,39 +437,36 @@ const std::unordered_map<int, const B14Entry*>& b14_encode_map() {
 
 }  // namespace
 
+namespace b14 {
+
+// Built at compile time; a code that overlaps another (B.14 not prefix-free)
+// fails the build.
+constexpr std::array<Lut, 1 << 16> make_lut() {
+  std::array<Lut, 1 << 16> t{};
+  for (Lut& e : t) e = Lut{kInvalid, 0, 0};
+  auto fill = [&](uint16_t code, int len, Lut v) {
+    const uint32_t base = uint32_t(code) << (16 - len);
+    for (uint32_t j = 0; j < (1u << (16 - len)); ++j) {
+      if (t[base + j].run != kInvalid) throw "B.14 not prefix-free";
+      t[base + j] = v;
+    }
+  };
+  for (const B14Entry& e : kB14)
+    fill(e.code, e.len, Lut{int8_t(e.run), e.level, e.len});
+  fill(kEobCode, kEobLen, Lut{kEob, 0, kEobLen});
+  fill(kEscapeCode, kEscapeLen, Lut{kEscape, 0, kEscapeLen});
+  return t;
+}
+
+constexpr std::array<Lut, 1 << 16> kLut = make_lut();
+
+}  // namespace b14
+
 DctCoeff decode_dct_coeff_b14(BitReader& r, bool first) {
   DctCoeff c;
   PDW_CHECK(try_decode_dct_coeff_b14(r, first, &c))
       << "invalid DCT coefficient code";
   return c;
-}
-
-bool try_decode_dct_coeff_b14(BitReader& r, bool first, DctCoeff* out) {
-  if (first && r.peek(1) == 1) {
-    // First coefficient of a non-intra block: '1s'.
-    r.skip(1);
-    *out = {false, 0, r.read_bit() ? -1 : 1};
-    return true;
-  }
-  const DctLut e = dct_lut()[r.peek(16)];
-  if (e.run == -3) return false;  // invalid code
-  r.skip(e.len);
-  if (e.run == -1) {
-    *out = {true, 0, 0};
-    return true;
-  }
-  if (e.run == -2) {
-    // MPEG-2 escape: 6-bit run, 12-bit two's complement level.
-    const int run = int(r.read(6));
-    int level = int(r.read(12));
-    if (level >= 2048) level -= 4096;
-    if (level == 0 || level == -2048) return false;  // forbidden
-    *out = {false, run, level};
-    return true;
-  }
-  const bool negative = r.read_bit();
-  *out = {false, e.run, negative ? -int(e.level) : int(e.level)};
-  return true;
 }
 
 bool b14_has_code(int run, int level) {

@@ -95,12 +95,57 @@ struct DctCoeff {
   int level = 0;  // signed
 };
 
-// Decode one run/level pair (or EOB). `first` selects the first-coefficient
-// convention for non-intra blocks (code '1s' instead of '11s').
+namespace b14 {
+
+// Decode table over the next 16 bits of the stream (the code without its
+// sign bit; the longest B.14 code is 16 bits).
+inline constexpr int8_t kEob = -1, kEscape = -2, kInvalid = -3;
+struct Lut {
+  int8_t run;     // >= 0 for a run/level code, else kEob/kEscape/kInvalid
+  uint8_t level;  // magnitude
+  uint8_t len;    // code length without the sign bit
+};
+extern const std::array<Lut, 1 << 16> kLut;
+
+}  // namespace b14
+
+// Decode one run/level pair (or EOB), returning false on an invalid code or a
+// forbidden escape level (0 or -2048). `first` selects the first-coefficient
+// convention for non-intra blocks (code '1s' instead of '11s'). On failure
+// an invalid code consumes nothing and an escape consumes its 24 bits.
+//
+// One 24-bit peek covers every case: the '1s' code, a table code of up to
+// 16 bits plus its sign, EOB, and the escape ('000001', 6-bit run, 12-bit
+// level). This is the macroblock parser's inner loop.
+inline bool try_decode_dct_coeff_b14(BitReader& r, bool first, DctCoeff* out) {
+  const uint32_t w = r.peek(24);
+  if (first && (w >> 23)) {
+    r.skip(2);
+    *out = {false, 0, (w >> 22) & 1 ? -1 : 1};
+    return true;
+  }
+  const b14::Lut e = b14::kLut[w >> 8];
+  if (e.run >= 0) {
+    r.skip(e.len + 1);
+    const int level = e.level;
+    *out = {false, e.run, (w >> (23 - e.len)) & 1 ? -level : level};
+    return true;
+  }
+  if (e.run == b14::kEob) {
+    r.skip(e.len);
+    *out = {true, 0, 0};
+    return true;
+  }
+  if (e.run == b14::kInvalid) return false;
+  r.skip(24);
+  const int level = int32_t(w << 20) >> 20;  // 12-bit two's complement
+  if (level == 0 || level == -2048) return false;
+  *out = {false, int(w >> 12) & 63, level};
+  return true;
+}
+
+// CHECKing wrapper: an invalid code is a stream error.
 DctCoeff decode_dct_coeff_b14(BitReader& r, bool first);
-// Non-throwing variant: returns false on an invalid code or a forbidden
-// escape level.
-bool try_decode_dct_coeff_b14(BitReader& r, bool first, DctCoeff* out);
 
 // Encode one run/level pair, using the table code when one exists and the
 // MPEG-2 escape (6-bit run + 12-bit signed level) otherwise.

@@ -130,7 +130,8 @@ struct MbState {
 };
 
 // One parsed macroblock. `coeff` holds dequantized coefficients in raster
-// order when parsed in Mode::kFull; in Mode::kScan the VLCs are consumed but
+// order for the blocks set in `cbp` when parsed in ParseMode::kFull (other
+// blocks hold stale data); in ParseMode::kScan the VLCs are consumed but
 // coefficients are not reconstructed (this is the splitter's cheap pass).
 struct Macroblock {
   int32_t addr = 0;  // raster macroblock address in the picture

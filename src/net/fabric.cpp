@@ -158,8 +158,9 @@ RecvStatus Fabric::receive_for(int node, double timeout_s, Message* out) {
   }
   if (shutdown_.load()) return RecvStatus::kShutdown;
   PDW_CHECK(!ready);
-  // Timed out: any fault-delayed messages now arrive "late".
-  if (!mb.delayed.empty()) {
+  // Timed out: any fault-delayed messages now arrive "late". A zero-wait
+  // poll is not a receiver waiting, so it releases nothing.
+  if (!mb.delayed.empty() && timeout_s > 0) {
     release_delayed(mb, /*force=*/true);
     if (!mb.queue.empty()) {
       *out = std::move(mb.queue.front());

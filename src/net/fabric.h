@@ -106,7 +106,8 @@ class FabricBackend {
   // overrun is a receiver-side drop covered by retransmission).
   virtual SendStatus send(int src, int dst, Message msg) = 0;
 
-  // Timed receive at `node`.
+  // Timed receive at `node`. A timeout of 0 polls: it returns what is
+  // already queued and does not release fault-delayed messages.
   virtual RecvStatus receive_for(int node, double timeout_s, Message* out) = 0;
 
   // Fence a node off the fabric. For the in-process backend this kills the

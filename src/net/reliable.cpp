@@ -246,6 +246,16 @@ ReliableEndpoint::Status ReliableEndpoint::recv(Message* out,
       ++stats_.delivered;
       return Status::kMessage;
     }
+    // Drain what the fabric already holds before servicing deadlines: after
+    // a stall, a t-ack that is already queued must cancel its retransmit
+    // (or abandonment) rather than lose the race to it.
+    Message msg;
+    RecvStatus st;
+    while ((st = fabric_->receive_for(self_, 0, &msg)) == RecvStatus::kOk)
+      handle(std::move(msg));
+    if (st == RecvStatus::kShutdown) return Status::kShutdown;
+    if (st == RecvStatus::kDead) return Status::kDead;
+    if (!ready_.empty()) continue;
     const double next_retx = service_deadlines();
     service_holes();
     if (!ready_.empty()) continue;
@@ -254,18 +264,10 @@ ReliableEndpoint::Status ReliableEndpoint::recv(Message* out,
     const double wait =
         std::max(0.0, std::min(caller_deadline, next_retx) - t) + 1e-4;
 
-    Message msg;
-    switch (fabric_->receive_for(self_, wait, &msg)) {
-      case RecvStatus::kOk:
-        handle(std::move(msg));
-        break;
-      case RecvStatus::kTimeout:
-        break;  // loop: service deadlines / caller timeout
-      case RecvStatus::kShutdown:
-        return Status::kShutdown;
-      case RecvStatus::kDead:
-        return Status::kDead;
-    }
+    // A shutdown or death shows again in the next drain; a timeout loops to
+    // service deadlines or the caller's timeout.
+    if (fabric_->receive_for(self_, wait, &msg) == RecvStatus::kOk)
+      handle(std::move(msg));
   }
 }
 

@@ -335,8 +335,8 @@ RecvStatus SocketFabric::receive_for(int node, double timeout_s,
     }
     if (shutdown_.load(std::memory_order_acquire)) return RecvStatus::kShutdown;
     // Nothing ready: fault-delayed datagrams arrive now, late, rather than
-    // leave the receiver waiting on them.
-    if (!parked_.empty()) {
+    // leave the receiver waiting on them (a zero-wait poll does not wait).
+    if (!parked_.empty() && timeout_s > 0) {
       release_parked(/*force=*/true);
       if (!ready_.empty()) continue;
     }

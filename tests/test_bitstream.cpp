@@ -1,6 +1,8 @@
 // Bit reader/writer and start-code scanner unit tests.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bitstream/bit_reader.h"
 #include "bitstream/bit_writer.h"
 #include "bitstream/start_code.h"
@@ -145,6 +147,55 @@ TEST(BitReader, RandomizedRoundtrip) {
     auto bytes = w.take();
     BitReader r(bytes);
     for (auto [v, len] : fields) EXPECT_EQ(r.read(len), v);
+  }
+}
+
+// Differential test against a bit-at-a-time model: random buffers of 0-48
+// bytes, random starting bit offsets (up to a byte past the end), and random
+// peek/read/skip sequences of 1-32 bits. Buffers shorter and longer than the
+// 8-byte bulk refill, and positions on either side of the last 8 bytes,
+// cover the bulk/byte-wise boundary; reads run past the end to cover the
+// zero-fill and the sticky overrun flag.
+TEST(BitReader, MatchesBitAtATimeModel) {
+  SplitMix64 rng(2024);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<uint8_t> data(rng.next_below(49));
+    for (uint8_t& b : data) b = uint8_t(rng.next());
+    const size_t size_bits = data.size() * 8;
+    auto bit_at = [&](size_t p) {
+      return p < size_bits ? (data[p / 8] >> (7 - p % 8)) & 1u : 0u;
+    };
+    auto model_peek = [&](size_t p, int n) {
+      uint32_t v = 0;
+      for (int i = 0; i < n; ++i) v = (v << 1) | bit_at(p + size_t(i));
+      return v;
+    };
+
+    size_t pos = rng.next_below(uint32_t(size_bits + 9));
+    bool overrun = pos > size_bits;
+    BitReader r(data, pos);
+    for (int op = 0; op < 40; ++op) {
+      const int n = 1 + int(rng.next_below(32));
+      switch (rng.next_below(3)) {
+        case 0:
+          ASSERT_EQ(r.peek(n), model_peek(pos, n))
+              << "trial " << trial << " op " << op << " peek " << n;
+          break;
+        case 1:
+          ASSERT_EQ(r.read(n), model_peek(pos, n))
+              << "trial " << trial << " op " << op << " read " << n;
+          pos += size_t(n);
+          break;
+        default:
+          r.skip(size_t(n));
+          pos += size_t(n);
+          break;
+      }
+      overrun = overrun || pos > size_bits;
+      ASSERT_EQ(r.bit_pos(), pos) << "trial " << trial << " op " << op;
+      ASSERT_EQ(r.overrun(), overrun) << "trial " << trial << " op " << op;
+      ASSERT_EQ(r.bits_left(), pos >= size_bits ? 0 : size_bits - pos);
+    }
   }
 }
 

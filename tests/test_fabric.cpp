@@ -196,6 +196,8 @@ TEST(Fabric, DelayedMessageReleasedByTimeout) {
   a.type = 1;
   f.send(0, 1, std::move(a));
   Message m;
+  // A zero-wait poll is not a waiting receiver: the message stays parked.
+  EXPECT_EQ(f.receive_for(1, 0.0, &m), RecvStatus::kTimeout);
   // A blocked receiver's timeout force-releases the parked message — it
   // arrives "late" instead of never, which keeps the fabric live.
   ASSERT_EQ(f.receive_for(1, 0.002, &m), RecvStatus::kOk);

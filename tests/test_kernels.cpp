@@ -4,10 +4,9 @@
 // being byte-identical to the scalar reference over the whole documented
 // input domain. These tests hammer each table entry with random inputs
 // (plus adversarial edge cases: saturation extremes, sparse blocks, odd
-// strides, every hx/hy combination, every scan permutation shape) and
-// compare all supported levels against kScalar.
+// strides, every hx/hy combination) and compare all supported levels
+// against kScalar.
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "kernels/kernels.h"
-#include "mpeg2/tables.h"
 
 namespace pdw::kernels {
 namespace {
@@ -204,69 +202,6 @@ TEST(KernelFuzz, ResidualAddPutMatchesScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Dequantisation
-// ---------------------------------------------------------------------------
-
-TEST(KernelFuzz, DequantMatchesScalar) {
-  const auto levels = simd_levels();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD levels on this host";
-  Rng rng(0x1DC7'0005);
-
-  // Scan orders: both real MPEG-2 scans plus random permutations that keep
-  // scan[0] == 0 (the documented contract).
-  std::vector<std::array<uint8_t, 64>> scans;
-  {
-    std::array<uint8_t, 64> s;
-    std::copy(mpeg2::scan_table(false).begin(), mpeg2::scan_table(false).end(),
-              s.begin());
-    scans.push_back(s);
-    std::copy(mpeg2::scan_table(true).begin(), mpeg2::scan_table(true).end(),
-              s.begin());
-    scans.push_back(s);
-    for (int k = 0; k < 3; ++k) {
-      for (int i = 0; i < 64; ++i) s[i] = uint8_t(i);
-      for (int i = 63; i > 1; --i)
-        std::swap(s[i], s[rng.range(1, i)]);  // Fisher-Yates, fix s[0]=0
-      scans.push_back(s);
-    }
-  }
-
-  for (int iter = 0; iter < 2000; ++iter) {
-    int16_t qfs[64];
-    const bool extreme = iter % 5 == 0;
-    for (auto& v : qfs) {
-      if (rng.range(0, 2) == 0)
-        v = 0;  // typical blocks are mostly zero
-      else
-        v = int16_t(extreme ? (rng.range(0, 1) ? 2047 : -2048)
-                            : rng.range(-300, 300));
-    }
-    uint8_t w[64];
-    for (auto& v : w) v = uint8_t(rng.range(1, 255));
-    const int scale = rng.range(1, 112);
-    const int dc_mult = std::array<int, 4>{8, 4, 2, 1}[rng.range(0, 3)];
-    const auto& scan = scans[size_t(iter) % scans.size()];
-
-    for (bool intra : {true, false}) {
-      int16_t want[64], got[64];
-      if (intra)
-        scalar().dequant_intra(qfs, want, w, scale, dc_mult, scan.data());
-      else
-        scalar().dequant_non_intra(qfs, want, w, scale, scan.data());
-      for (Level l : levels) {
-        if (intra)
-          table_for(l)->dequant_intra(qfs, got, w, scale, dc_mult, scan.data());
-        else
-          table_for(l)->dequant_non_intra(qfs, got, w, scale, scan.data());
-        ASSERT_EQ(0, std::memcmp(want, got, sizeof(want)))
-            << (intra ? "intra" : "non-intra") << " dequant mismatch at level "
-            << level_name(l) << " iter " << iter;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // SAD
 // ---------------------------------------------------------------------------
 
@@ -336,8 +271,6 @@ TEST(KernelDispatch, TablesAreSelfConsistent) {
     EXPECT_NE(t->avg_pixels, nullptr);
     EXPECT_NE(t->add_residual_8x8, nullptr);
     EXPECT_NE(t->put_residual_8x8, nullptr);
-    EXPECT_NE(t->dequant_intra, nullptr);
-    EXPECT_NE(t->dequant_non_intra, nullptr);
     EXPECT_NE(t->sad16x16, nullptr);
     EXPECT_NE(t->sad16x16_halfpel, nullptr);
   }

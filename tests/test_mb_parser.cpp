@@ -1,12 +1,14 @@
 // Macroblock-layer syntax decoder tests with hand-crafted bitstreams:
 // predictor state machine, motion vector wrapping, skip semantics, quant
-// updates, and the sub-picture run driver.
+// updates, the sub-picture run driver, and kFull's in-loop dequantisation.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "bitstream/bit_writer.h"
+#include "common/stats.h"
 #include "mpeg2/mb_parser.h"
+#include "mpeg2/quant.h"
 #include "mpeg2/tables.h"
 
 namespace pdw::mpeg2 {
@@ -65,8 +67,8 @@ class MbWriter {
 
   void cbp(int pattern) { vlc_coded_block_pattern().encode(w_, pattern); }
 
-  // Minimal intra block: DC diff only.
-  void intra_block(int cc, int dc_value) {
+  // Intra DC: size VLC + differential against the component's predictor.
+  void intra_dc(int cc, int dc_value) {
     const int diff = dc_value - dc_pred_[cc];
     dc_pred_[cc] = dc_value;
     int size = 0;
@@ -76,6 +78,26 @@ class MbWriter {
     if (size)
       w_.put(diff > 0 ? uint32_t(diff) : uint32_t(diff + (1 << size) - 1),
              size);
+  }
+
+  // Minimal intra block: DC diff only.
+  void intra_block(int cc, int dc_value) {
+    intra_dc(cc, dc_value);
+    encode_eob_b14(w_);
+  }
+
+  // Run/level pairs for scan positions [from, 64) of `qfs`, then EOB.
+  void coefficients(const int16_t qfs[64], int from, bool first) {
+    int run = 0;
+    for (int n = from; n < 64; ++n) {
+      if (qfs[n] == 0) {
+        ++run;
+        continue;
+      }
+      encode_dct_coeff_b14(w_, run, qfs[n], first);
+      first = false;
+      run = 0;
+    }
     encode_eob_b14(w_);
   }
 
@@ -393,6 +415,91 @@ TEST_F(MbParserTest, BitRangesAreContiguousAndExact) {
   EXPECT_EQ(sink.items[0].bit_begin, 0u);
   for (size_t i = 1; i < 3; ++i)
     EXPECT_EQ(sink.items[i].bit_begin, sink.items[i - 1].bit_end);
+}
+
+// Random blocks through the whole coefficient path: B.14 table codes and
+// escapes (up to +/-2047), runs ending at scan position 63, both scans, every
+// intra_dc_precision, both q_scale_types and matrices holding 255. kFull's
+// in-loop dequantisation must equal the scalar reference dequant of the same
+// QFS, and kScan must end on the same bit. One decoder pair parses every
+// trial, so a coefficient left over from an earlier block would show.
+TEST_F(MbParserTest, FusedDequantMatchesReference) {
+  SplitMix64 rng(7);
+  MbSyntaxDecoder full(ctx_, ParseMode::kFull);
+  MbSyntaxDecoder scan(ctx_, ParseMode::kScan);
+  auto level = [&] {
+    const uint32_t k = rng.next_below(20);
+    const int mag = k < 10   ? 1 + int(rng.next_below(3))
+                    : k < 15 ? 4 + int(rng.next_below(37))
+                    : k < 19 ? 41 + int(rng.next_below(2006))
+                             : 2047;
+    return int16_t(rng.next_below(2) ? -mag : mag);
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    const bool intra = trial % 2 == 0;
+    ctx_.ph.type = intra ? PicType::I : PicType::P;
+    ctx_.pce.alternate_scan = rng.next_below(2) != 0;
+    ctx_.pce.intra_dc_precision = int(rng.next_below(4));
+    ctx_.pce.q_scale_type = rng.next_below(2) != 0;
+    for (auto* m : {&seq_.intra_quant, &seq_.non_intra_quant})
+      for (uint8_t& v : *m)
+        v = rng.next_below(8) == 0 ? 255 : uint8_t(1 + rng.next_below(255));
+    const int quant = 1 + int(rng.next_below(31));
+    const int cbp = intra ? 0x3F : 1 + int(rng.next_below(63));
+    const uint32_t density = rng.next_below(4);  // sparse ... dense
+
+    MbWriter w(ctx_);
+    w.reset_dc();
+    w.increment(1);
+    w.type(intra ? uint8_t(kIntra | kQuant) : uint8_t(kPattern | kQuant));
+    w.quant(quant);
+    if (!intra) w.cbp(cbp);
+    int16_t qfs[kBlocksPerMb][64] = {};
+    for (int b = 0; b < kBlocksPerMb; ++b) {
+      if (!(cbp & (0x20 >> b))) continue;
+      for (int n = intra ? 1 : 0; n < 64; ++n)
+        if (rng.next_below(64) < 1 + density * 20) qfs[b][n] = level();
+      if (rng.next_below(4) == 0) qfs[b][63] = level();
+      if (!intra && qfs[b][0] == 0) qfs[b][rng.next_below(64)] = level();
+      if (intra) {
+        const int cc = b < 4 ? 0 : b - 3;
+        qfs[b][0] = int16_t(rng.next_below(256u << ctx_.pce.intra_dc_precision));
+        w.intra_dc(cc, qfs[b][0]);
+      }
+      w.coefficients(qfs[b], intra ? 1 : 0, /*first=*/!intra);
+    }
+    const auto bytes = w.take();
+
+    CollectSink fs, ss;
+    BitReader r1(bytes), r2(bytes);
+    ASSERT_TRUE(full.parse_slice_body(r1, 0, 1, fs).status.ok())
+        << "trial " << trial;
+    ASSERT_TRUE(scan.parse_slice_body(r2, 0, 1, ss).status.ok())
+        << "trial " << trial;
+    ASSERT_EQ(fs.items.size(), 1u);
+    ASSERT_EQ(ss.items.size(), 1u);
+    EXPECT_EQ(r1.bit_pos(), r2.bit_pos()) << "trial " << trial;
+    EXPECT_EQ(fs.items[0].bit_end, ss.items[0].bit_end) << "trial " << trial;
+    EXPECT_EQ(full.state(), scan.state()) << "trial " << trial;
+    const Macroblock& mb = fs.items[0].mb;
+    ASSERT_EQ(mb.cbp, cbp);
+
+    const int scale = quantiser_scale(ctx_.pce.q_scale_type, quant);
+    const uint8_t* zz = scan_table(ctx_.pce.alternate_scan).data();
+    for (int b = 0; b < kBlocksPerMb; ++b) {
+      if (!(cbp & (0x20 >> b))) continue;
+      int16_t want[64];
+      if (intra)
+        dequant_intra(qfs[b], want, seq_.intra_quant.data(), scale,
+                      ctx_.pce.intra_dc_mult(), zz);
+      else
+        dequant_non_intra(qfs[b], want, seq_.non_intra_quant.data(), scale,
+                          zz);
+      for (int i = 0; i < 64; ++i)
+        ASSERT_EQ(mb.coeff[b][i], want[i])
+            << "trial " << trial << " block " << b << " raster " << i;
+    }
+  }
 }
 
 }  // namespace

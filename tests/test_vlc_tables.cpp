@@ -211,6 +211,28 @@ TEST(DctCoeffB14, EscapeRoundtrip) {
   }
 }
 
+TEST(DctCoeffB14, FailuresStopAtTheSameBit) {
+  // A forbidden escape level (0 or -2048) fails after its 24 bits; an
+  // invalid code (16 zero bits) fails without consuming anything.
+  for (uint32_t level : {0x000u, 0x800u}) {
+    BitWriter w;
+    w.put(0b000001, 6);
+    w.put(17, 6);
+    w.put(level, 12);
+    w.put(0xFFFF, 16);
+    auto bytes = w.take();
+    BitReader r(bytes);
+    DctCoeff c;
+    EXPECT_FALSE(try_decode_dct_coeff_b14(r, false, &c));
+    EXPECT_EQ(r.bit_pos(), 24u);
+  }
+  const uint8_t zeros[4] = {};
+  BitReader r(zeros);
+  DctCoeff c;
+  EXPECT_FALSE(try_decode_dct_coeff_b14(r, true, &c));
+  EXPECT_EQ(r.bit_pos(), 0u);
+}
+
 TEST(DctCoeffB14, RoundtripTableAndEscapeSpace) {
   // Every (run, level) with run 0..63 and |level| 1..60, both signs, both
   // first/subsequent conventions: encode then decode must be identity.
