@@ -79,12 +79,12 @@ class BitReader {
     return pos >= size_bits() ? 0 : size_bits() - pos;
   }
 
-  // True if any read has consumed bits beyond the end of the buffer. Sticky:
-  // once set it stays set even if the position is rewound, so callers can
-  // hoist the check from per-read to per-slice. All reads past the end
-  // return zero bits, so parsing on after an overrun is well-defined (the
-  // result is garbage, but never UB).
-  bool overrun() const { return overrun_; }
+  // True if any read has consumed bits beyond the end of the buffer. The
+  // position never moves back, so this stays true once it turns true and
+  // callers can hoist the check from per-read to per-slice. All reads past
+  // the end return zero bits, so parsing on after an overrun is well-defined
+  // (the result is garbage, but never UB).
+  bool overrun() const { return bit_pos() > size_bits(); }
 
   bool byte_aligned() const { return bit_pos() % 8 == 0; }
 
@@ -135,16 +135,12 @@ class BitReader {
     fill(n);
     cache_ <<= n;
     cache_bits_ -= n;
-    if (byte_pos_ * 8 - size_t(cache_bits_) > data_.size() * 8) {
-      overrun_ = true;
-    }
   }
 
   std::span<const uint8_t> data_;
   size_t byte_pos_ = 0;  // next byte to load into the cache
   uint64_t cache_ = 0;   // left-aligned
   int cache_bits_ = 0;
-  bool overrun_ = false;
 };
 
 }  // namespace pdw

@@ -126,7 +126,8 @@ SplitterBody::SplitterBody(const wall::PartitionTable& t, int node_id,
   inst.resolve(metrics, node, stream);
 }
 
-SplitResult SplitterBody::split(const proto::PictureMsg& pic) {
+SplitResult SplitterBody::split(const proto::PictureMsg& pic,
+                                const std::function<void()>& between_parts) {
   const uint32_t i = pic.pic_index;
   PDW_CHECK(table.has_epoch(pic.epoch))
       << "picture " << i << " stamped with unknown epoch " << pic.epoch;
@@ -134,7 +135,8 @@ SplitResult SplitterBody::split(const proto::PictureMsg& pic) {
   {
     PDW_TRACE_SPAN(obs::span::kSplitPic, node, i);
     WallTimer t;
-    result = splitter.split(pic.coded, i, table.geometry(pic.epoch));
+    result = splitter.split(pic.coded, i, table.geometry(pic.epoch),
+                            between_parts);
     if (inst.split_ns) inst.split_ns->observe(uint64_t(t.seconds() * 1e9));
   }
   if (result.status.ok() && inst.pictures_split) inst.pictures_split->add();
@@ -236,7 +238,8 @@ void TileDecoderSet::add_halos(int tile, uint32_t epoch,
 
 double TileDecoderSet::decode(int tile, uint32_t i,
                               const std::vector<proto::ExchangeMsg>& exchanges,
-                              const TileDecoder::DisplayFn& display) {
+                              const TileDecoder::DisplayFn& display,
+                              const std::function<void()>& between_bands) {
   TileDecoder& d = at(tile);
   for (const proto::ExchangeMsg& m : exchanges) {
     if (inst.exchange_bytes_recv)
@@ -249,7 +252,7 @@ double TileDecoderSet::decode(int tile, uint32_t i,
   {
     PDW_TRACE_SPAN(obs::span::kDecodeSp, node, i);
     WallTimer t;
-    d.decode(subs.at(tile), display);
+    d.decode(subs.at(tile), display, between_bands);
     seconds = t.seconds();
   }
   if (inst.decode_ns) inst.decode_ns->observe(uint64_t(seconds * 1e9));
@@ -461,7 +464,9 @@ struct SplitterHost {
       proto::PictureMsg pic = node.pop_picture(&go_ahead);
       emit(ep, ctx, self, std::move(go_ahead));
       const uint32_t i = pic.pic_index;
-      const SplitResult result = body.split(pic);
+      // Decoders ack the previous picture and the root sends the next one
+      // while this one splits: t-ack them between slice parts.
+      const SplitResult result = body.split(pic, [this] { ep.poll(); });
       if (std::optional<proto::Packed> cr = body.cost_report(i, result.stats))
         emit(ep, ctx, self, Outgoing{topo.root(), true, std::move(*cr)});
 
@@ -625,8 +630,10 @@ struct DecoderHost {
       }
     }
     if (gone) return;
+    // Peers' messages landing during the decode (the next sub-picture, an
+    // exchange) are t-acked between bands, before their senders' RTO.
     decs.decode(ot.tile, i, node.take_exchanges(ot.tile, i),
-                display_fn(ot.tile));
+                display_fn(ot.tile), [this] { ep.poll(); });
     if (ot.tile != home_tile && i == ot.active_from) {
       // First adopted picture decoded: stamp the recovery latency.
       std::lock_guard<std::mutex> lock(ctx.mu);
@@ -646,17 +653,19 @@ struct DecoderHost {
         if (node.tile_active(ot, i)) serve(ot, i);
       }
       if (gone) break;
+      // Every owned tile's sub-picture is in hand: ack to the splitter
+      // owning the NEXT picture (ANID redirection) before decoding, as in
+      // Table 3, so that picture arrives while this one decodes.
+      {
+        PDW_TRACE_SPAN(obs::span::kAckPic, self, i);
+        apply({node.ack_picture(i), {}, {}, {}});
+      }
       for (size_t x = 0; x < node.owned().size() && !gone; ++x) {
         const proto::DecoderNode::OwnedTile ot = node.owned()[x];
         if (node.tile_active(ot, i)) work(ot, i);
       }
       if (gone) break;
-      // Buffer GC plus the ack to the splitter owning the NEXT picture
-      // (ANID redirection).
-      {
-        PDW_TRACE_SPAN(obs::span::kAckPic, self, i);
-        apply({node.finish_picture(i), {}, {}, {}});
-      }
+      node.finish_picture(i);
       queue_depth->set(node.pending_sps());
     }
 

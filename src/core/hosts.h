@@ -180,7 +180,9 @@ struct SplitterBody {
   // The update installing the picture's epoch precedes it on the same
   // in-order link, so the table always already has it (CHECKed). Observes
   // split_ns; counts pictures_split when the split succeeds.
-  SplitResult split(const proto::PictureMsg& pic);
+  // `between_parts` as in MacroblockSplitter::split.
+  SplitResult split(const proto::PictureMsg& pic,
+                    const std::function<void()>& between_parts = {});
   // The planner's cost report for picture `i` (nullopt unless adaptive):
   // one per popped picture, empty vectors when the picture was not split,
   // so the root's completeness count holds.
@@ -227,11 +229,13 @@ struct TileDecoderSet {
   // Co-hosted halo delivery: a peer tile on this same node takes the
   // exchange in memory, at the sender's epoch.
   void add_halos(int tile, uint32_t epoch, const proto::ExchangeMsg& m);
-  // Decode: apply the received halos, then decode the served sub-picture.
-  // Returns the decode seconds (observed in decode_ns).
+  // Decode: apply the received halos, then decode the served sub-picture
+  // (`between_bands` as in TileDecoder::decode). Returns the decode seconds
+  // (observed in decode_ns).
   double decode(int tile, uint32_t i,
                 const std::vector<proto::ExchangeMsg>& exchanges,
-                const TileDecoder::DisplayFn& display);
+                const TileDecoder::DisplayFn& display,
+                const std::function<void()>& between_bands = {});
   void skip(int tile, uint32_t i, const TileDecoder::DisplayFn& display);
   // End of stream: emit the tile's pending reference, if it has a decoder.
   void flush(int tile, const TileDecoder::DisplayFn& display);

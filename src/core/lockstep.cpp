@@ -251,11 +251,12 @@ void LockstepPipeline::step(const TileDisplayFn& on_display,
     tr.halo_mbs[size_t(d)] = int(decs.at(d).halo_mbs_last_picture());
   }
 
-  // Per-picture epilogue: buffer GC plus the ANID-redirected ack.
+  // Per-picture epilogue: the ANID-redirected ack plus buffer GC.
   for (int d = 0; d < tiles; ++d) {
     PDW_TRACE_SPAN(obs::span::kAckPic, topo_.decoder(d), i);
-    for (Outgoing& o : decoder_nodes_[size_t(d)]->finish_picture(i))
+    for (Outgoing& o : decoder_nodes_[size_t(d)]->ack_picture(i))
       deliver(topo_.decoder(d), std::move(o));
+    decoder_nodes_[size_t(d)]->finish_picture(i);
   }
 
   if (on_trace) on_trace(tr);

@@ -1,6 +1,7 @@
 #include "core/mb_splitter.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "bitstream/start_code.h"
 #include "common/work_pool.h"
@@ -122,7 +123,7 @@ struct MacroblockSplitter::Part final : public MbSink {
                      size_t bit_begin, size_t bit_end) override {
     const wall::TileGeometry& geo = *geo_;
     const PicType type = ctx_->ph.type;
-    const int mbw = ctx_->mb_width();
+    const int mbw = geo.mb_width();
     const int mbx = mb.mb_x(mbw);
     const int mby = mb.mb_y(mbw);
     ++stats.macroblocks;
@@ -143,7 +144,7 @@ struct MacroblockSplitter::Part final : public MbSink {
       stats.cost_row[size_t(mby)] += cost;
     }
 
-    geo.tiles_of_mb(mbx, mby, &tiles_scratch_);
+    const wall::MbTiles tiles = geo.tiles_of_mb(mbx, mby);
 
     // --- MEI pre-calculation ------------------------------------------------
     if (!mb.intra() && type != PicType::I) {
@@ -160,7 +161,7 @@ struct MacroblockSplitter::Part final : public MbSink {
         const int sy0 = win.y0 >> 4;
         const int sx1 = (win.x1 - 1) >> 4;
         const int sy1 = (win.y1 - 1) >> 4;
-        for (int t : tiles_scratch_) {
+        for (int t : tiles) {
           for (int sy = sy0; sy <= sy1; ++sy) {
             for (int sx = sx0; sx <= sx1; ++sx) {
               if (geo.tile_has_mb(t, sx, sy)) continue;  // local reference
@@ -173,7 +174,7 @@ struct MacroblockSplitter::Part final : public MbSink {
     }
 
     // --- Run building --------------------------------------------------------
-    for (int t : tiles_scratch_) {
+    for (int t : tiles) {
       ++stats.mbs_per_tile[size_t(t)];
       RunBuilder& rb = builders_[size_t(t)];
       if (!rb.active) {
@@ -259,7 +260,6 @@ struct MacroblockSplitter::Part final : public MbSink {
   const PictureContext* ctx_ = nullptr;
   const mem::Bytes* picture_ = nullptr;
   std::vector<RunBuilder> builders_;
-  std::vector<int> tiles_scratch_;
 };
 
 SplitResult MacroblockSplitter::split(std::span<const uint8_t> picture_span,
@@ -272,9 +272,10 @@ SplitResult MacroblockSplitter::split(const mem::Bytes& picture,
   return split(picture, pic_index, geo_);
 }
 
-SplitResult MacroblockSplitter::split(const mem::Bytes& picture,
-                                      uint32_t pic_index,
-                                      const wall::TileGeometry& geo) {
+SplitResult MacroblockSplitter::split(
+    const mem::Bytes& picture, uint32_t pic_index,
+    const wall::TileGeometry& geo,
+    const std::function<void()>& between_parts) {
   const std::span<const uint8_t> picture_span = picture.span();
   SplitResult result;
   result.stats.input_bytes = picture_span.size();
@@ -332,13 +333,18 @@ SplitResult MacroblockSplitter::split(const mem::Bytes& picture,
   }
   const size_t parts = std::min(slices_.size(), kMaxParts);
   if (parts_.size() < parts) parts_.resize(parts);
+  const std::thread::id caller = std::this_thread::get_id();
   auto scan_part = [&](int i) {
-    PDW_TRACE_SPAN(obs::span::kSplitPart, node_, pic_index);
-    const size_t first = slices_.size() * size_t(i) / parts;
-    const size_t end = slices_.size() * size_t(i + 1) / parts;
-    Part& part = parts_[size_t(i)];
-    part.begin(geo, ctx, picture);
-    part.scan(std::span<const size_t>(slices_).subspan(first, end - first));
+    {
+      PDW_TRACE_SPAN(obs::span::kSplitPart, node_, pic_index);
+      const size_t first = slices_.size() * size_t(i) / parts;
+      const size_t end = slices_.size() * size_t(i + 1) / parts;
+      Part& part = parts_[size_t(i)];
+      part.begin(geo, ctx, picture);
+      part.scan(std::span<const size_t>(slices_).subspan(first, end - first));
+    }
+    if (between_parts && std::this_thread::get_id() == caller)
+      between_parts();
   };
   WorkPool::global().run(int(parts), scan_part);
 
@@ -394,10 +400,8 @@ SplitResult MacroblockSplitter::split(const mem::Bytes& picture,
   // instruction on every tile whose rectangle (including projector overlap)
   // contains it — the exact plan a serial concealing decoder executes.
   if (planner.covered_count() < planner.total()) {
-    std::vector<int> tiles_of_mb;
     for (const ConcealSpec& spec : planner.finish()) {
-      geo.tiles_of_mb(spec.mb_x, spec.mb_y, &tiles_of_mb);
-      for (int t : tiles_of_mb)
+      for (int t : geo.tiles_of_mb(spec.mb_x, spec.mb_y))
         result.mei[size_t(t)].push_back(make_conceal(
             spec.mb_x, spec.mb_y, spec.fill_y, spec.fill_cb, spec.fill_cr));
       ++stats.concealed_macroblocks;

@@ -21,6 +21,7 @@
 // part layout depends only on the stream, never on the pool size.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "common/decode_status.h"
@@ -83,9 +84,12 @@ class MacroblockSplitter {
   // Per-call geometry flavour: split against an explicit (epoch) geometry
   // instead of the wall's base grid. Adaptive engines pass the geometry of
   // the picture's partition epoch; tile rects, MEI owner maps and the
-  // sub-picture fan-out all follow the given cuts.
+  // sub-picture fan-out all follow the given cuts. `between_parts`, when
+  // set, runs on the calling thread after each slice part it scanned
+  // itself (a node thread keeps its transport serviced meanwhile).
   SplitResult split(const mem::Bytes& picture, uint32_t pic_index,
-                    const wall::TileGeometry& geo);
+                    const wall::TileGeometry& geo,
+                    const std::function<void()>& between_parts = {});
 
   const mpeg2::SequenceHeader& sequence() const { return seq_; }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 
 #include "bitstream/bit_reader.h"
 #include "common/work_pool.h"
@@ -99,7 +100,7 @@ class TileReconSink final : public MbSink {
   TileReconSink(const PictureContext& ctx, const wall::MbRect& rect,
                 int band_y0, int band_y1, TileFrame* cur, uint8_t* seen,
                 const RefSource* fwd, const RefSource* bwd)
-      : ctx_(ctx),
+      : mb_width_(ctx.mb_width()),
         rect_(rect),
         band_y0_(band_y0),
         band_y1_(band_y1),
@@ -110,8 +111,8 @@ class TileReconSink final : public MbSink {
 
   void on_macroblock(const Macroblock& mb, const MbState&, size_t,
                      size_t) override {
-    const int mbx = mb.mb_x(ctx_.mb_width());
-    const int mby = mb.mb_y(ctx_.mb_width());
+    const int mbx = mb.mb_x(mb_width_);
+    const int mby = mb.mb_y(mb_width_);
     PDW_CHECK(rect_.contains(mbx, mby))
         << "sub-picture macroblock (" << mbx << "," << mby
         << ") outside tile rect";
@@ -136,7 +137,7 @@ class TileReconSink final : public MbSink {
   int count() const { return count_; }
 
  private:
-  const PictureContext& ctx_;
+  int mb_width_;
   const wall::MbRect& rect_;
   int band_y0_, band_y1_;
   TileFrame* cur_;
@@ -201,10 +202,9 @@ void TileDecoder::rebase(const wall::TileGeometry& geo) {
   geo_ = &geo;
   rect_ = geo.tile_mbs(tile_);
   epoch_ = geo.epoch();
-  // The scratch frame (if any) has the old rect; drop it so the next decode
-  // allocates in the new one. Reference frames stay — each carries its own
-  // rect, and the pending one still owes the wall a display emission.
-  cur_.reset();
+  // Every frame keeps its own rect: the pending reference still owes the
+  // wall a display emission and the shown one may be frozen again; the next
+  // decode replaces a scratch frame whose rect is out of date.
   halo_[0].clear();
   halo_[1].clear();
   staged_conceals_.clear();
@@ -246,10 +246,7 @@ void TileDecoder::stage_conceal(const MeiInstruction& instr) {
 void TileDecoder::emit(const TileFrame& frame, const TileDisplayInfo& info,
                        const DisplayFn& display) {
   if (info.display_index < 0) return;  // slot before this decoder's stream
-  if (!last_shown_)
-    last_shown_ = std::make_unique<TileFrame>(frame);
-  else
-    *last_shown_ = frame;
+  last_shown_ = &frame;
   last_shown_epoch_ = info.epoch;
   if (display) display(frame, info);
 }
@@ -257,12 +254,14 @@ void TileDecoder::emit(const TileFrame& frame, const TileDisplayInfo& info,
 void TileDecoder::emit_frozen(int slot, const DisplayFn& display) {
   if (slot < 0) return;
   if (!last_shown_) {
-    // Nothing was ever shown: freeze to mid-gray.
-    last_shown_ =
+    // Nothing was ever shown: freeze to mid-gray, in the spare frame (no
+    // reference, and idle between decodes).
+    spare_ =
         std::make_unique<TileFrame>(rect_.x0, rect_.y0, rect_.x1, rect_.y1);
-    last_shown_->y().fill(128);
-    last_shown_->cb().fill(128);
-    last_shown_->cr().fill(128);
+    spare_->y().fill(128);
+    spare_->cb().fill(128);
+    spare_->cr().fill(128);
+    last_shown_ = spare_.get();
     last_shown_epoch_ = epoch_;
   }
   TileDisplayInfo info;
@@ -274,13 +273,17 @@ void TileDecoder::emit_frozen(int slot, const DisplayFn& display) {
   if (display) display(*last_shown_, info);
 }
 
-void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
+void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display,
+                         const std::function<void()>& between_bands) {
   PictureContext ctx;
   ctx.seq = &seq_;
   ctx.ph.type = sp.info.type;
   ctx.ph.temporal_reference = sp.info.temporal_reference;
   ctx.pce = sp.info.to_pce();
 
+  // The shown frame is never decoded into: a frozen emission may show it
+  // again. After a B picture it is cur_, so trade it for the spare.
+  if (cur_.get() == last_shown_) std::swap(cur_, spare_);
   // The reference rotation below recycles retired frames as scratch; after a
   // rebase a recycled frame still carries the previous epoch's rect.
   if (cur_ && (cur_->mb_x0() != rect_.x0 || cur_->mb_y0() != rect_.y0 ||
@@ -288,6 +291,9 @@ void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
     cur_.reset();
   if (!cur_)
     cur_ = std::make_unique<TileFrame>(rect_.x0, rect_.y0, rect_.x1, rect_.y1);
+  // Four frames in all, allocated by the first emission.
+  if (!spare_)
+    spare_ = std::make_unique<TileFrame>(rect_.x0, rect_.y0, rect_.x1, rect_.y1);
 
   // The references this picture reads: [0] forward, [1] backward. Under
   // kConceal a missing frame reads as gray instead of aborting.
@@ -338,20 +344,24 @@ void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
   }
 
   seen_.assign(size_t(rect_.count()), 0);
+  const std::thread::id caller = std::this_thread::get_id();
   auto decode_band = [&](int i) {
-    PDW_TRACE_SPAN(obs::span::kDecodeBand, node_, sp.info.pic_index);
-    Band& b = band[size_t(i)];
-    const TileRefSource fwd(ref[0], halo_[0], policy_, ref_taint[0]);
-    const TileRefSource bwd(ref[1], halo_[1], policy_, ref_taint[1]);
-    MbSyntaxDecoder syntax(ctx, ParseMode::kFull);
-    const int y0 = rect_.y0 + i * band_rows;
-    TileReconSink sink(ctx, rect_, y0, std::min(rect_.y1, y0 + band_rows),
-                       cur_.get(), seen_.data(), has_fwd ? &fwd : nullptr,
-                       has_bwd ? &bwd : nullptr);
-    for (size_t k = b.first_run; k < b.end_run; ++k)
-      if (band_of(sp.runs[k]) == i) decode_run(sp.runs[k], syntax, sink);
-    b.count = sink.count();
-    b.tainted = fwd.tainted() || bwd.tainted();
+    {
+      PDW_TRACE_SPAN(obs::span::kDecodeBand, node_, sp.info.pic_index);
+      Band& b = band[size_t(i)];
+      const TileRefSource fwd(ref[0], halo_[0], policy_, ref_taint[0]);
+      const TileRefSource bwd(ref[1], halo_[1], policy_, ref_taint[1]);
+      MbSyntaxDecoder syntax(ctx, ParseMode::kFull);
+      const int y0 = rect_.y0 + i * band_rows;
+      TileReconSink sink(ctx, rect_, y0, std::min(rect_.y1, y0 + band_rows),
+                         cur_.get(), seen_.data(), has_fwd ? &fwd : nullptr,
+                         has_bwd ? &bwd : nullptr);
+      for (size_t k = b.first_run; k < b.end_run; ++k)
+        if (band_of(sp.runs[k]) == i) decode_run(sp.runs[k], syntax, sink);
+      b.count = sink.count();
+      b.tainted = fwd.tainted() || bwd.tainted();
+    }
+    if (between_bands && std::this_thread::get_id() == caller) between_bands();
   };
   pool.run(bands, decode_band);
 

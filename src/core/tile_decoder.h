@@ -181,9 +181,14 @@ class TileDecoder {
   // last decoded index. This is what makes mid-stream adoption and skipped
   // pictures compose: a decoder that starts at picture c, or skips picture
   // s, still puts every frame it does produce in the right wall slot.
+  //
+  // `between_bands`, when set, runs on the calling thread after each band
+  // that thread decoded itself: a node thread keeps its transport serviced
+  // (net::ReliableEndpoint::poll) while the picture decodes.
   using DisplayFn =
       std::function<void(const mpeg2::TileFrame&, const TileDisplayInfo&)>;
-  void decode(const SubPicture& sp, const DisplayFn& display);
+  void decode(const SubPicture& sp, const DisplayFn& display,
+              const std::function<void()>& between_bands = {});
 
   // The picture at decode index `pic_index` was lost (undeliverable after
   // retries). Emits exactly one degraded frame at slot pic_index - 1 (the
@@ -213,7 +218,9 @@ class TileDecoder {
   HaloPolicy policy_;
   int node_;
 
-  std::unique_ptr<mpeg2::TileFrame> cur_, ref_old_, ref_new_;
+  // cur_ is decoded into; the spare takes its place when cur_ is the shown
+  // frame, so display needs no copy.
+  std::unique_ptr<mpeg2::TileFrame> cur_, ref_old_, ref_new_, spare_;
   bool taint_old_ = false, taint_new_ = false;
   HaloCache halo_[2];  // [0] forward, [1] backward for the upcoming picture
   // One byte per macroblock of rect_: reconstructed in this picture. Bands
@@ -229,7 +236,7 @@ class TileDecoder {
                                // next reference trigger must emit a frozen
                                // frame to keep one-emission-per-slot
   int64_t last_pic_index_ = -1;
-  std::unique_ptr<mpeg2::TileFrame> last_shown_;
+  const mpeg2::TileFrame* last_shown_ = nullptr;  // one of the four frames
   uint32_t last_shown_epoch_ = 0;
   int last_mb_count_ = 0;
   size_t last_halo_count_ = 0;

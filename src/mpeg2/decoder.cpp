@@ -18,7 +18,7 @@ class ReconSink final : public MbSink {
  public:
   ReconSink(const PictureContext& ctx, Frame* cur, const Frame* fwd,
             const Frame* bwd, ConcealPlanner* planner)
-      : ctx_(ctx),
+      : mb_width_(ctx.mb_width()),
         cur_(cur),
         planner_(planner),
         fwd_src_(fwd ? std::make_unique<FrameRefSource>(*fwd) : nullptr),
@@ -26,17 +26,17 @@ class ReconSink final : public MbSink {
 
   void on_macroblock(const Macroblock& mb, const MbState&, size_t,
                      size_t) override {
+    const int mbx = mb.mb_x(mb_width_), mby = mb.mb_y(mb_width_);
     MacroblockPixels px;
-    reconstruct_mb(mb, fwd_src_.get(), bwd_src_.get(), mb.mb_x(ctx_.mb_width()),
-                   mb.mb_y(ctx_.mb_width()), &px);
-    store_mb(cur_, mb.mb_x(ctx_.mb_width()), mb.mb_y(ctx_.mb_width()), px);
+    reconstruct_mb(mb, fwd_src_.get(), bwd_src_.get(), mbx, mby, &px);
+    store_mb(cur_, mbx, mby, px);
     if (planner_) planner_->mark(mb.addr);
   }
 
   const RefSource* fwd_src() const { return fwd_src_.get(); }
 
  private:
-  const PictureContext& ctx_;
+  int mb_width_;
   Frame* cur_;
   ConcealPlanner* planner_;
   std::unique_ptr<FrameRefSource> fwd_src_, bwd_src_;

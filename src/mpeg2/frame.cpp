@@ -23,24 +23,22 @@ double psnr(const Plane& a, const Plane& b) {
 
 MacroblockPixels TileFrame::extract_mb(int mbx, int mby) const {
   PDW_CHECK(contains_mb(mbx, mby));
+  const size_t x = size_t(mbx - mb_x0_), y = size_t(mby - mb_y0_);
+  const size_t yw = size_t(y_.width()), cw = size_t(cb_.width());
   MacroblockPixels out;
-  for (int r = 0; r < 16; ++r)
-    std::memcpy(out.y + r * 16, pixel(0, mbx * 16, mby * 16 + r), 16);
-  for (int r = 0; r < 8; ++r) {
-    std::memcpy(out.cb + r * 8, pixel(1, mbx * 8, mby * 8 + r), 8);
-    std::memcpy(out.cr + r * 8, pixel(2, mbx * 8, mby * 8 + r), 8);
-  }
+  copy_mb_out(y_.base() + y * 16 * yw + x * 16, int(yw),
+              cb_.base() + y * 8 * cw + x * 8, cr_.base() + y * 8 * cw + x * 8,
+              int(cw), &out);
   return out;
 }
 
 void TileFrame::insert_mb(int mbx, int mby, const MacroblockPixels& px) {
   PDW_CHECK(contains_mb(mbx, mby));
-  for (int r = 0; r < 16; ++r)
-    std::memcpy(pixel(0, mbx * 16, mby * 16 + r), px.y + r * 16, 16);
-  for (int r = 0; r < 8; ++r) {
-    std::memcpy(pixel(1, mbx * 8, mby * 8 + r), px.cb + r * 8, 8);
-    std::memcpy(pixel(2, mbx * 8, mby * 8 + r), px.cr + r * 8, 8);
-  }
+  const size_t x = size_t(mbx - mb_x0_), y = size_t(mby - mb_y0_);
+  const size_t yw = size_t(y_.width()), cw = size_t(cb_.width());
+  copy_mb_in(px, y_.base() + y * 16 * yw + x * 16, int(yw),
+             cb_.base() + y * 8 * cw + x * 8, cr_.base() + y * 8 * cw + x * 8,
+             int(cw));
 }
 
 }  // namespace pdw::mpeg2

@@ -26,8 +26,7 @@ namespace pdw::mpeg2 {
 // run allocates the same plane sizes every picture, so after warm-up a
 // fresh Plane is a freelist pop, not a malloc. Value semantics are
 // preserved — copies are deep — and copy-assignment reuses the existing
-// block when the geometry matches (the per-emission `last_shown_` refresh
-// in the tile decoder becomes a memcpy into recycled storage).
+// block when the geometry matches.
 class Plane {
  public:
   Plane() = default;
@@ -75,6 +74,11 @@ class Plane {
     PDW_CHECK_LT(y, height_);
     return data_.data() + size_t(y) * width_;
   }
+
+  // Row 0 without a bounds check, for a caller that checked a whole
+  // rectangle once; rows are width() apart.
+  uint8_t* base() { return data_.mutable_data(); }
+  const uint8_t* base() const { return data_.data(); }
 
   uint8_t at(int x, int y) const { return row(y)[x]; }
   void set(int x, int y, uint8_t v) { row(y)[x] = v; }
@@ -130,6 +134,29 @@ struct MacroblockPixels {
   uint8_t cr[8 * 8];
 };
 static_assert(sizeof(MacroblockPixels) == 384);
+
+// Copy a macroblock between MacroblockPixels and three planes: `y` and
+// `cb`/`cr` point at its top-left sample, rows `y_stride` and `c_stride`
+// apart. The caller bounds-checks the macroblock's rectangle once.
+inline void copy_mb_in(const MacroblockPixels& px, uint8_t* y, int y_stride,
+                       uint8_t* cb, uint8_t* cr, int c_stride) {
+  for (int r = 0; r < 16; ++r)
+    std::memcpy(y + size_t(r) * y_stride, px.y + r * 16, 16);
+  for (int r = 0; r < 8; ++r) {
+    std::memcpy(cb + size_t(r) * c_stride, px.cb + r * 8, 8);
+    std::memcpy(cr + size_t(r) * c_stride, px.cr + r * 8, 8);
+  }
+}
+inline void copy_mb_out(const uint8_t* y, int y_stride, const uint8_t* cb,
+                        const uint8_t* cr, int c_stride,
+                        MacroblockPixels* px) {
+  for (int r = 0; r < 16; ++r)
+    std::memcpy(px->y + r * 16, y + size_t(r) * y_stride, 16);
+  for (int r = 0; r < 8; ++r) {
+    std::memcpy(px->cb + r * 8, cb + size_t(r) * c_stride, 8);
+    std::memcpy(px->cr + r * 8, cr + size_t(r) * c_stride, 8);
+  }
+}
 
 // A tile decoder's view of one picture: the macroblock-aligned sub-rectangle
 // [mb_x0, mb_x1) x [mb_y0, mb_y1) of the full picture, addressed in *global*

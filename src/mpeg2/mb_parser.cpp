@@ -12,8 +12,18 @@ namespace pdw::mpeg2 {
 using namespace mb_flags;
 
 MbSyntaxDecoder::MbSyntaxDecoder(const PictureContext& ctx, ParseMode mode)
-    : ctx_(ctx), mode_(mode) {
+    : ctx_(ctx),
+      mode_(mode),
+      cbp_vlc_(vlc_coded_block_pattern()),
+      motion_vlc_(vlc_motion_code()),
+      dc_size_vlc_{&vlc_dct_dc_size_luma(), &vlc_dct_dc_size_chroma()} {
   state_.reset_dc(ctx.pce);
+}
+
+void MbSyntaxDecoder::begin_run() {
+  mb_type_vlc_ = &vlc_mb_type(ctx_.ph.type);
+  mb_width_ = ctx_.mb_width();
+  error_ = DecodeStatus::success();
 }
 
 bool MbSyntaxDecoder::fail(DecodeErr code, const BitReader& r) {
@@ -53,9 +63,9 @@ MbSyntaxDecoder::SliceResult MbSyntaxDecoder::parse_slice_body(
   state_.reset_pmv();
   state_.quant_scale_code = uint8_t(quant_scale_code);
   state_.prev_motion_flags = 0;
-  error_ = DecodeStatus::success();
+  begin_run();
 
-  const int row_base = mb_row * ctx_.mb_width();
+  const int row_base = mb_row * mb_width_;
   int addr = row_base - 1;  // address of the "previous" macroblock
 
   while (true) {
@@ -70,7 +80,7 @@ MbSyntaxDecoder::SliceResult MbSyntaxDecoder::parse_slice_body(
     // the row is damage. Enforcing it at parse time (rather than just the
     // picture bound) also keeps the splitter's per-tile runs row-local — the
     // property that makes interior-skip re-synthesis stay inside the tile.
-    if (addr + increment >= row_base + ctx_.mb_width()) {
+    if (addr + increment >= row_base + mb_width_) {
       fail(DecodeErr::kBadValue, r);  // macroblock address leaves the slice row
       return {error_, addr + 1};
     }
@@ -95,7 +105,7 @@ MbSyntaxDecoder::SliceResult MbSyntaxDecoder::parse_slice_body(
 }
 
 bool MbSyntaxDecoder::synthesize_skipped(int addr, int count, MbSink& sink) {
-  error_ = DecodeStatus::success();
+  begin_run();
   for (int i = 0; i < count; ++i)
     if (!emit_skipped(addr + i, sink)) return false;
   return true;
@@ -103,12 +113,11 @@ bool MbSyntaxDecoder::synthesize_skipped(int addr, int count, MbSink& sink) {
 
 DecodeStatus MbSyntaxDecoder::parse_run(BitReader& r, int first_addr,
                                         int num_coded, MbSink& sink) {
-  error_ = DecodeStatus::success();
+  begin_run();
   int addr = first_addr - 1;  // so that the forced first MB lands on first_addr
   // Runs come from slices, and slices are row-local (§6.1.2, enforced in
   // parse_slice_body) — mirror the same bound here.
-  const int row_end =
-      (first_addr / ctx_.mb_width() + 1) * ctx_.mb_width();
+  const int row_end = (first_addr / mb_width_ + 1) * mb_width_;
   for (int n = 0; n < num_coded; ++n) {
     const size_t bit_begin = r.bit_pos();
     int increment = 0;
@@ -171,8 +180,8 @@ bool MbSyntaxDecoder::emit_skipped(int addr, MbSink& sink) {
       }
       // The inherited predictors were legal at the previous macroblock's
       // position but may leave the picture at this one.
-      if (!motion_in_picture(ctx_, mb, mb.mb_x(ctx_.mb_width()),
-                             mb.mb_y(ctx_.mb_width()))) {
+      if (!motion_in_picture(ctx_, mb, mb.mb_x(mb_width_),
+                             mb.mb_y(mb_width_))) {
         if (error_.ok())
           error_ = DecodeStatus::error(DecodeErr::kBadValue,
                                        DecodeSeverity::kSlice, 0);
@@ -199,7 +208,7 @@ bool MbSyntaxDecoder::parse_coded(BitReader& r, int addr, size_t bit_begin,
   mb.addr = addr;
   mb.skipped = false;
   int mb_type = 0;
-  if (!vlc_mb_type(ctx_.ph.type).try_decode(r, &mb_type))
+  if (!mb_type_vlc_->try_decode(r, &mb_type))
     return fail(DecodeErr::kBadVlc, r);
   mb.flags = uint8_t(mb_type);
   mb.cbp = 0;
@@ -232,7 +241,7 @@ bool MbSyntaxDecoder::parse_coded(BitReader& r, int addr, size_t bit_begin,
     }
     if (mb.flags & kPattern) {
       int cbp = 0;
-      if (!vlc_coded_block_pattern().try_decode(r, &cbp))
+      if (!cbp_vlc_.try_decode(r, &cbp))
         return fail(DecodeErr::kBadVlc, r);
       mb.cbp = cbp;
     } else {
@@ -250,15 +259,18 @@ bool MbSyntaxDecoder::parse_coded(BitReader& r, int addr, size_t bit_begin,
       mb.mv[1][0] = state_.pmv[1][0];
       mb.mv[1][1] = state_.pmv[1][1];
     }
-    const int mbw = ctx_.mb_width();
-    if (!motion_in_picture(ctx_, mb, mb.mb_x(mbw), mb.mb_y(mbw)))
+    if (!motion_in_picture(ctx_, mb, mb.mb_x(mb_width_), mb.mb_y(mb_width_)))
       return fail(DecodeErr::kBadValue, r);  // MV references out-of-picture
   }
 
   // Blocks. Only coded blocks are written; reconstruction reads only those.
+  const int scale =
+      mode_ == ParseMode::kFull && mb.cbp
+          ? quantiser_scale(ctx_.pce.q_scale_type, state_.quant_scale_code)
+          : 0;
   for (int b = 0; b < kBlocksPerMb; ++b)
     if (mb.cbp & (0x20 >> b))
-      if (!parse_block(r, mb, b)) return false;
+      if (!parse_block(r, mb, b, scale)) return false;
 
   // Post-macroblock state updates.
   if (!(mb.flags & kIntra)) state_.reset_dc(ctx_.pce);
@@ -285,7 +297,7 @@ bool MbSyntaxDecoder::parse_motion_vector(BitReader& r, Macroblock& mb,
     const int f = 1 << r_size;
 
     int code = 0;
-    if (!vlc_motion_code().try_decode(r, &code))
+    if (!motion_vlc_.try_decode(r, &code))
       return fail(DecodeErr::kBadVlc, r);
     int delta = 0;
     if (code != 0) {
@@ -308,7 +320,7 @@ bool MbSyntaxDecoder::parse_motion_vector(BitReader& r, Macroblock& mb,
 }
 
 bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
-                                  int block_index) {
+                                  int block_index, int scale) {
   // kFull dequantises each nonzero coefficient into its raster slot as it is
   // decoded (§7.4 via mpeg2/quant.h) and keeps the mismatch-control sum.
   const bool full = mode_ == ParseMode::kFull;
@@ -317,9 +329,6 @@ bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
   const uint8_t* scan = scan_table(ctx_.pce.alternate_scan).data();
   const uint8_t* w = intra ? ctx_.seq->intra_quant.data()
                            : ctx_.seq->non_intra_quant.data();
-  const int scale =
-      full ? quantiser_scale(ctx_.pce.q_scale_type, state_.quant_scale_code)
-           : 0;
   int32_t sum = 0;
   if (full) std::memset(f, 0, sizeof(mb.coeff[0]));
 
@@ -327,10 +336,9 @@ bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
   if (intra) {
     // DC coefficient: size VLC + differential, predicted per component.
     const int cc = block_index < 4 ? 0 : (block_index == 4 ? 1 : 2);
-    const Vlc& size_vlc =
-        block_index < 4 ? vlc_dct_dc_size_luma() : vlc_dct_dc_size_chroma();
     int size = 0;
-    if (!size_vlc.try_decode(r, &size)) return fail(DecodeErr::kBadVlc, r);
+    if (!dc_size_vlc_[cc != 0]->try_decode(r, &size))
+      return fail(DecodeErr::kBadVlc, r);
     int diff = 0;
     if (size > 0) {
       const int bits = int(r.read(size));

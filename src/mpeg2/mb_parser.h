@@ -26,6 +26,8 @@
 
 namespace pdw::mpeg2 {
 
+class Vlc;
+
 enum class ParseMode {
   kFull,  // dequantised coefficients of the coded blocks in Macroblock::coeff
   kScan,  // consume syntax only (splitter's cheap pass)
@@ -93,8 +95,12 @@ class MbSyntaxDecoder {
   bool parse_coded(BitReader& r, int addr, size_t bit_begin, MbSink& sink);
 
   bool parse_motion_vector(BitReader& r, Macroblock& mb, int s);
-  bool parse_block(BitReader& r, Macroblock& mb, int block_index);
+  // `scale` is the macroblock's quantiser_scale (kFull only).
+  bool parse_block(BitReader& r, Macroblock& mb, int block_index, int scale);
   bool emit_skipped(int addr, MbSink& sink);
+  // Per slice or run: picks up the picture type and geometry from ctx_,
+  // which a caller may change between runs.
+  void begin_run();
 
   // Latch a slice-severity error at the reader's position; returns false so
   // parse helpers can `return fail(...)`.
@@ -102,6 +108,12 @@ class MbSyntaxDecoder {
 
   const PictureContext& ctx_;
   ParseMode mode_;
+  // Tables looked up once, not through a function-local static per call.
+  const Vlc& cbp_vlc_;
+  const Vlc& motion_vlc_;
+  const Vlc* dc_size_vlc_[2];  // [0] luma, [1] chroma
+  const Vlc* mb_type_vlc_ = nullptr;  // set by begin_run()
+  int mb_width_ = 0;                  // set by begin_run()
   MbState state_;
   DecodeStatus error_;  // first damage seen in the current slice/run
   Macroblock scratch_;  // reused to avoid 800-byte clears per macroblock

@@ -69,14 +69,6 @@ int Vlc::decode(BitReader& r) const {
   return value;
 }
 
-bool Vlc::try_decode(BitReader& r, int* value) const {
-  const LutEntry e = lut_[r.peek(max_len_)];
-  if (e.len == 0) return false;
-  r.skip(e.len);
-  *value = e.value;
-  return true;
-}
-
 const VlcEntry* Vlc::find(int value) const {
   for (size_t i = 0; i < count_; ++i)
     if (entries_[i].value == value) return &entries_[i];
@@ -295,18 +287,9 @@ const Vlc& vlc_dct_dc_size_chroma() {
 // Table B.14: DCT coefficients, table zero
 // ---------------------------------------------------------------------------
 
-namespace {
+namespace b14 {
 
-struct B14Entry {
-  uint8_t run;
-  uint8_t level;  // magnitude; sign bit follows the code in the stream
-  uint16_t code;  // without sign bit
-  uint8_t len;    // without sign bit
-};
-
-// All 111 run/level codes of Table B.14 ('11' form of run 0 / level 1; the
-// '1' first-coefficient form is special-cased in decode/encode).
-constexpr B14Entry kB14[] = {
+constexpr std::array<Code, 111> kCodes = {{
     {0, 1, 0b11, 2},
     {1, 1, 0b011, 3},
     {0, 2, 0b0100, 4},
@@ -418,18 +401,19 @@ constexpr B14Entry kB14[] = {
     {29, 1, 0b0000000000010010, 16},
     {30, 1, 0b0000000000010001, 16},
     {31, 1, 0b0000000000010000, 16},
-};
+}};
+// A short initializer list would zero-fill the tail.
+static_assert(kCodes.back().len != 0);
 
-constexpr uint16_t kEobCode = 0b10;
-constexpr int kEobLen = 2;
-constexpr uint16_t kEscapeCode = 0b000001;
-constexpr int kEscapeLen = 6;
+}  // namespace b14
+
+namespace {
 
 // Encode lookup keyed by run * 64 + |level| (levels above 40 always escape).
-const std::unordered_map<int, const B14Entry*>& b14_encode_map() {
+const std::unordered_map<int, const b14::Code*>& b14_encode_map() {
   static const auto* map = [] {
-    auto* m = new std::unordered_map<int, const B14Entry*>();
-    for (const B14Entry& e : kB14) (*m)[e.run * 64 + e.level] = &e;
+    auto* m = new std::unordered_map<int, const b14::Code*>();
+    for (const b14::Code& e : b14::kCodes) (*m)[e.run * 64 + e.level] = &e;
     return m;
   }();
   return *map;
@@ -440,25 +424,32 @@ const std::unordered_map<int, const B14Entry*>& b14_encode_map() {
 namespace b14 {
 
 // Built at compile time; a code that overlaps another (B.14 not prefix-free)
-// fails the build.
-constexpr std::array<Lut, 1 << 16> make_lut() {
-  std::array<Lut, 1 << 16> t{};
+// fails the build. A code of up to 10 bits fills its span of first-level
+// slots; a longer one starts with seven zeros and fills its span of the
+// second level, indexed by the window's low 9 bits.
+constexpr std::array<Lut, kLutSize> make_lut() {
+  std::array<Lut, kLutSize> t{};
   for (Lut& e : t) e = Lut{kInvalid, 0, 0};
   auto fill = [&](uint16_t code, int len, Lut v) {
     const uint32_t base = uint32_t(code) << (16 - len);
     for (uint32_t j = 0; j < (1u << (16 - len)); ++j) {
-      if (t[base + j].run != kInvalid) throw "B.14 not prefix-free";
-      t[base + j] = v;
+      if ((len <= kFirstBits) != (base + j >= kSecondLevelBelow))
+        throw "B.14 code in the wrong level";
+      Lut& slot = t[index(base + j)];
+      if (slot.run != kInvalid &&
+          (slot.run != v.run || slot.level != v.level || slot.len != v.len))
+        throw "B.14 not prefix-free";
+      slot = v;
     }
   };
-  for (const B14Entry& e : kB14)
+  for (const Code& e : kCodes)
     fill(e.code, e.len, Lut{int8_t(e.run), e.level, e.len});
   fill(kEobCode, kEobLen, Lut{kEob, 0, kEobLen});
   fill(kEscapeCode, kEscapeLen, Lut{kEscape, 0, kEscapeLen});
   return t;
 }
 
-constexpr std::array<Lut, 1 << 16> kLut = make_lut();
+constexpr std::array<Lut, kLutSize> kLut = make_lut();
 
 }  // namespace b14
 
@@ -486,7 +477,7 @@ void encode_dct_coeff_b14(BitWriter& w, int run, int level, bool first) {
   const auto& map = b14_encode_map();
   const auto it = run <= 31 && mag <= 40 ? map.find(run * 64 + mag) : map.end();
   if (it != map.end()) {
-    const B14Entry& e = *it->second;
+    const b14::Code& e = *it->second;
     w.put(e.code, e.len);
     w.put_bit(level < 0 ? 1 : 0);
     return;
@@ -494,12 +485,12 @@ void encode_dct_coeff_b14(BitWriter& w, int run, int level, bool first) {
   PDW_CHECK_LE(run, 63);
   PDW_CHECK_GE(level, -2047);
   PDW_CHECK_LE(level, 2047);
-  w.put(kEscapeCode, kEscapeLen);
+  w.put(b14::kEscapeCode, b14::kEscapeLen);
   w.put(uint32_t(run), 6);
   w.put(uint32_t(level) & 0xFFF, 12);
 }
 
-void encode_eob_b14(BitWriter& w) { w.put(kEobCode, kEobLen); }
+void encode_eob_b14(BitWriter& w) { w.put(b14::kEobCode, b14::kEobLen); }
 
 double SequenceHeader::frame_rate() const {
   static const double kRates[16] = {0,     23.976, 24, 25, 29.97, 30, 50,

@@ -44,8 +44,15 @@ class Vlc {
   // Decode the next symbol; CHECKs on an invalid code (stream error).
   int decode(BitReader& r) const;
 
-  // Decode returning false on invalid code instead of throwing.
-  bool try_decode(BitReader& r, int* value) const;
+  // Decode returning false on invalid code instead of throwing. Inline: the
+  // macroblock parser calls it several times per macroblock.
+  bool try_decode(BitReader& r, int* value) const {
+    const LutEntry e = lut_[r.peek(max_len_)];
+    if (e.len == 0) return false;
+    r.skip(e.len);
+    *value = e.value;
+    return true;
+  }
 
   // Encode `value`; CHECKs if the value has no code.
   void encode(BitWriter& w, int value) const;
@@ -97,15 +104,43 @@ struct DctCoeff {
 
 namespace b14 {
 
-// Decode table over the next 16 bits of the stream (the code without its
-// sign bit; the longest B.14 code is 16 bits).
+// One run/level code (the '11' form of run 0 / level 1; the '1'
+// first-coefficient form is special-cased in decode/encode). `code` and
+// `len` exclude the sign bit that follows it in the stream.
+struct Code {
+  uint8_t run;
+  uint8_t level;  // magnitude
+  uint16_t code;
+  uint8_t len;
+};
+extern const std::array<Code, 111> kCodes;  // all of Table B.14's
+inline constexpr uint16_t kEobCode = 0b10;
+inline constexpr int kEobLen = 2;
+inline constexpr uint16_t kEscapeCode = 0b000001;
+inline constexpr int kEscapeLen = 6;
+
+// Decode table over the next 16 bits of the stream (the longest B.14 code is
+// 16 bits), in two levels so that the codes a block mostly holds stay in L1.
+// Every code of up to 10 bits resolves from the window's top 10 bits
+// (entries [0, 1024)). A window below 512 starts with seven zeros: it holds
+// a 12- to 16-bit code (or an invalid one) and resolves from its low 9 bits
+// (entries [1024, 1536)).
 inline constexpr int8_t kEob = -1, kEscape = -2, kInvalid = -3;
 struct Lut {
   int8_t run;     // >= 0 for a run/level code, else kEob/kEscape/kInvalid
   uint8_t level;  // magnitude
   uint8_t len;    // code length without the sign bit
 };
-extern const std::array<Lut, 1 << 16> kLut;
+inline constexpr int kFirstBits = 10;
+inline constexpr uint32_t kSecondLevelBelow = 512;
+inline constexpr size_t kLutSize = (1u << kFirstBits) + kSecondLevelBelow;
+extern const std::array<Lut, kLutSize> kLut;
+
+// Slot of the 16-bit window `w16` in kLut.
+constexpr size_t index(uint32_t w16) {
+  return w16 >= kSecondLevelBelow ? w16 >> (16 - kFirstBits)
+                                  : (1u << kFirstBits) + w16;
+}
 
 }  // namespace b14
 
@@ -124,7 +159,7 @@ inline bool try_decode_dct_coeff_b14(BitReader& r, bool first, DctCoeff* out) {
     *out = {false, 0, (w >> 22) & 1 ? -1 : 1};
     return true;
   }
-  const b14::Lut e = b14::kLut[w >> 8];
+  const b14::Lut e = b14::kLut[b14::index(w >> 8)];
   if (e.run >= 0) {
     r.skip(e.len + 1);
     const int level = e.level;

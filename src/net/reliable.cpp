@@ -58,7 +58,7 @@ void ReliableEndpoint::on_ack(int src, uint32_t tseq) {
   const Pending& p = it->second;
   // Karn's rule: an acked message that was ever retransmitted is ambiguous
   // (which copy does the ack answer?) and contributes no RTT sample.
-  if (!p.retransmitted && p.first_tx > 0) {
+  if (!p.retransmitted && p.first_tx >= 0) {
     const double rtt = now() - p.first_tx;
     TxPeer& tp = tx_peer_[size_t(src)];
     if (tp.srtt < 0) {
@@ -99,8 +99,12 @@ void ReliableEndpoint::transmit(Pending& p) {
     p.deadline = now() + cfg_.rto_initial_s;
     return;
   }
+  const double t = now();
+  // The RTT runs from the first transmission that left, not from send():
+  // a credit wait is flow control, not link delay.
+  if (p.first_tx < 0) p.first_tx = t;
   ++p.tries;
-  p.deadline = now() + p.rto;
+  p.deadline = t + p.rto;
   p.rto = std::min(p.rto * 2, cfg_.rto_max_s);
 }
 
@@ -110,7 +114,6 @@ void ReliableEndpoint::send(int dst, Message msg) {
   Pending p;
   p.dst = dst;
   p.rto = rto_s(dst);
-  p.first_tx = now();
   p.msg = std::move(msg);
   ++stats_.sent;
   transmit(p);
@@ -180,6 +183,13 @@ bool ReliableEndpoint::handle(Message msg) {
     return false;
   }
 
+  PeerRx& rx = rx_[size_t(msg.src)];
+  if (msg.tseq >= rx.next_expected &&
+      msg.tseq - rx.next_expected >= kReorderWindow) {
+    if (msg.bulk) fabric_->post_receive(self_);
+    return false;  // past the reorder window: unacked, so resent later
+  }
+
   // Ack receipt (even for duplicates, so a lost ack does not retransmit
   // forever).
   Message ack;
@@ -188,7 +198,6 @@ bool ReliableEndpoint::handle(Message msg) {
   ack.tseq = kUnreliableSeq;
   fabric_->send(self_, msg.src, std::move(ack));
 
-  PeerRx& rx = rx_[size_t(msg.src)];
   if (msg.tseq < rx.next_expected || rx.reorder.count(msg.tseq)) {
     ++stats_.dup_drops;
     if (msg.bulk) fabric_->post_receive(self_);
@@ -249,10 +258,7 @@ ReliableEndpoint::Status ReliableEndpoint::recv(Message* out,
     // Drain what the fabric already holds before servicing deadlines: after
     // a stall, a t-ack that is already queued must cancel its retransmit
     // (or abandonment) rather than lose the race to it.
-    Message msg;
-    RecvStatus st;
-    while ((st = fabric_->receive_for(self_, 0, &msg)) == RecvStatus::kOk)
-      handle(std::move(msg));
+    const RecvStatus st = drain();
     if (st == RecvStatus::kShutdown) return Status::kShutdown;
     if (st == RecvStatus::kDead) return Status::kDead;
     if (!ready_.empty()) continue;
@@ -266,9 +272,22 @@ ReliableEndpoint::Status ReliableEndpoint::recv(Message* out,
 
     // A shutdown or death shows again in the next drain; a timeout loops to
     // service deadlines or the caller's timeout.
+    Message msg;
     if (fabric_->receive_for(self_, wait, &msg) == RecvStatus::kOk)
       handle(std::move(msg));
   }
+}
+
+RecvStatus ReliableEndpoint::drain() {
+  Message msg;
+  RecvStatus st;
+  while ((st = fabric_->receive_for(self_, 0, &msg)) == RecvStatus::kOk)
+    handle(std::move(msg));
+  return st == RecvStatus::kTimeout ? RecvStatus::kOk : st;
+}
+
+void ReliableEndpoint::poll() {
+  if (drain() == RecvStatus::kOk) service_deadlines();
 }
 
 void ReliableEndpoint::forget_peer(int dst) {

@@ -33,6 +33,12 @@ namespace pdw::net {
 inline constexpr int kTransportAck = -1;
 // tseq value marking a fire-and-forget message (no ack, no ordering).
 inline constexpr uint32_t kUnreliableSeq = 0xFFFFFFFFu;
+// A receiver holds messages of one link out of order only within this many
+// tseqs of the next one it expects. A later one is dropped unacked (its
+// sender retransmits it once the window has moved), so a hostile sender
+// cannot grow the reorder buffer; a sound one never has this many in
+// flight (bulk messages are bounded by the receiver's posted buffers).
+inline constexpr uint32_t kReorderWindow = 1024;
 
 // The retransmission timeout is Jacobson/Karels adaptive: every ack of a
 // never-retransmitted message samples the link RTT (Karn's rule keeps
@@ -119,6 +125,12 @@ class ReliableEndpoint {
   // and return the next in-order application message, or time out.
   Status recv(Message* out, double timeout_s);
 
+  // Transport work without waiting and without delivering: t-ack and queue
+  // what the fabric already holds, and retransmit what is due. A node
+  // thread busy computing calls this so its peers' messages are not resent
+  // while the application is away; recv() hands the queued ones out later.
+  void poll();
+
   // Peers with at least one abandoned message since the last call.
   std::vector<AbandonedSend> take_abandoned();
 
@@ -128,6 +140,8 @@ class ReliableEndpoint {
 
   const ReliableStats& stats() const { return stats_; }
   size_t unacked() const { return pending_.size(); }
+  // Messages from `src` waiting in the reorder buffer (< kReorderWindow).
+  size_t reordering(int src) const { return rx_[size_t(src)].reorder.size(); }
 
  private:
   struct Pending {
@@ -137,7 +151,7 @@ class ReliableEndpoint {
     double rto = 0;
     int tries = 0;
     int nc_tries = 0;  // flow-control (no-credit) retries
-    double first_tx = 0;        // when the initial transmission left
+    double first_tx = -1;       // when the fabric first accepted it
     bool retransmitted = false; // Karn: ambiguous ack, no RTT sample
   };
 
@@ -155,6 +169,9 @@ class ReliableEndpoint {
   };
 
   double now() const;
+  // Handle everything the fabric holds right now; kOk unless the fabric
+  // reports shutdown or death.
+  RecvStatus drain();
   void transmit(Pending& p);
   // Consume one transport ack: erase the pending entry and, when the ack is
   // unambiguous (never retransmitted), feed the RTT sample to the estimator.

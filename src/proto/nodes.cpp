@@ -506,11 +506,14 @@ std::vector<ExchangeMsg> DecoderNode::take_exchanges(int tile, uint32_t pic) {
   return out;
 }
 
-std::vector<Outgoing> DecoderNode::finish_picture(uint32_t pic) {
+void DecoderNode::finish_picture(uint32_t pic) {
   sps_.erase(sps_.begin(), sps_.lower_bound(key(0, pic + 1)));
   exchanges_.erase(exchanges_.begin(),
                    exchanges_.lower_bound(key(0, pic + 1)));
   skips_.erase(skips_.begin(), skips_.lower_bound(key(0, pic + 1)));
+}
+
+std::vector<Outgoing> DecoderNode::ack_picture(uint32_t pic) {
   GoAheadAck ack;
   ack.pic_index = pic;
   ack.stream = opts_.stream;

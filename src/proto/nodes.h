@@ -433,9 +433,14 @@ class DecoderNode {
   bool halos_complete(int tile, uint32_t pic) const;
   std::vector<ExchangeMsg> take_exchanges(int tile, uint32_t pic);
 
-  // Per-picture epilogue: garbage-collect buffers at or below `pic` and ack
-  // to the splitter owning the next picture (ANID redirection).
-  std::vector<Outgoing> finish_picture(uint32_t pic);
+  // The ack of picture `pic` to the splitter owning the next picture (ANID
+  // redirection). Table 3 sends it on receipt: once the picture's
+  // sub-pictures for every owned tile are in hand, so picture pic + 1 can
+  // land in the second posted buffer while pic decodes.
+  std::vector<Outgoing> ack_picture(uint32_t pic);
+  // Per-picture epilogue, after the decode: garbage-collect buffers at or
+  // below `pic`.
+  void finish_picture(uint32_t pic);
 
   // End-of-stream notice for the root (stop monitoring this node).
   std::vector<Outgoing> finished() const;

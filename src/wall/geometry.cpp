@@ -109,12 +109,6 @@ void TileGeometry::init(const std::vector<int>& col_edges,
       row_home_[size_t(y)] = ty;
 }
 
-void TileGeometry::tiles_of_mb(int mbx, int mby, std::vector<int>* out) const {
-  out->clear();
-  for (int t = 0; t < tiles(); ++t)
-    if (mbs_[size_t(t)].contains(mbx, mby)) out->push_back(t);
-}
-
 int TileGeometry::owner_of_mb(int mbx, int mby) const {
   const int px = std::min(mbx * 16, width_ - 1);
   const int py = std::min(mby * 16, height_ - 1);

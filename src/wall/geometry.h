@@ -42,6 +42,17 @@ struct MbRect {
   friend bool operator==(const MbRect&, const MbRect&) = default;
 };
 
+// The tiles that decode one macroblock (TileGeometry::tiles_of_mb), held
+// in place: the splitter asks once per macroblock.
+struct MbTiles {
+  static constexpr int kMax = 16;
+  int n = 0;
+  int t[kMax] = {};
+  size_t size() const { return size_t(n); }
+  const int* begin() const { return t; }
+  const int* end() const { return t + n; }
+};
+
 class TileGeometry {
  public:
   // Partition a width x height picture across an m x n wall with `overlap`
@@ -75,9 +86,17 @@ class TileGeometry {
   // Macroblock-aligned region tile t decodes (covers tile_pixels).
   const MbRect& tile_mbs(int t) const { return mbs_[size_t(t)]; }
 
-  // All tiles that decode macroblock (mbx, mby): 1..4 of them.
-  // Deterministic order (row-major tile index).
-  void tiles_of_mb(int mbx, int mby, std::vector<int>* out) const;
+  // All tiles that decode macroblock (mbx, mby), in row-major tile order:
+  // 1..4 of them on a uniform grid.
+  MbTiles tiles_of_mb(int mbx, int mby) const {
+    MbTiles out;
+    for (int t = 0; t < tiles(); ++t) {
+      if (!mbs_[size_t(t)].contains(mbx, mby)) continue;
+      PDW_CHECK_LT(out.n, MbTiles::kMax);
+      out.t[out.n++] = t;
+    }
+    return out;
+  }
 
   // Canonical owner of a macroblock: the unique tile responsible for
   // *serving* this macroblock's pixels to other decoders in MEI exchanges.

@@ -199,6 +199,37 @@ TEST(BitReader, MatchesBitAtATimeModel) {
   }
 }
 
+TEST(BitReader, OverrunTurnsTrueExactlyPastTheEnd) {
+  // overrun() is derived from the position, which never moves back: false
+  // up to and at the end of the buffer, true from the first bit past it
+  // on, whether the reader got there by its bit-offset constructor, by
+  // skip() (one bit or many at a time) or by reads. Short buffers take
+  // the byte-wise refill, 16 bytes the bulk one.
+  for (size_t size : {1u, 3u, 16u}) {
+    std::vector<uint8_t> data(size, 0xA5);
+    const size_t end = size * 8;
+    for (size_t offset = 0; offset <= end + 2; ++offset) {
+      BitReader r(data, offset);
+      EXPECT_EQ(r.overrun(), offset > end) << size << " " << offset;
+      for (size_t pos = offset + 1; pos <= end + 40; ++pos) {
+        r.skip(1);
+        ASSERT_EQ(r.overrun(), pos > end) << size << " " << offset << " " << pos;
+      }
+      r.read(32);
+      r.peek(32);
+      EXPECT_TRUE(r.overrun());
+    }
+    BitReader exact(data);
+    exact.skip(end);
+    EXPECT_FALSE(exact.overrun()) << size;
+    exact.peek(32);  // peeking past the end moves nothing
+    EXPECT_FALSE(exact.overrun()) << size;
+    BitReader wide(data);
+    wide.skip(end + 33);  // one skip wider than 32 bits across the end
+    EXPECT_TRUE(wide.overrun()) << size;
+  }
+}
+
 TEST(BitReader, AlignToByte) {
   const uint8_t data[] = {0x12, 0x34, 0x56};
   BitReader r(data);

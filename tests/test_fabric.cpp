@@ -1,6 +1,7 @@
 // GM-like fabric tests: posted-receive credits, accounting, shutdown.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "common/stats.h"
@@ -369,6 +370,46 @@ TEST(Reliable, AbandonedHoleIsSkippedAfterTimeout) {
   ASSERT_EQ(abandoned.size(), 1u);
   EXPECT_EQ(abandoned[0].type, 1);
   EXPECT_EQ(abandoned[0].dst, 1);
+}
+
+TEST(Reliable, RttSampleExcludesCreditWait) {
+  // A bulk send that finds no posted buffer waits for credit. Its RTT
+  // sample starts when the fabric first accepts it: flow control is not
+  // link delay, and counting it would inflate the RTO of every later send.
+  Fabric f(2);
+  f.post_receive(1);  // one buffer: the second send waits for it
+  ReliableEndpoint tx(&f, 0);
+  ReliableEndpoint rx(&f, 1);
+  tx.send(1, bulk_msg(1, mem::Bytes::filled(64, 1)));
+  tx.send(1, bulk_msg(2, mem::Bytes::filled(64, 2)));
+  EXPECT_EQ(tx.stats().no_credit, 1u);
+
+  Message m;
+  ASSERT_EQ(rx.recv(&m, 1.0), ReliableEndpoint::Status::kMessage);
+  EXPECT_EQ(m.type, 1);
+  for (int i = 0; i < 1000 && tx.stats().rtt_samples < 1; ++i)
+    tx.recv(&m, 0.001);  // takes the first message's t-ack
+  ASSERT_EQ(tx.stats().rtt_samples, 1u);
+  const double first = tx.srtt_s(1);
+
+  const double wait_s = 0.1;  // the second message waits this long
+  std::this_thread::sleep_for(std::chrono::duration<double>(wait_s));
+  f.post_receive(1);  // the receiver recycles the first buffer
+  bool delivered = false;
+  for (int i = 0; i < 1000 && (!delivered || tx.stats().rtt_samples < 2); ++i) {
+    tx.recv(&m, 0.001);  // retries the deferred send, then takes its t-ack
+    if (!delivered &&
+        rx.recv(&m, 0.001) == ReliableEndpoint::Status::kMessage) {
+      EXPECT_EQ(m.type, 2);
+      delivered = true;
+    }
+  }
+  ASSERT_TRUE(delivered);
+  ASSERT_EQ(tx.stats().rtt_samples, 2u);
+  EXPECT_EQ(tx.stats().retransmits, 0u);
+  // srtt moves 1/8 of the way to the new sample. Counted from send(), the
+  // sample would exceed wait_s and move it by more than wait_s / 8.
+  EXPECT_LT(tx.srtt_s(1), first + wait_s / 16);
 }
 
 }  // namespace

@@ -33,15 +33,15 @@ TEST(TileGeometry, OverlapDuplicatesBoundaryMacroblocks) {
   // Interior edges widen by overlap/2 = 20px each way.
   EXPECT_EQ(g.tile_pixels(0).x1, 660);
   EXPECT_EQ(g.tile_pixels(1).x0, 620);
-  std::vector<int> tiles;
-  g.tiles_of_mb(39, 0, &tiles);  // pixel 624..639: in both tiles
+  MbTiles tiles;
+  tiles = g.tiles_of_mb(39, 0);  // pixel 624..639: in both tiles
   EXPECT_EQ(tiles.size(), 2u);
-  g.tiles_of_mb(41, 0, &tiles);  // pixel 656..671: tile 1 only... but 656<660
+  tiles = g.tiles_of_mb(41, 0);  // pixel 656..671: tile 1 only... but 656<660
   // mb 41 covers 656..671, tile 0 pixels end at 660 -> still shared.
   EXPECT_EQ(tiles.size(), 2u);
-  g.tiles_of_mb(0, 0, &tiles);
+  tiles = g.tiles_of_mb(0, 0);
   EXPECT_EQ(tiles.size(), 1u);
-  g.tiles_of_mb(79, 0, &tiles);
+  tiles = g.tiles_of_mb(79, 0);
   EXPECT_EQ(tiles.size(), 1u);
 }
 
@@ -59,11 +59,11 @@ TEST(TileGeometry, OwnerIsUniqueAndOwnsTheMacroblock) {
 
 TEST(TileGeometry, EveryMacroblockHasAtLeastOneTile) {
   TileGeometry g(3840, 2912, 4, 4, 40);
-  std::vector<int> tiles;
+  MbTiles tiles;
   int max_tiles = 0;
   for (int mby = 0; mby < g.mb_height(); ++mby) {
     for (int mbx = 0; mbx < g.mb_width(); ++mbx) {
-      g.tiles_of_mb(mbx, mby, &tiles);
+      tiles = g.tiles_of_mb(mbx, mby);
       ASSERT_GE(tiles.size(), 1u) << mbx << "," << mby;
       max_tiles = std::max(max_tiles, int(tiles.size()));
     }
@@ -107,7 +107,6 @@ TEST(TileGeometry, PaperConfigurations) {
   for (auto [m, n] : configs) {
     TileGeometry g(3840, 2912, m, n, 40);
     EXPECT_EQ(g.tiles(), m * n);
-    std::vector<int> tiles;
     for (int t = 0; t < g.tiles(); ++t)
       EXPECT_GT(g.tile_mbs(t).count(), 0);
   }
@@ -120,13 +119,13 @@ TEST(TileGeometry, SingleRowAndSingleColumnWalls) {
     TileGeometry col_wall(1280, 720, 1, 4, overlap);
     EXPECT_EQ(row_wall.tiles(), 4);
     EXPECT_EQ(col_wall.tiles(), 4);
-    std::vector<int> tiles;
+    MbTiles tiles;
     for (const TileGeometry* g : {&row_wall, &col_wall}) {
       for (int mby = 0; mby < g->mb_height(); ++mby) {
         for (int mbx = 0; mbx < g->mb_width(); ++mbx) {
           const int owner = g->owner_of_mb(mbx, mby);
           ASSERT_TRUE(g->tile_has_mb(owner, mbx, mby));
-          g->tiles_of_mb(mbx, mby, &tiles);
+          tiles = g->tiles_of_mb(mbx, mby);
           ASSERT_TRUE(std::find(tiles.begin(), tiles.end(), owner) !=
                       tiles.end());
         }
@@ -176,13 +175,13 @@ TEST(TileGeometry, PartitionOwnerMapAgreesAcrossOverlapSettings) {
   TileGeometry splitter_view(640, 480, p, 0);
   TileGeometry wall_view(640, 480, p, 32);
   EXPECT_EQ(wall_view.epoch(), 3u);
-  std::vector<int> tiles;
+  MbTiles tiles;
   for (int mby = 0; mby < wall_view.mb_height(); ++mby) {
     for (int mbx = 0; mbx < wall_view.mb_width(); ++mbx) {
       const int owner = wall_view.owner_of_mb(mbx, mby);
       ASSERT_EQ(owner, splitter_view.owner_of_mb(mbx, mby));
       ASSERT_TRUE(wall_view.tile_has_mb(owner, mbx, mby));
-      wall_view.tiles_of_mb(mbx, mby, &tiles);
+      tiles = wall_view.tiles_of_mb(mbx, mby);
       ASSERT_TRUE(std::find(tiles.begin(), tiles.end(), owner) != tiles.end());
     }
   }

@@ -6,6 +6,7 @@
 // its edge or from the halo, taint either way).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -331,6 +332,88 @@ TEST(TileDecoder, DisplayOrderMatchesSerialSemantics) {
   for (size_t i = 1; i < display_pic_indices.size(); ++i)
     if (display_pic_indices[i] < display_pic_indices[i - 1]) reordered = true;
   EXPECT_TRUE(reordered) << "stream with B pictures must reorder";
+}
+
+TEST(TileDecoder, FrozenFrameIsLastShown) {
+  // Display hands out one of the decoder's own frames instead of a copy, so
+  // a frozen emission (a lost picture with no reference pending) shows
+  // whatever frame was shown last, and that frame must still hold its
+  // pixels: never decoded into, never dropped by a rebase.
+  const int w = 192, h = 160;
+  const auto es = make_stream(w, h, 9);
+  wall::TileGeometry geo(w, h, 1, 1, 0);
+  Harness hn(es, geo);
+  for (int i = 0; i < 5; ++i)  // decode order I P B B P
+    EXPECT_EQ(hn.splitter.split(hn.root.picture(i), uint32_t(i)).info.type,
+              (i == 0 ? mpeg2::PicType::I
+                      : i % 3 == 1 ? mpeg2::PicType::P : mpeg2::PicType::B));
+
+  auto digest = [](const mpeg2::TileFrame& f) {
+    uint64_t d = 1469598103934665603ull;  // FNV-1a over the three planes
+    for (int c = 0; c < 3; ++c)
+      for (uint8_t v : f.plane(c).data()) d = (d ^ v) * 1099511628211ull;
+    return d;
+  };
+  struct Shown {
+    uint64_t digest;
+    int mb_x1;
+    bool frozen;  // degraded with no picture of its own
+  };
+  std::vector<Shown> shown;
+  std::vector<uint32_t> skipped;
+  auto record = [&](const mpeg2::TileFrame& f, const TileDisplayInfo& info) {
+    const bool frozen = info.degraded && std::find(skipped.begin(), skipped.end(),
+                                                   info.pic_index) !=
+                                             skipped.end();
+    shown.push_back({digest(f), f.mb_x1(), frozen});
+  };
+  TileDecoder& dec = *hn.decoders[0];
+  auto skip = [&](uint32_t i) {
+    skipped.push_back(i);
+    dec.skip_picture(i, record);
+  };
+  auto expect_frozen_repeats_last = [&](const char* where) {
+    ASSERT_GE(shown.size(), 2u) << where;
+    EXPECT_TRUE(shown.back().frozen) << where;
+    EXPECT_EQ(shown.back().digest, shown[shown.size() - 2].digest) << where;
+    EXPECT_EQ(shown.back().mb_x1, shown[shown.size() - 2].mb_x1) << where;
+  };
+
+  // I P B B, then two lost pictures: the first displaces the pending P, the
+  // second freezes on it.
+  for (int i = 0; i < 4; ++i) hn.step(i, false, record);
+  skip(4);
+  skip(5);
+  expect_frozen_repeats_last("after I P B B");
+
+  // A B emission followed by another decode: the B frame was the scratch
+  // frame, and the next picture must decode elsewhere. The lost B at 2
+  // leaves a hole that the P at 4 fills with a frozen frame.
+  Harness hn2(es, geo);
+  TileDecoder& dec2 = *hn2.decoders[0];
+  shown.clear();
+  skipped.clear();
+  hn2.step(0, false, record);
+  hn2.step(1, false, record);
+  skipped.push_back(2);
+  dec2.skip_picture(2, record);
+  hn2.step(3, false, record);  // B: shown, and the scratch frame
+  const uint64_t b_digest = shown.back().digest;
+  skipped.push_back(4);  // the P decodes, but its slot-3 emission is frozen
+  hn2.step(4, false, record);
+  expect_frozen_repeats_last("after a B emission and a decode");
+  EXPECT_EQ(shown.back().digest, b_digest);
+
+  // A rebase to a narrower rect keeps the shown frame (and its rect).
+  wall::TileGeometry narrow(w, h, 2, 1, 0);
+  dec2.rebase(narrow);
+  skipped.push_back(5);
+  skipped.push_back(6);
+  dec2.skip_picture(5, record);  // displaces the pending P
+  dec2.skip_picture(6, record);  // frozen on it
+  expect_frozen_repeats_last("after a rebase");
+  EXPECT_EQ(shown.back().mb_x1, geo.tile_mbs(0).x1);
+  EXPECT_NE(narrow.tile_mbs(0).x1, geo.tile_mbs(0).x1);
 }
 
 TEST(TileDecoder, StatsReportMacroblocksAndHalo) {

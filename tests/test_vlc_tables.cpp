@@ -2,6 +2,8 @@
 // roundtrips over every table entry, and structural cross-checks.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bitstream/bit_reader.h"
 #include "bitstream/bit_writer.h"
 #include "mpeg2/tables.h"
@@ -231,6 +233,73 @@ TEST(DctCoeffB14, FailuresStopAtTheSameBit) {
   DctCoeff c;
   EXPECT_FALSE(try_decode_dct_coeff_b14(r, true, &c));
   EXPECT_EQ(r.bit_pos(), 0u);
+}
+
+TEST(DctCoeffB14, TwoLevelTableMatchesFlatTable) {
+  // Every 16-bit window, both first-coefficient conventions: the two-level
+  // kLut and the decoder over it give what a flat 64K-entry table rebuilt
+  // here from kCodes gives: run, level, length, EOB/escape/invalid class,
+  // success and the bit where decoding stops.
+  struct Flat {
+    int run;  // >= 0, or b14::kEob / kEscape / kInvalid
+    int level, len;
+  };
+  std::vector<Flat> flat(1 << 16, Flat{b14::kInvalid, 0, 0});
+  auto fill = [&](uint32_t code, int len, Flat v) {
+    for (uint32_t j = 0; j < (1u << (16 - len)); ++j)
+      flat[(code << (16 - len)) + j] = v;
+  };
+  for (const b14::Code& e : b14::kCodes) fill(e.code, e.len, {e.run, e.level, e.len});
+  fill(b14::kEobCode, b14::kEobLen, {b14::kEob, 0, b14::kEobLen});
+  fill(b14::kEscapeCode, b14::kEscapeLen, {b14::kEscape, 0, b14::kEscapeLen});
+
+  for (uint32_t w16 = 0; w16 < (1u << 16); ++w16) {
+    const Flat want = flat[w16];
+    const b14::Lut got = b14::kLut[b14::index(w16)];
+    ASSERT_EQ(got.run, want.run) << w16;
+    if (want.run != b14::kInvalid) {
+      ASSERT_EQ(got.level, want.level) << w16;
+      ASSERT_EQ(got.len, want.len) << w16;
+    }
+    // The 8 bits after the window hold the sign and the escape's low level
+    // bits: all zeros and all ones reach the forbidden escape levels.
+    for (uint32_t tail : {0x00u, 0xFFu, (w16 * 0x9E37u >> 4) & 0xFFu}) {
+      const uint32_t w24 = (w16 << 8) | tail;
+      const uint8_t bytes[4] = {uint8_t(w24 >> 16), uint8_t(w24 >> 8),
+                                uint8_t(w24), 0x5A};
+      for (bool first : {false, true}) {
+        bool ok = true;
+        DctCoeff c;
+        size_t bits = 0;
+        if (first && (w24 >> 23)) {
+          c = {false, 0, (w24 >> 22) & 1 ? -1 : 1};
+          bits = 2;
+        } else if (want.run >= 0) {
+          const bool neg = (w24 >> (23 - want.len)) & 1;
+          c = {false, want.run, neg ? -want.level : want.level};
+          bits = size_t(want.len) + 1;
+        } else if (want.run == b14::kEob) {
+          c = {true, 0, 0};
+          bits = 2;
+        } else if (want.run == b14::kEscape) {
+          const int level = int32_t(w24 << 20) >> 20;
+          ok = level != 0 && level != -2048;
+          c = {false, int(w24 >> 12) & 63, level};
+          bits = 24;
+        } else {
+          ok = false;
+        }
+        BitReader r(bytes);
+        DctCoeff d;
+        ASSERT_EQ(try_decode_dct_coeff_b14(r, first, &d), ok) << w24 << first;
+        ASSERT_EQ(r.bit_pos(), bits) << w24 << first;
+        if (!ok) continue;
+        ASSERT_EQ(d.eob, c.eob) << w24 << first;
+        ASSERT_EQ(d.run, c.run) << w24 << first;
+        ASSERT_EQ(d.level, c.level) << w24 << first;
+      }
+    }
+  }
 }
 
 TEST(DctCoeffB14, RoundtripTableAndEscapeSpace) {
