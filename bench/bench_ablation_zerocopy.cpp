@@ -1,4 +1,4 @@
-// Ablation (paper §4.4): zero-copy pooled buffers vs copy-through messaging,
+// Ablation (paper §4.4): pooled buffers vs per-message heap allocation,
 // measured on the real threaded pipeline — not modeled.
 //
 // With GM's posted receive buffers and the two-buffer ack protocol, neither
@@ -6,12 +6,11 @@
 // mem::Bytes subsystem: one pooled allocation per picture body, with the
 // splitter's sub-picture payloads, the packed SpMsg bodies and the decoder's
 // run payloads all refcounted views over pooled blocks. The "static" leg
-// disables pooling AND degrades every view to a deep copy (every wire body
-// is a fresh heap malloc, every hop re-copies its payload — the
-// copy-through era's dataflow); the "pooled" leg runs the same protocol
-// with pooling and block-sharing views on. Both legs run the full threaded
-// ClusterPipeline after warm-up passes, interleaved so host-load drift
-// lands on both sides, so the fps delta is real copy/alloc elimination.
+// turns pooling off (every wire body and surface is a fresh heap malloc,
+// freed to the heap); the "pooled" leg runs the same protocol with the
+// freelists on. Both legs share views the same way, run the full threaded
+// ClusterPipeline after warm-up passes, and are interleaved so host-load
+// drift lands on both sides, so the fps delta is alloc elimination.
 //
 // The pooled leg also reports the PR's acceptance gate: steady-state pool
 // misses per picture (each miss is one hot-path malloc) — must be 0.
@@ -102,9 +101,7 @@ Pair run_pair(const std::vector<uint8_t>& es, const wall::TileGeometry& geo,
   // One warm-up pass per mode: the pooled pass mints the working set, the
   // static pass just pages everything in so both legs measure warm.
   mem::set_pooling_enabled(false);
-  mem::set_copy_through(true);
   timed_run(es, geo, k, nullptr);
-  mem::set_copy_through(false);
   mem::set_pooling_enabled(true);
   timed_run(es, geo, k, nullptr);
 
@@ -125,14 +122,12 @@ Pair run_pair(const std::vector<uint8_t>& es, const wall::TileGeometry& geo,
   };
 
   for (int rep = 0; rep < kReps; ++rep) {
-    // Static leg: with pooling off every alloc is a heap miss by design
-    // (and every copy-through view copy allocates too), so its miss count
-    // is the per-picture alloc-stall count of the copy era. Snapshotting
-    // per leg keeps it out of the pooled leg's gate counters.
+    // Static leg: with pooling off every alloc is a heap miss by design,
+    // so its miss count is the per-picture alloc-stall count of unpooled
+    // messaging. Snapshotting per leg keeps it out of the pooled leg's
+    // gate counters.
     mem::set_pooling_enabled(false);
-    mem::set_copy_through(true);
     run_one(&pair.stat, &stat_split, &stat_decode);
-    mem::set_copy_through(false);
 
     mem::set_pooling_enabled(true);
     run_one(&pair.pool, &pool_split, &pool_decode);
@@ -224,8 +219,8 @@ int main() {
   }
   table.print(stdout);
   std::printf(
-      "\n(The static leg re-copies every payload at every hop and "
-      "heap-allocates every wire body; the pooled leg serves the steady "
+      "\n(The static leg heap-allocates every wire body and surface; the "
+      "pooled leg serves the steady "
       "state entirely from freelists — the miss/pic column is the "
       "machine-checked \"zero hot-path mallocs\" gate.)\n");
   std::printf("\nAlloc stalls & tail latency (p99 at log2 bucket "

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Net line delta of the program sources against a base ref: lines added and
-# removed under src/ + examples/, and under bench/ on a line of its own.
+# removed under src/ + examples/, and under bench/ and tests/ on lines of
+# their own (the tests row shows every deleted or added test).
 # Compares the working tree (tracked and staged files) with the base, so it
 # reports the same numbers before and after committing.
 #
@@ -24,3 +25,4 @@ delta() {
 echo "line delta vs $base (${sha:0:12})"
 delta "src+examples" src examples
 delta "bench" bench
+delta "tests" tests

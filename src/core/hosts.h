@@ -73,14 +73,10 @@ struct ProtocolConfig {
   double heartbeat_timeout_s = 1e9;
 };
 
-// The policy enum lives with the rest of the protocol; core keeps the
-// spelling for existing callers.
-using RecoveryPolicy = proto::RecoveryPolicy;
-
 // What every wall is configured with, whatever its fabric.
 struct WallOptions {
   ProtocolConfig protocol;
-  RecoveryPolicy recovery = RecoveryPolicy::kAdopt;
+  proto::RecoveryPolicy recovery = proto::RecoveryPolicy::kAdopt;
   // Also record per-picture tile x tile exchange matrices in stats.wire
   // (test_parallel_equivalence compares them against the lockstep traces).
   bool per_picture_exchange = false;

@@ -147,7 +147,6 @@ void LockstepPipeline::step(const TileDisplayFn& on_display,
 
   const std::span<const uint8_t> span = root_.picture(int(i));
   tr.picture_bytes = span.size();
-  tr.has_gop_header = root_.span(int(i)).has_gop_header;
 
   // Root: the one copy — the ES span is packed straight into a pooled wire
   // body; everything downstream (splitter, sub-pictures) views that block.
@@ -167,7 +166,6 @@ void LockstepPipeline::step(const TileDisplayFn& on_display,
   // the ANID-redirected acks of picture i-1, route the sub-pictures.
   const int s = topo_.splitter_for_picture(i);
   const int self = topo_.splitter(s);
-  tr.splitter = s;
   proto::SplitterNode& sn = *splitter_nodes_[size_t(s)];
   SplitterBody& body = *splitters_[size_t(s)];
   PDW_CHECK(sn.has_picture());

@@ -7,10 +7,9 @@
 // TileDecoderSet, core/hosts.h) and every protocol decision comes from the
 // same state machines its hosts pump; only the scheduling differs. Two jobs:
 //   1. Functional reference for the parallel system: the tile outputs it
-//      produces are what the threaded pipeline and the DES-driven cluster
-//      must also produce (bit-exact vs the serial decoder), and because the
-//      protocol decisions and compute are shared, the engines cannot drift
-//      apart.
+//      produces are what the threaded and socket walls must also produce
+//      (bit-exact vs the serial decoder), and because the protocol
+//      decisions and compute are shared, the engines cannot drift apart.
 //   2. Cost measurement: it times every operation of the Table-3 protocol on
 //      real data, producing the per-picture traces the discrete-event
 //      cluster simulator replays to obtain frame rates, runtime breakdowns
@@ -37,12 +36,10 @@ namespace pdw::core {
 struct PictureTrace {
   uint32_t pic_index = 0;
   mpeg2::PicType type = mpeg2::PicType::I;
-  bool has_gop_header = false;  // picture starts a (closed) GOP — resync point
   uint32_t epoch = 0;           // partition epoch the picture was split under
   size_t picture_bytes = 0;  // root -> splitter message size
   double copy_s = 0;         // root: copy picture into the send buffer
   double split_s = 0;        // second-level: parse + pack SPs and MEIs
-  int splitter = 0;          // which second-level splitter handled it
 
   // Per tile decoder:
   std::vector<size_t> sp_msg_bytes;  // splitter -> decoder wire body size

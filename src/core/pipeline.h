@@ -11,8 +11,8 @@
 // feeds them to its state machine and transmits whatever the machine
 // returns, running the actual compute (splitting, pixel extraction, tile
 // decoding) when the machine says the inputs are complete. The lockstep
-// reference and the discrete-event simulator drive the very same machines,
-// which keeps the engines protocol-identical by construction.
+// reference drives the very same machines, which keeps the engines
+// protocol-identical by construction.
 //
 // Transport properties (net/):
 //   * two posted receive buffers per bulk receiver, recycled on receipt;

@@ -42,9 +42,6 @@ namespace detail {
 Bytes adopt_block(BlockHeader* b, size_t n);
 }  // namespace detail
 
-// Defined in pool.cpp; documented with set_copy_through() below.
-bool copy_through();
-
 // Base of BufferPool / SurfacePool internals. Refcounted so that blocks
 // released *after* their pool handle was destroyed (e.g. a straggler thread
 // dropping its last view) degrade safely to a heap free instead of touching
@@ -175,12 +172,9 @@ class Bytes {
   std::span<uint8_t> mutable_span() { return {data_, size_}; }
 
   // --- Views & sharing -----------------------------------------------------
-  // Sub-range sharing the same block (or the same borrowed storage). Under
-  // copy_through() (ablation only) every view degrades to a deep copy —
-  // the copy-per-hop behavior of the pre-pool wire path.
+  // Sub-range sharing the same block (or the same borrowed storage).
   Bytes view(size_t off, size_t len) const {
     PDW_CHECK_LE(off + len, size_);
-    if (copy_through()) return copy_of({data_ + off, len});
     Bytes v;
     v.block_ = block_;
     v.data_ = data_ + off;
@@ -229,13 +223,5 @@ class Bytes {
 // unpooled leg of the zero-copy ablation and the ProtocolEquivalence guard.
 void set_pooling_enabled(bool enabled);
 bool pooling_enabled();
-
-// Runtime copy-through switch (ablation only). When on, Bytes::view()
-// deep-copies instead of sharing the block, reintroducing the
-// copy-per-hop dataflow of the pre-pool wire path. Combined with
-// set_pooling_enabled(false) this is the "static buffers + copy
-// messaging" era the paper's zero-copy transport replaced.
-void set_copy_through(bool enabled);
-bool copy_through();
 
 }  // namespace pdw::mem

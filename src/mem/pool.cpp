@@ -131,16 +131,6 @@ bool pooling_enabled() {
   return g_pooling_enabled.load(std::memory_order_relaxed);
 }
 
-namespace {
-std::atomic<bool> g_copy_through{false};
-}
-void set_copy_through(bool enabled) {
-  g_copy_through.store(enabled, std::memory_order_relaxed);
-}
-bool copy_through() {
-  return g_copy_through.load(std::memory_order_relaxed);
-}
-
 // --- BufferPool ------------------------------------------------------------
 
 class BufferPool::Core : public PoolCore {

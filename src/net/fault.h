@@ -5,8 +5,7 @@
 // delays (reordering), duplicates, payload corruption, node stalls and node
 // crashes — all *deterministically*: every decision is a pure function of
 // (seed, src, dst, per-link message ordinal), so a schedule replays
-// identically regardless of thread interleaving, and the discrete-event
-// simulator can replay the very same schedule to model recovery latency.
+// identically regardless of thread interleaving.
 //
 // Two ways to describe a schedule, freely combined:
 //   * FaultRates — seeded per-message probabilities (soak testing);
@@ -79,10 +78,10 @@ class FaultInjector {
 
   // Fate of the `link_ordinal`-th message of `stream` ever sent src->dst,
   // which would be the `dst_deliveries`-th message delivered to dst. Pure
-  // function — safe to call from any thread, and reusable by the DES for
-  // schedule replay. Callers must count link_ordinal per (src, dst, stream);
-  // stream 0 keys identically to the pre-multi-stream scheme, so existing
-  // single-stream seeds replay unchanged.
+  // function — safe to call from any thread. Callers must count
+  // link_ordinal per (src, dst, stream); stream 0 keys identically to the
+  // pre-multi-stream scheme, so existing single-stream seeds replay
+  // unchanged.
   FaultDecision decide(int src, int dst, uint64_t link_ordinal,
                        uint64_t dst_deliveries, size_t payload_size,
                        uint8_t stream = 0) const;

@@ -8,6 +8,12 @@
 
 namespace pdw::proto {
 
+namespace {
+
+// Resynchronization point after a death: the first closed-GOP picture at or
+// after `cursor` (the first picture not yet dispatched). Everything from
+// that picture's display slot on is bit-exact again. Returns
+// pictures.size() when no such picture remains.
 uint32_t pick_resync_picture(const std::vector<PictureMeta>& pictures,
                              int cursor) {
   // Every GOP starts with an I picture, and GOPs are closed, so decoding
@@ -17,6 +23,8 @@ uint32_t pick_resync_picture(const std::vector<PictureMeta>& pictures,
   return uint32_t(pictures.size());
 }
 
+// Adopter for a dead tile: the first tile whose serving node is neither the
+// dead node nor itself dead. -1 when nobody can adopt (or policy forbids).
 int pick_adopter_tile(const std::vector<int>& tile_owner_node,
                       const std::set<int>& dead_nodes, int dead_node,
                       RecoveryPolicy policy) {
@@ -27,6 +35,8 @@ int pick_adopter_tile(const std::vector<int>& tile_owner_node,
   }
   return -1;
 }
+
+}  // namespace
 
 // --- RootNode --------------------------------------------------------------
 

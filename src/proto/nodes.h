@@ -23,10 +23,11 @@
 // returns the messages to transmit plus any host commands; compute (picture
 // splitting, pixel extraction, tile decoding) stays in the hosting engine,
 // which queries the machine for every decision. The same three machines run
-// under the threaded pipeline's per-node message pumps, the lockstep
-// engine's serial scheduler and the discrete-event simulator's modeled
-// cluster — which is what keeps the three engines protocol-identical by
-// construction.
+// under the threaded and socket walls' per-node message pumps and the
+// lockstep engine's serial scheduler — which is what keeps those engines
+// protocol-identical by construction. The discrete-event simulator shares
+// only Topology's node numbering and round-robin arithmetic: it replays the
+// fault-free protocol, so the recovery policy lives in RootNode alone.
 #pragma once
 
 #include <cstdint>
@@ -149,27 +150,12 @@ struct WireAccounting {
   }
 };
 
-// --- Shared policy helpers (also used by the DES) --------------------------
-
 // Per-picture metadata the protocol needs from the stream: whether the
 // picture starts a (closed) GOP — i.e. can serve as a resynchronization
 // point after a node death.
 struct PictureMeta {
   bool has_gop_header = false;
 };
-
-// Resynchronization point after a death: the first closed-GOP picture at or
-// after `cursor` (the first picture not yet dispatched). Everything from
-// that picture's display slot on is bit-exact again. Returns
-// pictures.size() when no such picture remains.
-uint32_t pick_resync_picture(const std::vector<PictureMeta>& pictures,
-                             int cursor);
-
-// Adopter for a dead tile: the first tile whose serving node is neither the
-// dead node nor itself dead. -1 when nobody can adopt (or policy forbids).
-int pick_adopter_tile(const std::vector<int>& tile_owner_node,
-                      const std::set<int>& dead_nodes, int dead_node,
-                      RecoveryPolicy policy);
 
 // --- RootNode --------------------------------------------------------------
 

@@ -292,7 +292,7 @@ TEST(AdaptivePartitioning, NodeDeathFreezesPartitionAndStaysHonest) {
   core::FtOptions ft;
   ft.adaptive = eager_adaptive();
   ft.injector = &injector;
-  ft.recovery = core::RecoveryPolicy::kAdopt;
+  ft.recovery = proto::RecoveryPolicy::kAdopt;
   ft.protocol.heartbeat_interval_s = 0.01;
   ft.protocol.heartbeat_timeout_s = 0.25;
 

@@ -1,8 +1,12 @@
 // Cluster simulator tests: protocol model consistency with the paper's §4.6
-// frame-rate formula, monotonicity, breakdown/traffic invariants.
+// frame-rate formula, monotonicity, replay determinism, breakdown/traffic
+// invariants.
 #include <gtest/gtest.h>
 
 #include "core/config.h"
+#include "net/fabric.h"
+#include "obs/export.h"
+#include "obs/trace.h"
 #include "sim/cluster_sim.h"
 
 namespace pdw::sim {
@@ -23,7 +27,6 @@ std::vector<PictureTrace> uniform_traces(int n, int tiles, double split_s,
     tr.picture_bytes = picture_bytes;
     tr.copy_s = 20e-6;
     tr.split_s = split_s;
-    tr.splitter = 0;
     tr.sp_msg_bytes.assign(size_t(tiles), sp_bytes);
     tr.decode_s.assign(size_t(tiles), decode_s);
     tr.serve_s.assign(size_t(tiles), exchange_bytes ? 50e-6 : 0.0);
@@ -96,6 +99,52 @@ TEST(ClusterSim, OneLevelSaturatesAtSplitRate) {
   EXPECT_EQ(r.nodes, 1 + geo.tiles());
 }
 
+// One replay with the global tracer on: the result and its span list.
+struct TracedRun {
+  SimResult result;
+  std::vector<obs::TraceEvent> spans;
+};
+
+TracedRun traced_run(const std::vector<PictureTrace>& traces,
+                     const wall::TileGeometry& geo, const SimParams& p) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable();
+  TracedRun run{simulate_cluster(traces, geo, p), tracer.collect()};
+  tracer.disable();
+  return run;
+}
+
+TEST(ClusterSim, CleanReplayIsDeterministic) {
+  wall::TileGeometry geo(640, 480, 2, 2, 0);
+  const auto traces = uniform_traces(60, geo.tiles(), 4e-3, 3e-3, 50000,
+                                     15000, 2000);
+  SimParams p = fast_net_params(2);
+  p.link.bandwidth_bps = 160e6 * 8;
+  p.link.latency_s = 10e-6;
+  const TracedRun a = traced_run(traces, geo, p);
+  const TracedRun b = traced_run(traces, geo, p);
+
+  EXPECT_EQ(a.result.pictures, b.result.pictures);
+  EXPECT_EQ(a.result.makespan_s, b.result.makespan_s);
+  EXPECT_EQ(a.result.fps, b.result.fps);
+  EXPECT_EQ(a.result.nodes, b.result.nodes);
+  EXPECT_EQ(a.result.first_decoder_node, b.result.first_decoder_node);
+  EXPECT_TRUE(a.result.traffic_matrix == b.result.traffic_matrix);
+
+  ASSERT_FALSE(a.spans.empty());
+  ASSERT_EQ(a.spans.size(), b.spans.size());
+  for (size_t i = 0; i < a.spans.size(); ++i) {
+    const obs::TraceEvent& x = a.spans[i];
+    const obs::TraceEvent& y = b.spans[i];
+    EXPECT_STREQ(x.name, y.name) << i;
+    EXPECT_EQ(x.pid, y.pid) << i;
+    EXPECT_EQ(x.tid, y.tid) << i;
+    EXPECT_EQ(x.ts_ns, y.ts_ns) << i;
+    EXPECT_EQ(x.dur_ns, y.dur_ns) << i;
+    EXPECT_EQ(x.arg_pic, y.arg_pic) << i;
+  }
+}
+
 TEST(ClusterSim, BreakdownAccountsForWallTime) {
   wall::TileGeometry geo(640, 480, 2, 2, 0);
   const auto traces = uniform_traces(100, geo.tiles(), 4e-3, 3e-3, 50000,
@@ -103,26 +152,37 @@ TEST(ClusterSim, BreakdownAccountsForWallTime) {
   SimParams p = fast_net_params(2);
   p.link.bandwidth_bps = 160e6 * 8;
   p.link.latency_s = 10e-6;
-  const auto r = simulate_cluster(traces, geo, p);
-  for (const auto& bd : r.decoders) {
-    EXPECT_GT(bd.work, 0.0);
+  const TracedRun run = traced_run(traces, geo, p);
+  const SimResult& r = run.result;
+  const auto shares = obs::fig7_breakdown(
+      obs::Tracer::global(), kSimTracePidBase + r.first_decoder_node,
+      kSimTracePidBase + r.nodes - 1, kSimTracePidBase);
+  ASSERT_EQ(int(shares.size()), geo.tiles());
+  for (const auto& [node, sh] : shares) {
+    EXPECT_GT(sh.work, 0.0) << node;
     // Work+Serve+Receive+Wait+Ack ~ makespan (modulo start/drain edges).
-    EXPECT_NEAR(bd.total(), r.makespan_s, 0.1 * r.makespan_s);
+    EXPECT_NEAR(double(sh.total_ns) * 1e-9, r.makespan_s,
+                0.1 * r.makespan_s)
+        << node;
   }
 }
 
-TEST(ClusterSim, TrafficConservation) {
+TEST(ClusterSim, RootSendsEveryPictureOnce) {
   wall::TileGeometry geo(640, 480, 2, 2, 0);
+  const int k = 2;
   const auto traces =
       uniform_traces(50, geo.tiles(), 4e-3, 3e-3, 50000, 15000, 2000);
-  const auto r = simulate_cluster(traces, geo, fast_net_params(2));
-  double sent = 0, recv = 0;
-  for (const auto& t : r.traffic) {
-    sent += t.sent_bytes;
-    recv += t.recv_bytes;
+  const auto r = simulate_cluster(traces, geo, fast_net_params(k));
+  // Every picture crosses exactly one root -> splitter link, header
+  // included, and the round robin gives each splitter half of them.
+  const uint64_t per_picture = 50000 + net::Message::kHeaderBytes;
+  uint64_t root_out = 0;
+  for (int s = 1; s <= k; ++s) {
+    EXPECT_EQ(r.traffic_matrix.at(0, s), 25 * per_picture) << s;
+    root_out += r.traffic_matrix.at(0, s);
   }
-  EXPECT_NEAR(sent, recv, 1.0);
-  EXPECT_GT(sent, 50.0 * 50000);
+  EXPECT_EQ(root_out, traces.size() * per_picture);
+  EXPECT_EQ(r.traffic_matrix.sent_by(0), root_out);
 }
 
 TEST(ClusterSim, SlowNetworkReducesFps) {

@@ -1,25 +1,21 @@
 // Fault-tolerant cluster runtime tests.
 //
-// Three layers under test together:
+// Two layers under test together:
 //   * net::ReliableEndpoint over a faulty fabric — every non-fatal fault
 //     schedule (drops, duplicates, corruption, delay/reorder) must leave the
 //     decoded wall bit-exact against the serial decoder;
 //   * the health monitor + recovery protocol — a killed decoder node is
 //     detected by heartbeat timeout and its tile either adopted (bit-exact
-//     again from the next closed-GOP picture) or frozen (degraded mode);
-//   * the discrete-event simulator replaying the same schedules to predict
-//     recovery latency and fps under faults.
+//     again from the next closed-GOP picture) or frozen (degraded mode).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 
-#include "core/lockstep.h"
 #include "core/pipeline.h"
 #include "enc/encoder.h"
 #include "mpeg2/decoder.h"
 #include "net/fault.h"
-#include "sim/cluster_sim.h"
 #include "video/generator.h"
 #include "wall/assembler.h"
 
@@ -28,7 +24,7 @@ namespace {
 
 using core::ClusterPipeline;
 using core::FtOptions;
-using core::RecoveryPolicy;
+using proto::RecoveryPolicy;
 using core::TileDisplayInfo;
 using mpeg2::Frame;
 
@@ -188,12 +184,14 @@ net::FaultInjector crash_injector(int tile, uint64_t at_delivery) {
   return inj;
 }
 
+constexpr double kHeartbeatTimeoutS = 0.25;
+
 FtOptions crash_options(const net::FaultInjector* inj, RecoveryPolicy policy) {
   FtOptions ft;
   ft.injector = inj;
   ft.recovery = policy;
   ft.protocol.heartbeat_interval_s = 0.01;
-  ft.protocol.heartbeat_timeout_s = 0.25;
+  ft.protocol.heartbeat_timeout_s = kHeartbeatTimeoutS;
   return ft;
 }
 
@@ -207,7 +205,10 @@ TEST(NodeDeath, AdoptionRecoversAtNextClosedGop) {
   EXPECT_EQ(rec.dead_tile, 3);
   ASSERT_GE(rec.adopter_tile, 0);
   EXPECT_NE(rec.adopter_tile, 3);
-  EXPECT_GT(rec.detect_time_s, 0.0);
+  // Detection alone costs at least one heartbeat timeout: the root's clock
+  // starts with every node's last heartbeat, and it declares a death only
+  // once a node has been silent that long.
+  EXPECT_GE(rec.detect_time_s, kHeartbeatTimeoutS);
   EXPECT_GT(rec.resync_time_s, rec.detect_time_s);
   // Resync must land on a closed-GOP boundary (gop_size 4).
   EXPECT_EQ(rec.resync_pic % 4, 0u);
@@ -241,6 +242,7 @@ TEST(NodeDeath, DegradePolicyFreezesTileForRestOfRun) {
   const core::RecoveryEvent& rec = run.stats.ft.recoveries[0];
   EXPECT_EQ(rec.dead_tile, 3);
   EXPECT_EQ(rec.adopter_tile, -1);
+  EXPECT_GE(rec.detect_time_s, kHeartbeatTimeoutS);
   EXPECT_EQ(rec.resync_time_s, 0.0);  // never resynchronized
 
   // The run still completes with a full wall frame per display slot — the
@@ -257,82 +259,6 @@ TEST(NodeDeath, DegradePolicyFreezesTileForRestOfRun) {
   // The first slot precedes any possible crash fallout... it may still be
   // emitted after the crash, so only require that *some* early slot is exact.
   EXPECT_TRUE(slot_matches_serial(run, 0));
-}
-
-// ---------------------------------------------------------------------------
-// DES replay: the simulator reports recovery latency and the fps cost of a
-// fault schedule without running the threaded pipeline.
-
-std::vector<core::PictureTrace> lockstep_traces() {
-  static const std::vector<core::PictureTrace> traces = [] {
-    std::vector<core::PictureTrace> out;
-    core::LockstepPipeline lp(geometry(), kK, stream());
-    lp.run(nullptr,
-           [&](const core::PictureTrace& tr) { out.push_back(tr); });
-    return out;
-  }();
-  return traces;
-}
-
-TEST(FaultSim, CrashReplayReportsRecoveryLatency) {
-  const auto traces = lockstep_traces();
-  sim::SimParams params;
-  params.k = kK;
-  const sim::SimResult clean = simulate_cluster(traces, geometry(), params);
-  ASSERT_TRUE(clean.recoveries.empty());
-
-  params.fault.crash_tile = 1;
-  params.fault.crash_at_picture = 3;
-  params.fault.hb_timeout_s = 0.25;
-  const sim::SimResult r = simulate_cluster(traces, geometry(), params);
-
-  ASSERT_EQ(r.recoveries.size(), 1u);
-  const sim::SimRecovery& rec = r.recoveries[0];
-  EXPECT_EQ(rec.tile, 1);
-  EXPECT_GE(rec.adopter_tile, 0);
-  ASSERT_GE(rec.resync_picture, 0);
-  EXPECT_TRUE(traces[size_t(rec.resync_picture)].has_gop_header);
-  // Detection alone costs a heartbeat timeout; full recovery strictly more.
-  EXPECT_GE(rec.detect_time_s - rec.crash_time_s, 0.25);
-  EXPECT_GT(rec.recovery_latency_s, 0.25);
-  EXPECT_GT(r.degraded_frames, 0);
-  EXPECT_LT(r.fps, clean.fps);  // the stall shows up in throughput
-}
-
-TEST(FaultSim, DegradedReplayFreezesTileWithoutResync) {
-  const auto traces = lockstep_traces();
-  sim::SimParams params;
-  params.k = kK;
-  params.fault.crash_tile = 0;
-  params.fault.crash_at_picture = 4;
-  params.fault.hb_timeout_s = 0.25;
-  params.fault.adopt = false;
-  const sim::SimResult r = simulate_cluster(traces, geometry(), params);
-
-  ASSERT_EQ(r.recoveries.size(), 1u);
-  EXPECT_EQ(r.recoveries[0].resync_picture, -1);
-  EXPECT_EQ(r.recoveries[0].adopter_tile, -1);
-  // Frozen from the crash to the end of the run.
-  EXPECT_EQ(r.degraded_frames, int(traces.size()) - 5);
-  EXPECT_DOUBLE_EQ(r.recoveries[0].recovery_latency_s, 0.25);
-}
-
-TEST(FaultSim, DropRateCostsRetransmitsAndThroughput) {
-  const auto traces = lockstep_traces();
-  sim::SimParams params;
-  params.k = kK;
-  const sim::SimResult clean = simulate_cluster(traces, geometry(), params);
-
-  params.fault.seed = 3;
-  params.fault.drop_rate = 0.05;
-  const sim::SimResult lossy = simulate_cluster(traces, geometry(), params);
-  EXPECT_GT(lossy.retransmits, 0u);
-  EXPECT_GT(lossy.makespan_s, clean.makespan_s);
-
-  // Same seed, same schedule — the replay is deterministic.
-  const sim::SimResult again = simulate_cluster(traces, geometry(), params);
-  EXPECT_EQ(lossy.retransmits, again.retransmits);
-  EXPECT_DOUBLE_EQ(lossy.makespan_s, again.makespan_s);
 }
 
 }  // namespace
