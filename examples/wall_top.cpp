@@ -17,11 +17,11 @@
 //
 // With --remote the dashboard hosts the cluster telemetry Collector
 // (obs/collector.h) instead of running anything itself: every wall_node
-// process started with --telemetry-port streams its metric deltas, spans and
-// clock probes here, the table renders the *merged* cross-process snapshot
-// plus a per-process sideband health table (clock offset, min RTT, sideband
-// loss), and at exit the collector writes one merged Perfetto trace of the
-// whole multi-process wall.
+// process started with --telemetry-port streams its metric deltas and spans
+// here, the table renders the *merged* cross-process snapshot plus a
+// per-process sideband health table (datagrams, bytes, sideband loss), and
+// at exit the collector writes one merged Perfetto trace of the whole
+// multi-process wall.
 //
 // With --partitions the dashboard runs the adaptive per-GOP rebalancer on a
 // hot-region stream and renders the live wall::PartitionTable state straight
@@ -326,8 +326,8 @@ int run_remote_mode(int argc, char** argv) {
                   "first Hello...\n",
                   elapsed);
 
-    TextTable procs({"token", "pid", "nodes", "offset us", "min-rtt us",
-                     "dgrams", "bytes", "gaps", "state"});
+    TextTable procs(
+        {"token", "pid", "nodes", "dgrams", "bytes", "gaps", "state"});
     for (const obs::Collector::ProcessInfo& p : collector.processes()) {
       std::string nodes;
       for (size_t i = 0; i < p.nodes.size(); ++i)
@@ -335,10 +335,6 @@ int run_remote_mode(int argc, char** argv) {
       procs.add_row(
           {format("%08llx", (unsigned long long)(p.token & 0xFFFFFFFFull)),
            format("%u", p.os_pid), nodes,
-           p.offset_valid ? format("%.1f", double(p.offset_ns) / 1e3)
-                          : std::string("-"),
-           p.offset_valid ? format("%.1f", double(p.min_rtt_ns) / 1e3)
-                          : std::string("-"),
            format("%llu", (unsigned long long)p.datagrams),
            format("%llu", (unsigned long long)p.bytes),
            format("%llu", (unsigned long long)p.seq_gaps),
@@ -360,12 +356,11 @@ int run_remote_mode(int argc, char** argv) {
 
   const int seen = int(collector.nodes_seen().size());
   std::printf("\ncollector: %d nodes seen, %zu processes, %llu datagrams "
-              "(%llu bytes), %llu failed probe replies, %llu frames and %llu "
-              "metric records over the caps, complete=%s\n",
+              "(%llu bytes), %llu frames and %llu metric records over the "
+              "caps, complete=%s\n",
               seen, collector.processes().size(),
               (unsigned long long)collector.datagrams_received(),
               (unsigned long long)collector.bytes_received(),
-              (unsigned long long)collector.send_failures(),
               (unsigned long long)collector.dropped_frames(),
               (unsigned long long)collector.dropped_metrics(),
               complete ? "yes" : "no");

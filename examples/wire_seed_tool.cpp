@@ -155,9 +155,6 @@ int main(int argc, char** argv) {
   frame.metrics.push_back({"decode_ns", 2, -1, obs::MetricKind::kHistogram, 3,
                            0, 9000, {{12, 2}, {13, 1}}});
   frame.spans.push_back({"decode_sp", 'X', 2, 1, 1000, 500, 7});
-  frame.probes.push_back({5, 123456});
-  frame.replies.push_back({5, 123456, 200000, 200100});
-  frame.offset = obs::OffsetRecord{-37000, 800, 4, 1};
   frame.bye = true;
   write_file(root + "/telemetry/frame.bin", obs::encode_frame(frame));
 

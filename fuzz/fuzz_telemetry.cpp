@@ -1,6 +1,6 @@
 // Fuzz target: the telemetry sideband's frame parser, obs::decode_frame —
-// what the collector and every exporter run on each datagram their socket
-// receives. Contract: malformed input is refused by a false return, never
+// what the collector runs on each datagram its socket receives (exporters
+// only send). Contract: malformed input is refused by a false return, never
 // an exception, sanitizer report, OOM or hang. A frame that decodes
 // re-encodes to a canonical frame that decodes and re-encodes unchanged.
 #include <cstdint>

@@ -9,8 +9,8 @@
 # --merged validates an already-written merged multi-process trace (from the
 # telemetry collector) instead of running wall_player: the per-stage schema
 # plus the multi-pid extensions — at least min_pids distinct pids (default
-# 2), cross-process flow events paired by id, and globally non-decreasing
-# rebased timestamps.
+# 2), cross-process flow events paired by id, every flow finishing at or
+# after its start, and globally non-decreasing rebased timestamps.
 set -euo pipefail
 
 here="$(cd "$(dirname "$0")" && pwd)"
@@ -20,7 +20,8 @@ if [[ "${1:-}" == "--merged" ]]; then
   min_pids="${3:-2}"
   test -s "$trace" || { echo "FAIL: $trace missing or empty" >&2; exit 1; }
   jq -e --arg min_pids "$min_pids" --arg require_flows 1 \
-    --arg check_sorted 1 -f "$here/trace_schema.jq" "$trace" > /dev/null \
+    --arg check_sorted 1 --arg check_causal 1 \
+    -f "$here/trace_schema.jq" "$trace" > /dev/null \
     || { echo "FAIL: $trace violates trace_schema.jq (merged mode)" >&2
          exit 1; }
   pids="$(jq '[.traceEvents[] | select(.ph == "X" or .ph == "i") | .pid] | unique | length' "$trace")"

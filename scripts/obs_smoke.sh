@@ -5,9 +5,9 @@
 # Leg 1 (merged trace): a 7-process 1-2-(2,2) wall, every wall_node exporting
 # telemetry to `wall_top --remote`; gates on wall_top exiting complete (all 7
 # nodes seen + all byes), on the merged Perfetto trace passing the multi-pid
-# schema (7 distinct pids, cross-process flow events, monotone rebased
-# timestamps), and on the per-process reports matching the lockstep reference
-# bit-exactly (wall_node --check).
+# schema (7 distinct pids, cross-process flow events that finish at or after
+# their start, monotone rebased timestamps), and on the per-process reports
+# matching the lockstep reference bit-exactly (wall_node --check).
 #
 # Leg 2 (flight recorder): the same wall with per-node flight recorders and a
 # live 2 s heartbeat timeout; one decoder kills itself mid-run (SIGTERM after

@@ -33,16 +33,9 @@ uint64_t bucket_percentile(const std::map<int, uint64_t>& buckets, uint64_t n,
 
 }  // namespace
 
-Collector::Collector(uint16_t port)
-    : sock_(port), epoch_(std::chrono::steady_clock::now()) {}
+Collector::Collector(uint16_t port) : sock_(port) {}
 
 Collector::~Collector() { stop(); }
-
-uint64_t Collector::now_ns() const {
-  return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - epoch_)
-                      .count());
-}
 
 void Collector::start() {
   if (started_ || !sock_.ok()) return;
@@ -59,35 +52,20 @@ void Collector::stop() {
 }
 
 void Collector::run_loop() {
-  // Short wait slices: the loop answers probes promptly (RTT accuracy) and
-  // still notices stop_ soon.
+  // Short wait slices: the loop notices stop_ soon.
   while (!stop_.load(std::memory_order_relaxed))
     if (sock_.wait(0.02)) poll();
 }
 
 void Collector::poll() {
   uint8_t buf[64 * 1024];
-  net::Endpoint from;
-  while (const std::optional<size_t> n = sock_.recv(buf, &from))
-    handle_datagram(buf, *n, from);
+  while (const std::optional<size_t> n = sock_.recv(buf))
+    handle_datagram(buf, *n);
 }
 
-void Collector::handle_datagram(const uint8_t* data, size_t len,
-                                net::Endpoint from) {
-  const uint64_t t_recv = now_ns();
+void Collector::handle_datagram(const uint8_t* data, size_t len) {
   TelemetryFrame f;
-  if (!decode_frame(data, len, &f)) return;
-
-  // Answer clock probes before touching any state: t2 should trail t1 by as
-  // little as possible.
-  for (const ClockProbeRecord& p : f.probes) {
-    TelemetryFrame reply;
-    reply.token = 0;
-    reply.replies.push_back(
-        ClockReplyRecord{p.seq, p.t0, t_recv, now_ns()});
-    sock_.send(from, encode_frame(reply));  // a failure is counted
-  }
-  if (f.token == 0) return;  // probe-only senders carry no state
+  if (!decode_frame(data, len, &f) || f.token == 0) return;
 
   std::lock_guard<std::mutex> lock(mu_);
   datagrams_ += 1;
@@ -104,7 +82,6 @@ void Collector::handle_datagram(const uint8_t* data, size_t len,
   proc.info.token = f.token;
   proc.info.datagrams += 1;
   proc.info.bytes += len;
-  proc.info.last_seen_ns = t_recv;
   bool stale = false;  // out-of-order frame: spans still append, absolutes skip
   if (proc.seq_seen) {
     if (f.seq > proc.last_seq + 1)
@@ -124,12 +101,6 @@ void Collector::handle_datagram(const uint8_t* data, size_t len,
       tiles_ = f.hello->tiles;
       nodes_expected_ = f.hello->nodes;
     }
-  }
-  if (f.offset && !stale) {
-    proc.info.offset_valid = f.offset->valid != 0;
-    proc.info.offset_ns = f.offset->offset_ns;
-    proc.info.min_rtt_ns = f.offset->min_rtt_ns;
-    proc.info.clock_samples = f.offset->samples;
   }
   if (f.bye) proc.info.bye = true;
   if (!stale)
@@ -271,23 +242,18 @@ uint64_t Collector::dropped_metrics() const {
 bool Collector::write_merged_trace(const std::string& path) const {
   using Ev = TraceJsonEvent;
   std::vector<Ev> evs;
-  std::vector<ProcessInfo> infos;
+  size_t processes = 0;
+  uint64_t gaps = 0;
   int k = 0, tiles = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     k = k_;
     tiles = tiles_;
+    processes = procs_.size();
     for (const auto& [token, p] : procs_) {
-      infos.push_back(p.info);
-      // Rebase each process's span timestamps into the collector clock
-      // domain with its estimated offset (0 until the first probe lands —
-      // the trace is still loadable, just unaligned for that process).
-      const int64_t off = p.info.offset_valid ? p.info.offset_ns : 0;
-      for (const SpanRecord& s : p.spans) {
-        const int64_t ts = int64_t(s.ts_ns) + off;
-        evs.push_back(Ev{s.name, s.ph, s.pid, s.tid,
-                         ts > 0 ? uint64_t(ts) : 0, s.dur_ns, s.pic, 0});
-      }
+      gaps += p.info.seq_gaps;
+      for (const SpanRecord& s : p.spans)
+        evs.push_back({s.name, s.ph, s.pid, s.tid, s.ts_ns, s.dur_ns, s.pic});
     }
   }
 
@@ -342,6 +308,11 @@ bool Collector::write_merged_trace(const std::string& path) const {
 
   std::stable_sort(evs.begin(), evs.end(),
                    [](const Ev& a, const Ev& b) { return a.ts_ns < b.ts_ns; });
+  // Every process stamps the same host clock, so one trace-wide shift (the
+  // earliest span; a flow anchor never precedes its span) starts the trace
+  // at 0 and keeps every span's order and spacing exact.
+  const uint64_t rebase = evs.empty() ? 0 : evs.front().ts_ns;
+  for (Ev& e : evs) e.ts_ns -= rebase;
 
   // Process-name metadata: role from the announced wall shape.
   std::map<int, std::string> names;
@@ -356,23 +327,12 @@ bool Collector::write_merged_trace(const std::string& path) const {
     else
       names[e.pid] = format("node %d", e.pid);
   }
-  uint64_t gaps = 0;
-  std::string offsets;
-  for (const ProcessInfo& p : infos) {
-    gaps += p.seq_gaps;
-    offsets += format(
-        "%s{\"pid\":%u,\"valid\":%s,\"offsetNs\":%lld,\"minRttNs\":%llu}",
-        offsets.empty() ? "" : ",", p.os_pid,
-        p.offset_valid ? "true" : "false",
-        static_cast<long long>(p.offset_ns),
-        static_cast<unsigned long long>(p.min_rtt_ns));
-  }
   return write_trace_events(
       path, names, evs,
       format("\"processes\":%zu,\"sidebandSeqGaps\":%llu,"
-             "\"clockOffsets\":[%s]",
-             infos.size(), static_cast<unsigned long long>(gaps),
-             offsets.c_str()));
+             "\"rebaseNs\":%llu",
+             processes, static_cast<unsigned long long>(gaps),
+             static_cast<unsigned long long>(rebase)));
 }
 
 }  // namespace pdw::obs

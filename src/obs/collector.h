@@ -1,22 +1,20 @@
 // Cluster telemetry sideband: collector half.
 //
 // One Collector per wall gathers the TelemetryExporter streams of every
-// wall_node process: it answers clock probes with its own receive/send
-// stamps (so each exporter can estimate its offset into the collector's
-// clock domain), folds the per-process metric absolutes into one merged
-// MetricsSnapshot (the same type wall_top already renders), and keeps every
-// received span so write_merged_trace() can emit ONE Perfetto-loadable
-// Chrome trace of the whole multi-process wall: per-process span timestamps
-// are rebased by that process's reported clock offset, and flow events are
+// wall_node process: it folds the per-process metric absolutes into one
+// merged MetricsSnapshot (the same type wall_top already renders), and keeps
+// every received span so write_merged_trace() can emit ONE Perfetto-loadable
+// Chrome trace of the whole multi-process wall. Spans arrive in host
+// steady-clock ns, which every process of the wall shares, so the trace
+// rebases them all by one constant (the earliest span), and flow events are
 // synthesized from the picture tags to link root -> splitter -> decoder
-// across pids.
+// across pids. The collector only receives; it never sends.
 //
 // Hosted by `wall_top --remote` (live dashboard + trace at exit) or
 // in-process by tests and bench_socket_wall.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -36,7 +34,6 @@ class Collector {
   // frame with a new token once kMaxProcesses processes are known is
   // dropped whole; a metric record with a new (family, node, stream, kind)
   // key once its process holds kMaxMetricsPerProcess keys is dropped.
-  // Clock probes are answered either way (they add no state).
   static constexpr size_t kMaxProcesses = 256;
   static constexpr size_t kMaxMetricsPerProcess = 8192;
 
@@ -50,31 +47,21 @@ class Collector {
   bool ok() const { return sock_.ok(); }
   net::Endpoint endpoint() const { return sock_.local(); }
 
-  // Background receive loop (answers probes promptly — accurate RTTs need
-  // this). stop() joins; idempotent.
+  // Background receive loop. stop() joins; idempotent.
   void start();
   void stop();
   // Drain pending datagrams on the caller's thread instead (tests).
   void poll();
-
-  // Collector clock: ns since construction; the domain all merged
-  // timestamps land in.
-  uint64_t now_ns() const;
 
   struct ProcessInfo {
     uint64_t token = 0;
     uint32_t os_pid = 0;
     std::vector<int> nodes;  // proto node ids hosted by the process
     bool bye = false;
-    bool offset_valid = false;
-    int64_t offset_ns = 0;  // collector = process + offset
-    uint64_t min_rtt_ns = 0;
-    uint32_t clock_samples = 0;
     uint64_t datagrams = 0;
     uint64_t bytes = 0;
     uint64_t span_events = 0;
-    uint64_t seq_gaps = 0;     // frames lost on the sideband
-    uint64_t last_seen_ns = 0;  // collector clock
+    uint64_t seq_gaps = 0;  // frames lost on the sideband
   };
   std::vector<ProcessInfo> processes() const;
 
@@ -97,10 +84,10 @@ class Collector {
   // What the caps above refused: whole frames, and single metric records.
   uint64_t dropped_frames() const;
   uint64_t dropped_metrics() const;
-  // Clock-probe replies the socket failed to send.
-  uint64_t send_failures() const { return sock_.send_failures(); }
 
-  // Write the merged multi-process Chrome trace. Returns false on I/O error.
+  // Write the merged multi-process Chrome trace: every timestamp is its
+  // host steady-clock instant minus the earliest span's ("rebaseNs" in
+  // otherData). Returns false on I/O error.
   bool write_merged_trace(const std::string& path) const;
 
  private:
@@ -109,14 +96,13 @@ class Collector {
     bool seq_seen = false;
     uint32_t last_seq = 0;
     std::map<std::tuple<std::string, int, int, int>, MetricRecord> metrics;
-    std::vector<SpanRecord> spans;  // local (sender) clock domain
+    std::vector<SpanRecord> spans;  // host steady-clock ns
   };
 
-  void handle_datagram(const uint8_t* data, size_t len, net::Endpoint from);
+  void handle_datagram(const uint8_t* data, size_t len);
   void run_loop();
 
   net::UdpSocket sock_;
-  std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;
   std::map<uint64_t, Proc> procs_;

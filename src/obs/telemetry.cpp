@@ -54,28 +54,6 @@ void fields(IO& io, R& h) {
   for (auto& n : h.hosted) io.u16(n);
 }
 
-template <class IO, Layout<ClockProbeRecord> R>
-void fields(IO& io, R& p) {
-  io.u32(p.seq);
-  io.u64(p.t0);
-}
-
-template <class IO, Layout<ClockReplyRecord> R>
-void fields(IO& io, R& p) {
-  io.u32(p.seq);
-  io.u64(p.t0);
-  io.u64(p.t1);
-  io.u64(p.t2);
-}
-
-template <class IO, Layout<OffsetRecord> R>
-void fields(IO& io, R& o) {
-  io.u64(o.offset_ns);
-  io.u64(o.min_rtt_ns);
-  io.u32(o.samples);
-  io.u8(o.valid);
-}
-
 // `family` is the string-table index of m.family.
 template <class IO, Layout<MetricRecord> R>
 void fields(IO& io, R& m, uint16_t& family) {
@@ -165,15 +143,6 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
   if (f.hello)
     record(TelemetryRecordType::kHello,
            [&](auto& io) { fields(io, *f.hello); });
-  for (const auto& pr : f.probes)
-    record(TelemetryRecordType::kClockProbe,
-           [&](auto& io) { fields(io, pr); });
-  for (const auto& rp : f.replies)
-    record(TelemetryRecordType::kClockReply,
-           [&](auto& io) { fields(io, rp); });
-  if (f.offset)
-    record(TelemetryRecordType::kOffset,
-           [&](auto& io) { fields(io, *f.offset); });
   for (const auto& m : f.metrics) {
     uint16_t family = index.at(m.family);
     record(TelemetryRecordType::kMetric,
@@ -231,15 +200,6 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
       case TelemetryRecordType::kHello:
         fields(pr, out->hello.emplace());
         break;
-      case TelemetryRecordType::kClockProbe:
-        fields(pr, out->probes.emplace_back());
-        break;
-      case TelemetryRecordType::kClockReply:
-        fields(pr, out->replies.emplace_back());
-        break;
-      case TelemetryRecordType::kOffset:
-        fields(pr, out->offset.emplace());
-        break;
       case TelemetryRecordType::kMetric: {
         MetricRecord& m = out->metrics.emplace_back();
         uint16_t family = 0;
@@ -270,24 +230,6 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
 }
 
 // ---------------------------------------------------------------------------
-// ClockEstimator
-// ---------------------------------------------------------------------------
-
-void ClockEstimator::add_sample(uint64_t t0, uint64_t t1, uint64_t t2,
-                                uint64_t t3) {
-  // All arithmetic on signed deltas: the two clock domains have unrelated
-  // epochs, so the raw stamps only make sense as differences.
-  const int64_t rtt = int64_t(t3 - t0) - int64_t(t2 - t1);
-  if (rtt < 0) return;  // nonsense sample (clock stepped / corrupt echo)
-  const int64_t offset = (int64_t(t1 - t0) + int64_t(t2 - t3)) / 2;
-  if (uint64_t(rtt) < min_rtt_ns_) {
-    min_rtt_ns_ = uint64_t(rtt);
-    offset_ns_ = offset;
-  }
-  ++samples_;
-}
-
-// ---------------------------------------------------------------------------
 // TelemetryExporter
 // ---------------------------------------------------------------------------
 
@@ -303,8 +245,6 @@ TelemetryExporter::~TelemetryExporter() { stop(); }
 Tracer& TelemetryExporter::tracer() const {
   return cfg_.tracer ? *cfg_.tracer : Tracer::global();
 }
-
-uint64_t TelemetryExporter::local_now_ns() const { return tracer().now_ns(); }
 
 void TelemetryExporter::start() {
   if (started_ || !sock_.ok()) return;
@@ -346,9 +286,6 @@ void TelemetryExporter::stop() {
 void TelemetryExporter::identify(TelemetryFrame* frame) const {
   frame->hello = HelloRecord{uint32_t(::getpid()), cfg_.k, cfg_.tiles,
                              cfg_.nodes, cfg_.hosted};
-  std::lock_guard<std::mutex> lock(mu_);
-  frame->offset = OffsetRecord{clock_.offset_ns(), clock_.min_rtt_ns(),
-                               clock_.samples(), uint8_t(clock_.valid())};
 }
 
 void TelemetryExporter::send_frame(TelemetryFrame* frame) {
@@ -361,63 +298,8 @@ void TelemetryExporter::send_frame(TelemetryFrame* frame) {
   sock_.send(cfg_.collector, encode_frame(*frame));  // a failure is counted
 }
 
-void TelemetryExporter::handle_reply(const ClockReplyRecord& r, uint64_t t3) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = outstanding_.find(r.seq);
-  if (it == outstanding_.end()) return;  // Karn: stale or duplicated reply
-  if (it->second.t0 != r.t0) return;     // corrupt echo
-  outstanding_.erase(it);
-  clock_.add_sample(r.t0, r.t1, r.t2, t3);
-}
-
-void TelemetryExporter::poll_replies() {
-  uint8_t buf[64 * 1024];
-  while (const std::optional<size_t> n = sock_.recv(buf)) {
-    const uint64_t t3 = local_now_ns();
-    TelemetryFrame f;
-    if (!decode_frame(buf, *n, &f)) continue;
-    for (const auto& r : f.replies) handle_reply(r, t3);
-  }
-}
-
 void TelemetryExporter::flush() {
   if (!sock_.ok()) return;
-  poll_replies();
-
-  // --- clock probe, with a short wait so t3 is stamped on arrival ---
-  uint32_t probe_seq = 0;
-  {
-    TelemetryFrame probe;
-    ClockProbeRecord p;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      p.seq = probe_seq = next_probe_seq_++;
-      // Bound the Karn table: a probe this old will never be answered.
-      while (outstanding_.size() >= 64)
-        outstanding_.erase(outstanding_.begin());
-    }
-    p.t0 = local_now_ns();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      outstanding_[p.seq] = PendingProbe{p.t0};
-    }
-    probe.probes.push_back(p);
-    send_frame(&probe);
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration<double>(std::max(cfg_.probe_wait_s, 0.0));
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (outstanding_.find(probe_seq) == outstanding_.end()) break;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) break;
-    if (!sock_.wait(std::chrono::duration<double>(deadline - now).count()))
-      break;
-    poll_replies();
-  }
 
   // --- gather export payload ---
   std::vector<MetricRecord> metrics;
@@ -447,9 +329,11 @@ void TelemetryExporter::flush() {
   }
 
   std::vector<TraceEvent> fresh;
+  uint64_t epoch_ns = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     tracer().drain_new(&trace_cursors_, &fresh);
+    epoch_ns = tracer().epoch_ns();
   }
 
   // --- pack into frames under the datagram budget ---
@@ -477,17 +361,12 @@ void TelemetryExporter::flush() {
     s.ph = e.ph;
     s.pid = e.pid;
     s.tid = e.tid;
-    s.ts_ns = e.ts_ns;
+    s.ts_ns = epoch_ns + e.ts_ns;
     s.dur_ns = e.dur_ns;
     s.pic = e.arg_pic;
     frame.spans.push_back(std::move(s));
   }
   send_frame(&frame);
-}
-
-ClockEstimator TelemetryExporter::clock() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_;
 }
 
 }  // namespace pdw::obs

@@ -18,8 +18,14 @@ void Tracer::enable(size_t capacity_per_thread) {
     r->written.store(0, std::memory_order_release);
   }
   epoch_ = std::chrono::steady_clock::now();
-  epoch_offset_ns_.store(0, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
+}
+
+uint64_t Tracer::epoch_ns() const {
+  std::lock_guard<std::mutex> lock(mu_);  // enable() moves the epoch
+  return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      epoch_.time_since_epoch())
+                      .count());
 }
 
 Tracer::Ring& Tracer::ring() {

@@ -54,29 +54,19 @@ class Tracer {
   void disable() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  // ns since the tracer epoch (real-time clock domain), shifted by the
-  // configured epoch offset.
+  // ns since the tracer epoch (real-time clock domain).
   uint64_t now_ns() const {
     const int64_t raw =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - epoch_)
             .count();
-    const int64_t shifted =
-        raw + epoch_offset_ns_.load(std::memory_order_relaxed);
-    return shifted > 0 ? uint64_t(shifted) : 0;
+    return raw > 0 ? uint64_t(raw) : 0;
   }
 
-  // Rebase this tracer's real-time clock domain: every subsequent now_ns()
-  // (and therefore every span/instant timestamp) is shifted by `off`. The
-  // telemetry layer uses this to slide a process's trace domain onto a
-  // collector's (obs/telemetry.h estimates the offset); tests use it to
-  // model a skewed node clock.
-  void set_epoch_offset_ns(int64_t off) {
-    epoch_offset_ns_.store(off, std::memory_order_relaxed);
-  }
-  int64_t epoch_offset_ns() const {
-    return epoch_offset_ns_.load(std::memory_order_relaxed);
-  }
+  // The epoch as host steady-clock ns: a real-time event's host instant is
+  // epoch_ns() + ts_ns. Every process of a wall reads the same steady clock,
+  // so these instants compare exactly across processes.
+  uint64_t epoch_ns() const;
 
   // Record a completed real-time span (what ~Span calls).
   void record(const char* name, int pid, uint64_t start_ns, uint64_t dur_ns,
@@ -140,9 +130,8 @@ class Tracer {
   const uint64_t id_;
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
-  std::atomic<int64_t> epoch_offset_ns_{0};
 
-  mutable std::mutex mu_;  // guards rings_ registration and collect()
+  mutable std::mutex mu_;  // guards rings_ registration, collect(), epoch_
   std::vector<std::unique_ptr<Ring>> rings_;
   size_t capacity_ = size_t(1) << 18;
 };

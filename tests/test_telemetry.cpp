@@ -1,12 +1,11 @@
-// Cluster telemetry sideband (DESIGN.md §13): the NTP-style clock estimator
-// must recover a known offset exactly from symmetric probes and stay within
-// 2x min-RTT of the truth when one leg is much slower than the other;
-// the wire codec must round-trip every record type and reject every
-// truncation; a live exporter/collector pair must merge a skewed process
-// into the collector clock domain; forged frames must not grow the
-// collector's state past its caps; the flight recorder must produce a
-// parseable post-mortem; and an in-process 7-node socket wall must stream
-// itself into ONE merged multi-pid trace.
+// Cluster telemetry sideband (DESIGN.md §13): the wire codec must
+// round-trip every record type and reject every truncation; two exporters
+// whose tracers have different epochs must merge into one trace on the
+// shared host clock, exact to the nanosecond, spans that predate the
+// collector included; forged frames must not grow the collector's state
+// past its caps; the flight recorder must produce a parseable post-mortem;
+// and an in-process 7-node socket wall must stream itself into ONE merged
+// multi-pid trace.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -32,78 +31,10 @@
 namespace pdw {
 namespace {
 
-using obs::ClockEstimator;
 using obs::Collector;
 using obs::TelemetryExporter;
 using obs::TelemetryExporterConfig;
 using obs::TelemetryFrame;
-
-// ---------------------------------------------------------------------------
-// ClockEstimator: exact math on hand-built probe quadruples.
-// ---------------------------------------------------------------------------
-
-TEST(ClockEstimator, SymmetricProbeRecoversOffsetExactly) {
-  // Remote = local + 5000, one-way delay 100 ns each leg.
-  ClockEstimator est;
-  est.add_sample(/*t0=*/1000, /*t1=*/6100, /*t2=*/6150, /*t3=*/1250);
-  ASSERT_TRUE(est.valid());
-  EXPECT_EQ(est.offset_ns(), 5000);
-  EXPECT_EQ(est.min_rtt_ns(), 200u);  // (t3-t0) - (t2-t1)
-  EXPECT_EQ(est.samples(), 1u);
-}
-
-TEST(ClockEstimator, MinimumRttSampleWins) {
-  ClockEstimator est;
-  est.add_sample(1000, 6100, 6150, 1250);  // offset 5000, rtt 200
-  // A slower probe (rtt 900) reporting a different offset must not displace
-  // the estimate...
-  est.add_sample(2000, 9000, 9100, 3000);  // offset 6550, rtt 900
-  EXPECT_EQ(est.offset_ns(), 5000);
-  EXPECT_EQ(est.min_rtt_ns(), 200u);
-  EXPECT_EQ(est.samples(), 2u);
-  // ...but a faster one (rtt 20) does.
-  est.add_sample(5000, 9810, 9820, 5030);  // offset 4800, rtt 20
-  EXPECT_EQ(est.offset_ns(), 4800);
-  EXPECT_EQ(est.min_rtt_ns(), 20u);
-  EXPECT_EQ(est.samples(), 3u);
-}
-
-TEST(ClockEstimator, GarbageNegativeRttSampleIgnored) {
-  ClockEstimator est;
-  // Remote hold time (t2-t1 = 1000) exceeds the measured round trip
-  // (t3-t0 = 50): impossible, computed rtt is negative.
-  est.add_sample(100, 1000, 2000, 150);
-  EXPECT_FALSE(est.valid());
-  EXPECT_EQ(est.samples(), 0u);
-  EXPECT_EQ(est.min_rtt_ns(), 0u);
-}
-
-// All asymmetry on one leg: a 3 ms forward leg and a 100 ns return leg
-// (remote = local + 91 ms). The symmetric-path estimate is off by half the
-// asymmetry, which must stay within 2x min-RTT of the true offset.
-TEST(ClockEstimator, OffsetWithinTwoMinRttUnderAsymmetricDelay) {
-  const int64_t truth = 91'000'000;
-  const uint64_t t0 = 1'000'000;
-  const uint64_t t1 = t0 + 3'000'000 + uint64_t(truth);  // 3 ms forward leg
-  const uint64_t t2 = t1 + 50;                           // collector hold
-  const uint64_t t3 = t2 - uint64_t(truth) + 100;        // 100 ns return leg
-  ClockEstimator est;
-  est.add_sample(t0, t1, t2, t3);
-  ASSERT_TRUE(est.valid());
-  EXPECT_EQ(est.min_rtt_ns(), 3'000'100u);
-  EXPECT_EQ(est.offset_ns(), truth + (3'000'000 - 100) / 2);
-  const int64_t err = est.offset_ns() - truth;
-  EXPECT_LE(uint64_t(err < 0 ? -err : err), 2 * est.min_rtt_ns());
-}
-
-TEST(ClockEstimator, NegativeOffsetRecovered) {
-  // Remote = local - 5000, one-way delay 100 ns.
-  ClockEstimator est;
-  est.add_sample(10000, 5100, 5150, 10250);
-  ASSERT_TRUE(est.valid());
-  EXPECT_EQ(est.offset_ns(), -5000);
-  EXPECT_EQ(est.min_rtt_ns(), 200u);
-}
 
 // ---------------------------------------------------------------------------
 // Wire codec: round trip and adversarial truncation.
@@ -154,22 +85,6 @@ TelemetryFrame full_frame() {
   s2.pid = 4;
   s2.ts_ns = 2000;
   f.spans = {s1, s2};
-  obs::ClockProbeRecord p;
-  p.seq = 9;
-  p.t0 = 5555;
-  f.probes = {p};
-  obs::ClockReplyRecord r;
-  r.seq = 9;
-  r.t0 = 5555;
-  r.t1 = 6000;
-  r.t2 = 6001;
-  f.replies = {r};
-  obs::OffsetRecord o;
-  o.offset_ns = -123456;
-  o.min_rtt_ns = 789;
-  o.samples = 6;
-  o.valid = 1;
-  f.offset = o;
   f.bye = true;
   return f;
 }
@@ -200,14 +115,7 @@ TEST(TelemetryCodec, RoundTripsEveryRecordType) {
   EXPECT_EQ(d.spans[0].dur_ns, 250u);
   EXPECT_EQ(d.spans[0].pic, 7u);
   EXPECT_EQ(d.spans[1].ph, 'i');
-  ASSERT_EQ(d.probes.size(), 1u);
-  EXPECT_EQ(d.probes[0].t0, 5555u);
-  ASSERT_EQ(d.replies.size(), 1u);
-  EXPECT_EQ(d.replies[0].t1, 6000u);
-  ASSERT_TRUE(d.offset.has_value());
-  EXPECT_EQ(d.offset->offset_ns, -123456);
-  EXPECT_EQ(d.offset->min_rtt_ns, 789u);
-  EXPECT_EQ(d.offset->valid, 1);
+  EXPECT_EQ(d.spans[1].ts_ns, 2000u);
   EXPECT_TRUE(d.bye);
 }
 
@@ -242,71 +150,157 @@ bool eventually(const std::function<bool()>& pred) {
   return pred();
 }
 
-// True collector-minus-exporter clock offset, bracketed by two local reads;
-// *slack_ns bounds the measurement's own uncertainty.
-int64_t truth_offset_ns(const Collector& c, const TelemetryExporter& e,
-                        uint64_t* slack_ns) {
-  const uint64_t a = e.local_now_ns();
-  const uint64_t mid = c.now_ns();
-  const uint64_t b = e.local_now_ns();
-  *slack_ns = b - a;
-  return int64_t(mid) - int64_t((a + b) / 2);
+// One event of a merged trace, as write_trace_events printed it.
+struct MergedEvent {
+  std::string name;
+  char ph = 0;
+  int pid = 0;
+  uint32_t pic = obs::Tracer::kNoPic;
+  uint64_t ts_ns = 0;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
-TEST(TelemetrySideband, SkewedProcessMergesIntoCollectorDomain) {
+// The span, instant and flow events of a merged trace (one per line), in
+// file order, with ts converted back from µs to ns.
+std::vector<MergedEvent> read_merged(const std::string& trace) {
+  std::vector<MergedEvent> out;
+  std::istringstream lines(trace);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t ts = line.find("\"ts\":");
+    if (ts == std::string::npos) continue;
+    MergedEvent e;
+    const size_t name = line.find("\"name\":\"") + 8;
+    e.name = line.substr(name, line.find('"', name) - name);
+    e.ph = line[line.find("\"ph\":\"") + 6];
+    e.pid = std::stoi(line.substr(line.find("\"pid\":") + 6));
+    if (const size_t pic = line.find("\"pic\":"); pic != std::string::npos)
+      e.pic = uint32_t(std::stoul(line.substr(pic + 6)));
+    e.ts_ns = uint64_t(std::llround(std::stod(line.substr(ts + 5)) * 1e3));
+    out.push_back(e);
+  }
+  return out;
+}
+
+uint64_t rebase_ns(const std::string& trace) {
+  const size_t at = trace.find("\"rebaseNs\":");
+  return at == std::string::npos ? 0 : std::stoull(trace.substr(at + 11));
+}
+
+TEST(TelemetrySideband, TwoProcessesMergeOnTheHostClockExactly) {
+  // Two "processes" (exporters with their own tracers) enabled at different
+  // instants, so their tracer epochs differ by at least 2 ms.
+  obs::Tracer early, late;
+  early.enable(size_t(1) << 12);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  late.enable(size_t(1) << 12);
+  ASSERT_GT(late.epoch_ns(), early.epoch_ns());
+  // `late` records first in host time, `early` after: by each tracer's own
+  // ts the order would be reversed.
+  late.record(obs::span::kSplitPic, 1, late.now_ns(), 400, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  early.record(obs::span::kDecodeSp, 2, early.now_ns(), 700, 0);
+  const std::vector<obs::TraceEvent> le = late.collect(), ee = early.collect();
+  ASSERT_EQ(le.size(), 1u);
+  ASSERT_EQ(ee.size(), 1u);
+  const uint64_t split_host = late.epoch_ns() + le[0].ts_ns;
+  const uint64_t decode_host = early.epoch_ns() + ee[0].ts_ns;
+  ASSERT_LT(split_host, decode_host);
+
   Collector collector;
   ASSERT_TRUE(collector.ok());
-  collector.start();
-
-  obs::Tracer tracer;
-  tracer.enable(size_t(1) << 12);
-  tracer.set_epoch_offset_ns(37'000'000);  // node clock runs 37 ms ahead
   obs::MetricsRegistry reg;
   reg.counter("pictures_decoded", {.node = 2, .stream = 0}).add(42);
-  reg.histogram("decode_ns", {.node = 2}).observe(4096);
-  tracer.record(obs::span::kDecodeSp, 2, tracer.now_ns(), 1000, 3);
+  auto export_all = [&](obs::Tracer* tracer, std::vector<uint16_t> hosted) {
+    TelemetryExporterConfig cfg;
+    cfg.collector = collector.endpoint();
+    cfg.metrics = &reg;
+    cfg.tracer = tracer;
+    cfg.k = 1;
+    cfg.tiles = 1;
+    cfg.nodes = 3;
+    cfg.hosted = std::move(hosted);
+    TelemetryExporter exporter(cfg);
+    exporter.stop();  // final flush + Bye
+    collector.poll();
+  };
+  export_all(&early, {0, 2});
+  export_all(&late, {1});
 
+  const auto procs = collector.processes();
+  ASSERT_EQ(procs.size(), 2u);
+  for (const auto& p : procs) {
+    EXPECT_TRUE(p.bye);
+    EXPECT_EQ(p.span_events, 1u);
+  }
+  EXPECT_TRUE(collector.all_nodes_seen());
+  EXPECT_EQ(collector.merged_metrics().counter_total("pictures_decoded"),
+            84u);
+
+  const std::string path = ::testing::TempDir() + "two_process_trace.json";
+  ASSERT_TRUE(collector.write_merged_trace(path));
+  const std::string trace = slurp(path);
+  EXPECT_EQ(trace.find("clockOffsets"), std::string::npos);
+  const uint64_t rebase = rebase_ns(trace);
+  EXPECT_EQ(rebase, split_host);  // the earliest span
+  std::vector<uint64_t> split_ts, decode_ts;
+  size_t split_at = 0, decode_at = 0, index = 0;
+  for (const MergedEvent& e : read_merged(trace)) {
+    ++index;
+    if (e.ph != 'X') continue;
+    if (e.name == "split_pic") {
+      split_ts.push_back(e.ts_ns);
+      split_at = index;
+    } else if (e.name == "decode_sp") {
+      decode_ts.push_back(e.ts_ns);
+      decode_at = index;
+    }
+  }
+  ASSERT_EQ(split_ts, (std::vector<uint64_t>{split_host - rebase}));
+  ASSERT_EQ(decode_ts, (std::vector<uint64_t>{decode_host - rebase}));
+  EXPECT_LT(split_at, decode_at);  // the later span sorts later
+}
+
+// A process that traced before the collector existed keeps its order and
+// exact spacing: the merged trace rebases by its earliest span instead of
+// clamping what predates the collector onto ts 0.
+TEST(TelemetrySideband, SpansBeforeTheCollectorKeepOrderAndSpacing) {
+  obs::Tracer tracer;
+  tracer.enable(size_t(1) << 12);
+  const uint64_t gaps[] = {0, 1000, 250'000, 3};
+  uint64_t ts = tracer.now_ns();
+  for (uint32_t pic = 0; pic < 4; ++pic) {
+    ts += gaps[pic];
+    tracer.record(obs::span::kDecodeSp, 3, ts, 100, pic);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+  Collector collector;  // born after every span above
+  ASSERT_TRUE(collector.ok());
+  obs::MetricsRegistry reg;
   TelemetryExporterConfig cfg;
   cfg.collector = collector.endpoint();
-  cfg.probe_wait_s = 0.05;
   cfg.metrics = &reg;
   cfg.tracer = &tracer;
-  cfg.k = 1;
-  cfg.tiles = 1;
-  cfg.nodes = 3;
-  cfg.hosted = {0, 1, 2};
   TelemetryExporter exporter(cfg);
-  for (int i = 0; i < 5; ++i) exporter.flush();
+  exporter.flush();
+  collector.poll();
 
-  const ClockEstimator clk = exporter.clock();
-  ASSERT_TRUE(clk.valid());
-  ASSERT_GT(clk.min_rtt_ns(), 0u);
-  uint64_t slack = 0;
-  const int64_t truth = truth_offset_ns(collector, exporter, &slack);
-  const int64_t err = clk.offset_ns() - truth;
-  EXPECT_LE(uint64_t(err < 0 ? -err : err), 2 * clk.min_rtt_ns() + slack)
-      << "estimate " << clk.offset_ns() << " truth " << truth << " min_rtt "
-      << clk.min_rtt_ns();
-
-  exporter.stop();  // final flush + Bye
-  ASSERT_TRUE(eventually([&] {
-    const auto procs = collector.processes();
-    return procs.size() == 1 && procs[0].bye;
-  }));
-  const auto procs = collector.processes();
-  ASSERT_EQ(procs.size(), 1u);
-  EXPECT_EQ(procs[0].token, exporter.token());
-  EXPECT_EQ(procs[0].nodes, (std::vector<int>{0, 1, 2}));
-  EXPECT_TRUE(procs[0].offset_valid);
-  // The final flush inside stop() probes once more, so the collector holds
-  // the *post-stop* estimate.
-  EXPECT_EQ(procs[0].offset_ns, exporter.clock().offset_ns());
-  EXPECT_GE(procs[0].span_events, 1u);
-  EXPECT_TRUE(collector.all_nodes_seen());
-  EXPECT_TRUE(collector.all_bye());
-  const obs::MetricsSnapshot merged = collector.merged_metrics();
-  EXPECT_EQ(merged.counter_total("pictures_decoded"), 42u);
-  collector.stop();
+  const std::string path = ::testing::TempDir() + "early_spans_trace.json";
+  ASSERT_TRUE(collector.write_merged_trace(path));
+  std::vector<uint32_t> pics;
+  std::vector<uint64_t> starts;
+  for (const MergedEvent& e : read_merged(slurp(path))) {
+    pics.push_back(e.pic);
+    starts.push_back(e.ts_ns);
+  }
+  EXPECT_EQ(pics, (std::vector<uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(starts, (std::vector<uint64_t>{0, 1000, 251'000, 251'003}));
 }
 
 TEST(TelemetrySideband, SecondCollectorOnAPortInUseIsNotOk) {
@@ -335,12 +329,11 @@ TEST(TelemetrySideband, FailedExportIsCounted) {
   TelemetryExporterConfig cfg;
   // Without SO_BROADCAST, a send to the limited broadcast address fails.
   cfg.collector = net::Endpoint{0xffffffffu, 9};
-  cfg.probe_wait_s = 0;
   cfg.metrics = &reg;
   cfg.tracer = &tracer;
   TelemetryExporter exporter(cfg);
-  exporter.flush();  // one probe frame and one export frame
-  EXPECT_EQ(exporter.send_failures(), 2u);
+  exporter.flush();  // one export frame
+  EXPECT_EQ(exporter.send_failures(), 1u);
 }
 
 TEST(TelemetrySideband, ForgedFramesCannotGrowCollectorStateUnbounded) {
@@ -484,15 +477,11 @@ TEST(TelemetrySideband, SocketWallStreamsOneMergedTrace) {
 
   const std::string path = ::testing::TempDir() + "merged_wall_trace.json";
   ASSERT_TRUE(collector.write_merged_trace(path));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string trace = ss.str();
+  const std::string trace = slurp(path);
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("pic_flow"), std::string::npos);  // cross-pid flows
   EXPECT_NE(trace.find("process_name"), std::string::npos);
-  EXPECT_NE(trace.find("clockOffsets"), std::string::npos);
+  EXPECT_NE(trace.find("rebaseNs"), std::string::npos);
 }
 
 }  // namespace

@@ -451,9 +451,6 @@ obs::TelemetryFrame pinned_frame() {
   f.metrics.push_back({"decode_ns", 2, -1, obs::MetricKind::kHistogram, 3, 0,
                        9000, {{12, 2}, {13, 1}}});
   f.spans.push_back({"decode_sp", 'X', 2, 1, 1000, 500, 7});
-  f.probes.push_back({5, 123456});
-  f.replies.push_back({5, 123456, 200000, 200100});
-  f.offset = obs::OffsetRecord{-37000, 800, 4, 1};
   f.bye = true;
   return f;
 }
@@ -560,17 +557,17 @@ TEST(WireLayout, BytesMatchParent) {
        "525744500400000002000000"},
       {"rendezvous_done", net::encode_rendezvous({Kind::kDone, 0, {}, {}}),
        "5257445005000000"},
+      // Version 3: the version-2 bytes without the clock probe, reply and
+      // offset records (types 5-7) and with the record count cut to match.
       {"telemetry_frame", obs::encode_frame(pinned_frame()),
-       "50445754020000000700000000000000030000000a000133000400107069"
+       "504457540300000007000000000000000300000007000133000400107069"
        "6374757265735f6465636f6465640b71756575655f646570746809646563"
        "6f64655f6e73096465636f64655f73700212009210000001000100030003"
-       "00000001000200050c000500000040e2010000000000061c000500000040"
-       "e2010000000000400d030000000000a40d030000000000071500786fffff"
-       "ffffffff20030000000000000400000001030f00000000020000002a0000"
-       "0000000000030f000100010100fffffbffffffffffffff032a0002000202"
-       "00ffff03000000000000002823000000000000020c02000000000000000d"
-       "010000000000000004210001000300580200000001000000e80300000000"
-       "0000f40100000000000007000000080000"},
+       "00000001000200030f00000000020000002a00000000000000030f000100"
+       "010100fffffbffffffffffffff032a000200020200ffff03000000000000"
+       "002823000000000000020c02000000000000000d01000000000000000421"
+       "0001000300580200000001000000e803000000000000f401000000000000"
+       "07000000080000"},
   };
   for (const auto& c : cases) EXPECT_EQ(hex(c.got), c.want) << c.name;
 }
