@@ -239,7 +239,7 @@ int run_tenant_mode(int tenants, int refresh_ms) {
     spec.priority = i == 0   ? proto::PriorityClass::kPremium
                     : i == 1 ? proto::PriorityClass::kStandard
                              : proto::PriorityClass::kBackground;
-    const proto::StreamReply reply =
+    const proto::AdmissionController::Reply reply =
         session.attach_stream(i, streams[size_t(i)], spec);
     std::printf("tenant %d (%s): verdict %d, level %s\n", i,
                 kClassNames[int(spec.priority)], int(reply.verdict),

@@ -132,20 +132,6 @@ int main(int argc, char** argv) {
   cr.row_cost = {25, 75};
   write_seed(dir, "cost_report", proto::pack(cr));
 
-  proto::StreamRequest req;
-  req.width_mb = 45;
-  req.height_mb = 30;
-  req.fps = 24;
-  req.priority = proto::PriorityClass::kPremium;
-  req.stream = 3;
-  write_seed(dir, "stream_request", proto::pack(req));
-
-  proto::StreamReply rep;
-  rep.verdict = proto::AdmissionVerdict::kRenegotiate;
-  rep.level = proto::DegradeLevel::kSkipB;
-  rep.stream = 3;
-  write_seed(dir, "stream_reply", proto::pack(rep));
-
   obs::TelemetryFrame frame;
   frame.token = 7;
   frame.seq = 3;

@@ -46,8 +46,6 @@ class SlicePipeline {
   // (in display order) and returns the communication statistics.
   SlicePipelineStats run(const TileDisplayFn& on_display);
 
-  const wall::TileGeometry& band_geometry() const { return bands_; }
-
  private:
   const wall::TileGeometry& display_;
   wall::TileGeometry bands_;

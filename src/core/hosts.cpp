@@ -65,7 +65,6 @@ void send_packed(net::ReliableEndpoint& ep, int src, int dst, proto::Packed p,
   m.type = int(p.type);
   m.seq = p.seq;
   m.aux = p.aux;
-  m.stream = p.stream;
   m.bulk = p.bulk;
   m.payload = std::move(p.body);
   if (reliable)
@@ -137,9 +136,9 @@ SplitResult SplitterBody::split(const proto::PictureMsg& pic,
     WallTimer t;
     result = splitter.split(pic.coded, i, table.geometry(pic.epoch),
                             between_parts);
-    if (inst.split_ns) inst.split_ns->observe(uint64_t(t.seconds() * 1e9));
+    inst.split_ns->observe(uint64_t(t.seconds() * 1e9));
   }
-  if (result.status.ok() && inst.pictures_split) inst.pictures_split->add();
+  if (result.status.ok()) inst.pictures_split->add();
   return result;
 }
 
@@ -160,7 +159,7 @@ proto::Packed SplitterBody::pack(const proto::PictureMsg& pic,
   const uint16_t t = uint16_t(tile);
   proto::Packed p =
       proto::pack_sp(pic.pic_index, t, stream, sub, result.mei[t], pic.epoch);
-  if (inst.sp_bytes_sent) inst.sp_bytes_sent->add(p.body.size());
+  inst.sp_bytes_sent->add(p.body.size());
   return p;
 }
 
@@ -221,11 +220,10 @@ double TileDecoderSet::serve(int tile, uint32_t i, const proto::SpMsg& sp,
   }
   for (auto& [peer, m] : outgoing) {
     const size_t bytes = proto::exchange_msg_wire_bytes(m.entries.size());
-    if (route(peer, m) && inst.exchange_bytes_sent)
-      inst.exchange_bytes_sent->add(bytes);
+    if (route(peer, m)) inst.exchange_bytes_sent->add(bytes);
   }
   const double seconds = t.seconds();
-  if (inst.serve_ns) inst.serve_ns->observe(uint64_t(seconds * 1e9));
+  inst.serve_ns->observe(uint64_t(seconds * 1e9));
   return seconds;
 }
 
@@ -242,9 +240,8 @@ double TileDecoderSet::decode(int tile, uint32_t i,
                               const std::function<void()>& between_bands) {
   TileDecoder& d = at(tile);
   for (const proto::ExchangeMsg& m : exchanges) {
-    if (inst.exchange_bytes_recv)
-      inst.exchange_bytes_recv->add(
-          proto::exchange_msg_wire_bytes(m.entries.size()));
+    inst.exchange_bytes_recv->add(
+        proto::exchange_msg_wire_bytes(m.entries.size()));
     for (const proto::ExchangeEntry& e : m.entries)
       d.add_halo_mb(e.instr, e.px, e.tainted);
   }
@@ -255,16 +252,15 @@ double TileDecoderSet::decode(int tile, uint32_t i,
     d.decode(subs.at(tile), display, between_bands);
     seconds = t.seconds();
   }
-  if (inst.decode_ns) inst.decode_ns->observe(uint64_t(seconds * 1e9));
-  if (inst.pictures_decoded) inst.pictures_decoded->add();
-  if (inst.concealed_mbs)
-    inst.concealed_mbs->add(uint64_t(d.concealed_mbs_last_picture()));
+  inst.decode_ns->observe(uint64_t(seconds * 1e9));
+  inst.pictures_decoded->add();
+  inst.concealed_mbs->add(uint64_t(d.concealed_mbs_last_picture()));
   return seconds;
 }
 
 void TileDecoderSet::skip(int tile, uint32_t i,
                           const TileDecoder::DisplayFn& display) {
-  if (inst.pictures_skipped) inst.pictures_skipped->add();
+  inst.pictures_skipped->add();
   at(tile).skip_picture(i, display);
 }
 
@@ -362,8 +358,7 @@ struct RootHost {
         PDW_TRACE_SPAN(obs::span::kGoAheadWait, topo.root(), pic);
         WallTimer wait;
         while (!node.may_dispatch()) pump(0.005);
-        if (inst.go_ahead_wait_ns)
-          inst.go_ahead_wait_ns->observe(uint64_t(wait.seconds() * 1e9));
+        inst.go_ahead_wait_ns->observe(uint64_t(wait.seconds() * 1e9));
       }
       std::vector<Outgoing> out;
       {

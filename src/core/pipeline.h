@@ -80,7 +80,6 @@ class ClusterPipeline {
   ClusterStats run(const TileDisplayFn& on_display);
 
   int nodes() const { return topo_.nodes(); }
-  int root_node() const { return topo_.root(); }
   int splitter_node(int s) const { return topo_.splitter(s); }
   int decoder_node(int t) const { return topo_.decoder(t); }
 

@@ -45,7 +45,6 @@ RootSplitter::RootSplitter(std::span<const uint8_t> es) : es_(es) {
   }
   PDW_BITSTREAM_CHECK(first < all.size())
       << "no decodable sequence header in stream";
-  dropped_leading_ = int(first);
   spans_.assign(all.begin() + std::ptrdiff_t(first), all.end());
 }
 

@@ -49,16 +49,11 @@ class RootSplitter {
   // simulator's cost model.
   double scan_seconds_per_picture() const { return scan_s_per_picture_; }
 
-  // Pictures discarded because they preceded the first decodable sequence
-  // header.
-  int dropped_leading_pictures() const { return dropped_leading_; }
-
  private:
   std::span<const uint8_t> es_;
   std::vector<PictureSpan> spans_;
   StreamInfo info_;
   double scan_s_per_picture_ = 0;
-  int dropped_leading_ = 0;
 };
 
 }  // namespace pdw::core

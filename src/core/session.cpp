@@ -16,7 +16,7 @@ StreamSession::~StreamSession() = default;
 
 int StreamSession::add_stream(std::span<const uint8_t> es) {
   const int id = streams_.empty() ? 0 : streams_.rbegin()->first + 1;
-  PDW_CHECK_LT(id, 256);  // the wire `stream` tag is a byte
+  PDW_CHECK_LT(id, 256);  // the stream tag is a byte
   Slot& slot = streams_[id];
   slot.pipe = std::make_unique<LockstepPipeline>(
       geo_, k_, es, nullptr, proto::RootNode::AdaptivePartition{}, uint8_t(id));
@@ -28,17 +28,16 @@ void StreamSession::enable_admission(proto::AdmissionController::Config cfg) {
   adm_ = std::make_unique<proto::AdmissionController>(cfg);
 }
 
-proto::StreamReply StreamSession::attach_stream(int stream_id,
-                                                std::span<const uint8_t> es,
-                                                const proto::TenantSpec& spec) {
+proto::AdmissionController::Reply StreamSession::attach_stream(
+    int stream_id, std::span<const uint8_t> es,
+    const proto::TenantSpec& spec) {
   PDW_CHECK(adm_ != nullptr);
-  proto::StreamReply rep;
+  proto::AdmissionController::Reply rep;
   rep.verdict = proto::AdmissionVerdict::kReject;
   rep.level = proto::DegradeLevel::kFreeze;
   if (stream_id < 0 || stream_id > 255) return rep;
-  rep.stream = uint8_t(stream_id);
   if (streams_.count(stream_id)) return rep;  // duplicate attach
-  rep = adm_->offer(proto::to_request(spec, uint8_t(stream_id)));
+  rep = adm_->offer(uint8_t(stream_id), spec);
   if (rep.verdict == proto::AdmissionVerdict::kReject) return rep;
   Slot& slot = streams_[stream_id];
   slot.pipe = std::make_unique<LockstepPipeline>(

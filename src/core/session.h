@@ -1,11 +1,11 @@
 // Multi-stream sessions: the lockstep scheduler over N streams.
 //
-// StreamSession is the multi-stream layer the wire format's `stream` byte
-// exists for: N independent elementary streams decoded through one wall,
-// pictures interleaved round-robin across streams (the paper's Table-4
-// catalog served concurrently). Each stream is its own LockstepPipeline
-// (own protocol machines and reference state, tagged with its stream id);
-// bench_multistream measures aggregate fps as N grows.
+// StreamSession runs N independent elementary streams through one wall in
+// one process, pictures interleaved round-robin across streams (the
+// paper's Table-4 catalog served concurrently). Each stream is its own
+// LockstepPipeline (own protocol machines and reference state, tagged with
+// its stream id, which labels its metrics); bench_multistream measures
+// aggregate fps as N grows.
 #pragma once
 
 #include <functional>
@@ -28,7 +28,7 @@ class StreamSession {
   StreamSession(const wall::TileGeometry& geo, int k);
   ~StreamSession();
 
-  // Returns the stream id (also the wire `stream` tag). `es` is borrowed.
+  // Returns the stream id (also the pipeline's stream tag). `es` is borrowed.
   // Ungated legacy attach — always admitted, never shed.
   int add_stream(std::span<const uint8_t> es);
   int streams() const { return int(streams_.size()); }
@@ -40,8 +40,9 @@ class StreamSession {
   // Admission-gated attach at an explicit stream id. Creates the stream only
   // on accept/renegotiate; a duplicate id (live or already attached) or an
   // out-of-range id gets a typed kReject and changes nothing.
-  proto::StreamReply attach_stream(int stream_id, std::span<const uint8_t> es,
-                                   const proto::TenantSpec& spec);
+  proto::AdmissionController::Reply attach_stream(
+      int stream_id, std::span<const uint8_t> es,
+      const proto::TenantSpec& spec);
 
   using DisplayFn =
       std::function<void(int stream, int tile, const mpeg2::TileFrame&,

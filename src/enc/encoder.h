@@ -73,8 +73,6 @@ class Mpeg2Encoder {
   std::vector<uint8_t> encode(int num_frames, const FrameProducer& produce,
                               EncodeStats* stats = nullptr);
 
-  const mpeg2::SequenceHeader& sequence_header() const { return seq_; }
-
  private:
   struct Impl;
   EncoderConfig config_;

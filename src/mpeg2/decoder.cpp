@@ -65,7 +65,6 @@ void Mpeg2Decoder::decode_picture_span(std::span<const uint8_t> es,
   if (!s.ok()) {
     if (policy_ == ErrorPolicy::kStrict) throw_decode_error(s);
     // kConceal: the picture was dropped whole; the next picture resyncs.
-    ++dropped_pictures_;
     ++concealed_;
   }
 }

@@ -60,7 +60,6 @@ class Mpeg2Decoder {
     PDW_CHECK(have_seq_);
     return seq_;
   }
-  bool has_sequence() const { return have_seq_; }
 
   // Statistics for the cost model.
   int pictures_decoded() const { return decode_index_; }
@@ -71,9 +70,6 @@ class Mpeg2Decoder {
   int dropped_slices() const { return dropped_slices_; }
   // Number of macroblocks replaced by concealment (kConceal mode).
   int concealed_macroblocks() const { return concealed_mbs_; }
-  // Number of pictures dropped whole because their headers were undecodable
-  // (kConceal mode).
-  int dropped_pictures() const { return dropped_pictures_; }
 
  private:
   DecodeStatus decode_picture(BitReader& r, size_t begin, size_t end,
@@ -96,7 +92,6 @@ class Mpeg2Decoder {
   int concealed_ = 0;
   int dropped_slices_ = 0;
   int concealed_mbs_ = 0;
-  int dropped_pictures_ = 0;
 };
 
 }  // namespace pdw::mpeg2

@@ -50,7 +50,6 @@ struct SequenceHeader {
 
   int mb_width() const { return (width + kMbSize - 1) / kMbSize; }
   int mb_height() const { return (height + kMbSize - 1) / kMbSize; }
-  int mbs_per_picture() const { return mb_width() * mb_height(); }
 
   // Frame rate in frames/s from frame_rate_code.
   double frame_rate() const;

@@ -10,6 +10,7 @@ Fabric::Fabric(int nodes) {
   for (int i = 0; i < nodes; ++i)
     mailboxes_.push_back(std::make_unique<Mailbox>());
   traffic_.reset(nodes);
+  link_ordinal_.assign(size_t(nodes) * size_t(nodes), 0);
 }
 
 void Fabric::post_receive(int node) {
@@ -47,6 +48,7 @@ void Fabric::release_delayed(Mailbox& mb, bool force) {
 SendStatus Fabric::send(int src, int dst, Message msg) {
   msg.src = src;
   const size_t bytes = msg.wire_bytes();
+  Mailbox& mb = box(dst);  // range-checks dst before it indexes a counter
 
   {
     Mailbox& sender = box(src);
@@ -60,19 +62,15 @@ SendStatus Fabric::send(int src, int dst, Message msg) {
   {
     std::lock_guard<std::mutex> lock(traffic_mu_);
     traffic_.add(src, dst, bytes);
-    const uint64_t key =
-        (uint64_t(size_t(src) * size_t(nodes()) + size_t(dst)) << 8) |
-        msg.stream;
-    link_ordinal = link_ordinal_[key]++;
+    link_ordinal = link_ordinal_[size_t(src) * size_t(nodes()) + size_t(dst)]++;
   }
 
   FaultDecision fate;
-  Mailbox& mb = box(dst);
   {
     std::unique_lock<std::mutex> lock(mb.mu);
     if (injector_)
       fate = injector_->decide(src, dst, link_ordinal, mb.deliveries,
-                               msg.payload.size(), msg.stream);
+                               msg.payload.size());
 
     if (fate.crash_dst) {
       lock.unlock();
@@ -90,7 +88,7 @@ SendStatus Fabric::send(int src, int dst, Message msg) {
       // bytes, not the corrupted ones.
       msg.payload.make_unique();
       injector_->corrupt_payload(src, dst, link_ordinal,
-                                 msg.payload.mutable_span(), msg.stream);
+                                 msg.payload.mutable_span());
     }
 
     // Flow control: a bulk message needs a posted buffer *now*. This is the

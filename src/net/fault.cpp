@@ -55,24 +55,20 @@ uint32_t crc32(std::span<const uint8_t> data) {
 }
 
 uint64_t FaultInjector::key_stream(int src, int dst, uint64_t ordinal,
-                                   uint64_t salt, uint8_t stream) const {
-  // Mix the link identity, stream tag and ordinal into one 64-bit key;
-  // SplitMix64 then whitens it. Deterministic per (seed, src, dst, stream,
-  // ordinal, salt). Stream 0 contributes nothing, so single-stream
-  // schedules key exactly as they did before streams existed.
+                                   uint64_t salt) const {
+  // Mix the link identity and ordinal into one 64-bit key; SplitMix64 then
+  // whitens it. Deterministic per (seed, src, dst, ordinal, salt).
   uint64_t key = seed_;
   key ^= 0x9E3779B97F4A7C15ULL * (uint64_t(uint32_t(src)) + 1);
   key ^= 0xC2B2AE3D27D4EB4FULL * (uint64_t(uint32_t(dst)) + 1);
   key ^= 0x165667B19E3779F9ULL * (ordinal + 1);
   key ^= salt * 0x27D4EB2F165667C5ULL;
-  if (stream) key ^= 0x85EBCA77C2B2AE63ULL * uint64_t(stream);
   return SplitMix64(key).next();
 }
 
 FaultDecision FaultInjector::decide(int src, int dst, uint64_t link_ordinal,
                                     uint64_t dst_deliveries,
-                                    size_t payload_size,
-                                    uint8_t stream) const {
+                                    size_t payload_size) const {
   FaultDecision d;
 
   // Exact scheduled events first.
@@ -91,7 +87,6 @@ FaultDecision FaultInjector::decide(int src, int dst, uint64_t link_ordinal,
       case FaultEvent::Kind::kCorrupt:
       case FaultEvent::Kind::kDelay: {
         const bool match = (ev.src < 0 || ev.src == src) && ev.dst == dst &&
-                           (ev.stream < 0 || ev.stream == int(stream)) &&
                            link_ordinal == ev.at_ordinal;
         if (!match) break;
         if (ev.kind == FaultEvent::Kind::kDrop) d.drop = true;
@@ -107,7 +102,7 @@ FaultDecision FaultInjector::decide(int src, int dst, uint64_t link_ordinal,
   // Seeded per-message probabilities.
   if (rates_.drop > 0 || rates_.dup > 0 || rates_.corrupt > 0 ||
       rates_.delay > 0) {
-    SplitMix64 rng(key_stream(src, dst, link_ordinal, /*salt=*/1, stream));
+    SplitMix64 rng(key_stream(src, dst, link_ordinal, /*salt=*/1));
     if (rng.next_double() < rates_.drop) d.drop = true;
     if (rng.next_double() < rates_.dup) d.dup = true;
     if (rng.next_double() < rates_.corrupt &&
@@ -125,10 +120,9 @@ FaultDecision FaultInjector::decide(int src, int dst, uint64_t link_ordinal,
 }
 
 void FaultInjector::corrupt_payload(int src, int dst, uint64_t link_ordinal,
-                                    std::span<uint8_t> payload,
-                                    uint8_t stream) const {
+                                    std::span<uint8_t> payload) const {
   if (payload.empty()) return;
-  SplitMix64 rng(key_stream(src, dst, link_ordinal, /*salt=*/2, stream));
+  SplitMix64 rng(key_stream(src, dst, link_ordinal, /*salt=*/2));
   const int n = std::max(1, rates_.corrupt_bytes);
   for (int i = 0; i < n; ++i) {
     const size_t pos = size_t(rng.next() % payload.size());

@@ -36,13 +36,10 @@ struct FaultRates {
   size_t min_corrupt_size = 0; // only corrupt payloads at least this large
 };
 
-// An exact scheduled fault. Ordinals count per (src, dst, stream) for
-// message faults, and per destination node (messages delivered to it) for
+// An exact scheduled fault. Ordinals count per (src, dst) link for message
+// faults, and per destination node (messages delivered to it) for
 // kCrash / kStall, which makes crash points independent of who sent the
-// trigger. Keying ordinals per *stream* (the wire-level multiplexing tag)
-// is what makes a schedule reproducible under multi-stream sessions: stream
-// A's n-th message on a link meets the same fate no matter how many other
-// streams' messages interleave with it.
+// trigger.
 // Construct with designated initializers only ({.kind = ..., .dst = ...});
 // positional initialization is not supported, so fields may be inserted or
 // reordered here without silently shifting the meaning of call sites.
@@ -51,7 +48,6 @@ struct FaultEvent {
   Kind kind = Kind::kDrop;
   int src = -1;             // -1 = any sender (ignored by kCrash/kStall)
   int dst = -1;             // message destination / node to crash or stall
-  int stream = -1;          // -1 = any stream (ignored by kCrash/kStall)
   uint64_t at_ordinal = 0;  // trigger ordinal (see above)
   int param = 0;            // kDelay: hold count; kStall: window length
 };
@@ -76,24 +72,19 @@ class FaultInjector {
   void add_event(const FaultEvent& ev) { events_.push_back(ev); }
   uint64_t seed() const { return seed_; }
 
-  // Fate of the `link_ordinal`-th message of `stream` ever sent src->dst,
-  // which would be the `dst_deliveries`-th message delivered to dst. Pure
-  // function — safe to call from any thread. Callers must count
-  // link_ordinal per (src, dst, stream); stream 0 keys identically to the
-  // pre-multi-stream scheme, so existing single-stream seeds replay
-  // unchanged.
+  // Fate of the `link_ordinal`-th message ever sent src->dst, which would
+  // be the `dst_deliveries`-th message delivered to dst. Pure function —
+  // safe to call from any thread. Callers count link_ordinal per (src, dst).
   FaultDecision decide(int src, int dst, uint64_t link_ordinal,
-                       uint64_t dst_deliveries, size_t payload_size,
-                       uint8_t stream = 0) const;
+                       uint64_t dst_deliveries, size_t payload_size) const;
 
   // Deterministically flip `rates.corrupt_bytes` bytes of `payload`, keyed
   // the same way as decide().
   void corrupt_payload(int src, int dst, uint64_t link_ordinal,
-                       std::span<uint8_t> payload, uint8_t stream = 0) const;
+                       std::span<uint8_t> payload) const;
 
  private:
-  uint64_t key_stream(int src, int dst, uint64_t ordinal, uint64_t salt,
-                      uint8_t stream) const;
+  uint64_t key_stream(int src, int dst, uint64_t ordinal, uint64_t salt) const;
 
   uint64_t seed_ = 0;
   FaultRates rates_;

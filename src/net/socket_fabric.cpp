@@ -35,7 +35,6 @@ void fields(IO& io, H& h) {
   io.i32(h.header.type);
   io.u32(h.header.seq);
   io.u16(h.header.aux);
-  io.u8(h.header.stream);
   io.u8(h.header.bulk);
   io.u32(h.header.tseq);
   io.u32(h.header.crc);
@@ -78,6 +77,7 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
     : self_(self),
       nodes_(nodes),
       cfg_(cfg),
+      fault_ordinal_(size_t(nodes)),
       fenced_(size_t(nodes)),
       traffic_(nodes),
       counters_(size_t(nodes)) {
@@ -192,10 +192,9 @@ void SocketFabric::ingest(uint8_t* data, size_t len) {
   // Faults, handled the way Fabric::send handles a message's fate.
   const FaultInjector* inj = cfg_.injector;
   if (inj) {
-    const uint64_t ordinal =
-        fault_ordinal_[(uint32_t(h.src) << 8) | h.stream]++;
+    const uint64_t ordinal = fault_ordinal_[size_t(h.src)]++;
     const FaultDecision fate =
-        inj->decide(h.src, self_, ordinal, deliveries_, n, h.stream);
+        inj->decide(h.src, self_, ordinal, deliveries_, n);
     if (fate.crash_dst) {
       kill(self_);
       return;
@@ -208,7 +207,7 @@ void SocketFabric::ingest(uint8_t* data, size_t len) {
     // Only the fragment bytes: the header stays routable, and
     // ReliableEndpoint's payload CRC catches the damage end to end.
     if (fate.corrupt)
-      inj->corrupt_payload(h.src, self_, ordinal, {bytes, n}, h.stream);
+      inj->corrupt_payload(h.src, self_, ordinal, {bytes, n});
     if (fate.dup) reassemble(f, bytes, n);
     if (fate.delay_hold > 0) {
       parked_.push_back(

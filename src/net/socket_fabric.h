@@ -8,7 +8,7 @@
 // the in-process backend, all invisible above ReliableEndpoint:
 //
 //  * Framing: each Message becomes one or more datagrams carrying the full
-//    header (src/type/seq/aux/stream/bulk/tseq/crc) plus fragmentation
+//    header (src/type/seq/aux/bulk/tseq/crc) plus fragmentation
 //    fields and a header CRC-32. Payloads larger than one datagram are
 //    split and reassembled keyed on (src, msg_id); a datagram with a corrupt
 //    header is dropped (the payload CRC stays end-to-end in
@@ -48,7 +48,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/udp.h"
@@ -84,7 +83,7 @@ struct DatagramHeader {
   uint32_t total = 0;   // whole-message payload bytes
   uint32_t off = 0;     // this fragment's offset into the payload
 };
-inline constexpr size_t kDatagramHeaderBytes = 48;
+inline constexpr size_t kDatagramHeaderBytes = 47;
 
 // The header bytes of one datagram, header CRC included.
 void encode_datagram_header(const DatagramHeader& h,
@@ -191,9 +190,10 @@ class SocketFabric final : public FabricBackend {
   uint64_t admitted_ = 0;                   // reassemblies ever started
   uint32_t next_msg_id_ = 1;
   int credits_ = 0;
-  // Fault state: datagram ordinals per (src << 8 | stream), datagrams
-  // delivered to this node, and the parked (delayed) datagrams.
-  std::unordered_map<uint32_t, uint64_t> fault_ordinal_;
+  // Fault state: datagram ordinals per sender (indexed by the header's
+  // validated src), datagrams delivered to this node, and the parked
+  // (delayed) datagrams.
+  std::vector<uint64_t> fault_ordinal_;
   uint64_t deliveries_ = 0;
   std::vector<Parked> parked_;
 

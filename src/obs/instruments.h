@@ -2,9 +2,10 @@
 //
 // The lockstep reference and the threaded pipeline resolve the exact same
 // metric families through these bundles, which is what lets
-// test_parallel_equivalence compare their registries one-to-one. All
-// pointers stay null until resolve() is called, and every use site
-// null-checks, so an engine without telemetry wiring pays nothing.
+// test_parallel_equivalence compare their registries one-to-one. Every
+// owner (SplitterBody, TileDecoderSet, the root host) calls resolve() in
+// its constructor, so use sites dereference the pointers unchecked; an
+// engine without telemetry wiring resolves against the global registry.
 #pragma once
 
 #include "obs/metrics.h"

@@ -17,7 +17,7 @@ DegradeLevel next_down(DegradeLevel l) {
 AdmissionController::AdmissionController(Config cfg) : cfg_(cfg) {
   PDW_CHECK_GT(cfg_.capacity.mb_per_s, 0.0);
   PDW_CHECK_GT(cfg_.capacity.admit_headroom, 0.0);
-  tenants_.resize(256);  // the wire stream tag is a byte
+  tenants_.resize(256);  // stream ids are a byte
 }
 
 double AdmissionController::multiplier(DegradeLevel l) const {
@@ -34,16 +34,10 @@ double AdmissionController::utilization() const {
   return committed_ / budget();
 }
 
-StreamReply AdmissionController::offer(const StreamRequest& req) {
-  TenantState& t = tenants_[req.stream];
-  StreamReply rep;
-  rep.stream = req.stream;
-
-  TenantSpec spec;
-  spec.width_mb = req.width_mb;
-  spec.height_mb = req.height_mb;
-  spec.fps = req.fps;
-  spec.priority = req.priority;
+AdmissionController::Reply AdmissionController::offer(
+    uint8_t stream, const TenantSpec& spec) {
+  TenantState& t = tenants_[stream];
+  Reply rep;
   const double cost = tenant_cost(spec);
 
   // A live duplicate id or a zero-cost declaration is a protocol error, not
@@ -52,7 +46,7 @@ StreamReply AdmissionController::offer(const StreamRequest& req) {
     rep.verdict = AdmissionVerdict::kReject;
     rep.level = DegradeLevel::kFreeze;
     ++rejected_;
-    push(Action::Kind::kOffer, req.stream, rep.verdict, rep.level);
+    push(Action::Kind::kOffer, stream, rep.verdict, rep.level);
     if (metrics_) {
       metrics_->counter(obs::family::kAdmissionRejected).add();
     }
@@ -63,7 +57,7 @@ StreamReply AdmissionController::offer(const StreamRequest& req) {
   // at a time. Each step is committed (and logged) even if the offer still
   // ends in renegotiation — the wall was genuinely over budget.
   while (committed_ + cost > budget()) {
-    const int victim = degrade_victim(int(req.priority));
+    const int victim = degrade_victim(int(spec.priority));
     if (victim < 0) break;
     apply_degrade(victim);
   }
@@ -96,7 +90,7 @@ StreamReply AdmissionController::offer(const StreamRequest& req) {
     t.level = t.target = rep.level;
     committed_ += effective_cost(t);
   }
-  push(Action::Kind::kOffer, req.stream, rep.verdict, rep.level);
+  push(Action::Kind::kOffer, stream, rep.verdict, rep.level);
   if (metrics_) {
     const char* fam = rep.verdict == AdmissionVerdict::kAccept
                           ? obs::family::kAdmissionAccepted
@@ -104,20 +98,9 @@ StreamReply AdmissionController::offer(const StreamRequest& req) {
                           ? obs::family::kAdmissionRenegotiated
                           : obs::family::kAdmissionRejected;
     metrics_->counter(fam).add();
-    mirror_tenant(req.stream);
+    mirror_tenant(stream);
   }
   return rep;
-}
-
-Packed AdmissionController::offer_wire(const mem::Bytes& body) {
-  StreamRequest req;
-  if (!decode(body.span(), &req)) {
-    StreamReply rep;  // typed reject; stream 0 is all the sender gets back
-    rep.verdict = AdmissionVerdict::kReject;
-    rep.level = DegradeLevel::kFreeze;
-    return pack(rep);
-  }
-  return pack(offer(req));
 }
 
 void AdmissionController::release(uint8_t stream) {

@@ -8,9 +8,9 @@
 // typed protocol event instead:
 //
 //   * attach is gated: a tenant declares its cost up front (geometry, fps,
-//     priority class — wire::StreamRequest) and the controller answers
-//     accept / renegotiate-at-degrade-level / reject (wire::StreamReply)
-//     against the measured wall capacity;
+//     priority class — TenantSpec) and the controller answers
+//     accept / renegotiate-at-degrade-level / reject (Reply) against the
+//     measured wall capacity;
 //   * under overload the controller walks admitted tenants down the
 //     degradation ladder (skip-B -> skip-P -> freeze) in strict priority
 //     order — the lowest class always degrades first, and a higher-priority
@@ -22,23 +22,49 @@
 //     nothing, so resuming there is bit-exact by construction.
 //
 // The controller is sans-io and deterministic: every decision is a pure
-// function of the calls made on it, in order. The threaded host pumps
-// StreamRequest/StreamReply over the fabric and the serial engines call
-// offer() directly; both produce the same Action log for the same inputs,
-// which is what test_admission's engine-equivalence case pins down.
+// function of the calls made on it, in order. It runs in-process, beside
+// the streams it gates (core::StreamSession, the traffic model); no
+// admission message crosses a node boundary.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "mpeg2/types.h"
-#include "proto/wire.h"
 
 namespace pdw::obs {
 class MetricsRegistry;
 }
 
 namespace pdw::proto {
+
+// QoS class of a tenant's stream. Lower classes degrade and shed first; the
+// admission controller never degrades class N while class N+1 still has
+// headroom to give up.
+enum class PriorityClass : uint8_t {
+  kBackground = 0,  // best-effort (preview walls, transcode feeds)
+  kStandard = 1,    // normal interactive viewing
+  kPremium = 2,     // contractual QoS: protected until everything else is shed
+};
+
+// Degradation ladder, in the order overload applies it. Skipping B pictures
+// is free of drift (nothing references a B picture); kSkipP decodes only I
+// pictures (a P picture's references would be stale); kFreeze holds the last
+// displayed frame. Reverting is only bit-exact at a closed-GOP I picture, so
+// the controller *raises* a stream's level immediately but *lowers* it
+// lazily, at the next picture whose span carries a GOP header.
+enum class DegradeLevel : uint8_t {
+  kNone = 0,
+  kSkipB = 1,
+  kSkipP = 2,
+  kFreeze = 3,
+};
+
+enum class AdmissionVerdict : uint8_t {
+  kAccept = 0,
+  kReject = 1,       // no capacity at any degrade level
+  kRenegotiate = 2,  // admitted, but only at the granted degrade level
+};
 
 // A tenant's declared stream cost — what it asks the wall to commit to.
 struct TenantSpec {
@@ -52,16 +78,6 @@ struct TenantSpec {
 // measured in, so admission is a straight budget comparison.
 inline double tenant_cost(const TenantSpec& s) {
   return double(s.width_mb) * double(s.height_mb) * double(s.fps);
-}
-
-inline StreamRequest to_request(const TenantSpec& s, uint8_t stream) {
-  StreamRequest r;
-  r.width_mb = s.width_mb;
-  r.height_mb = s.height_mb;
-  r.fps = s.fps;
-  r.priority = s.priority;
-  r.stream = stream;
-  return r;
 }
 
 // Measured serving capacity of the wall (derived from a calibration run or
@@ -89,11 +105,22 @@ class AdmissionController {
     double revert_at = 0.7;
   };
 
+  // The answer to an offer. On kRenegotiate, `level` is the degrade level
+  // the stream is granted at (the tenant may attach at that level or walk
+  // away); on kAccept it is kNone; on kReject it is kFreeze (nothing would
+  // be decoded anyway).
+  struct Reply {
+    AdmissionVerdict verdict = AdmissionVerdict::kReject;
+    DegradeLevel level = DegradeLevel::kNone;
+
+    friend bool operator==(const Reply&, const Reply&) = default;
+  };
+
   // One entry of the decision log — the sequence every engine must agree
   // on. `level` is the stream's degrade level *after* the action.
   struct Action {
     enum class Kind : uint8_t {
-      kOffer,      // verdict answered to a StreamRequest
+      kOffer,      // verdict answered to an offer()
       kRelease,    // stream departed, its budget returned
       kDegrade,    // ladder pushed the stream one level down (immediate)
       kArmRevert,  // ladder scheduled a one-level revert (awaits closed GOP)
@@ -122,16 +149,12 @@ class AdmissionController {
 
   explicit AdmissionController(Config cfg);
 
-  // Admit `req` against the remaining budget. Tries, in order: full rate;
-  // degrading strictly lower-priority tenants to make room (each step is
-  // logged); renegotiating the requester at the shallowest degrade level
-  // that fits. A live duplicate stream id is a protocol error -> kReject.
-  StreamReply offer(const StreamRequest& req);
-
-  // Wire-side entry: decode a StreamRequest body, offer() it, and return
-  // the packed StreamReply. Malformed bytes get a typed kReject for stream
-  // 0 rather than a crash — the fabric host answers everything.
-  Packed offer_wire(const mem::Bytes& body);
+  // Admit `stream` with the declared `spec` against the remaining budget.
+  // Tries, in order: full rate; degrading strictly lower-priority tenants to
+  // make room (each step is logged); renegotiating the requester at the
+  // shallowest degrade level that fits. A live duplicate stream id is a
+  // protocol error -> kReject.
+  Reply offer(uint8_t stream, const TenantSpec& spec);
 
   // Stream departed; its budget returns to the pool (reverts for the
   // remaining tenants are armed by the next on_pressure() reading).
@@ -191,7 +214,7 @@ class AdmissionController {
   void mirror_tenant(uint8_t stream);
 
   Config cfg_;
-  std::vector<TenantState> tenants_;  // indexed by stream id (wire byte)
+  std::vector<TenantState> tenants_;  // indexed by stream id (a byte)
   double committed_ = 0;
   uint64_t accepted_ = 0, rejected_ = 0, renegotiated_ = 0;
   std::vector<Action> log_;

@@ -9,56 +9,44 @@ namespace {
 
 // --- Envelopes -------------------------------------------------------------
 
-// The envelope fields transports key on (type, stream, seq, aux, bulk), as
-// derived from each message's typed fields. The type also names the body.
+// The envelope fields transports key on (type, seq, aux, bulk), as derived
+// from each message's typed fields. The type also names the body.
 Packed envelope(const PictureMsg& m) {
-  return {.type = MsgType::kPicture, .stream = m.stream, .seq = m.pic_index,
-          .aux = m.nsid, .bulk = true};
+  return {.type = MsgType::kPicture, .seq = m.pic_index, .aux = m.nsid,
+          .bulk = true};
 }
 Packed envelope(const SpMsg& m) {
-  return {.type = MsgType::kSubPicture, .stream = m.stream,
-          .seq = m.pic_index, .aux = m.tile, .bulk = true};
+  return {.type = MsgType::kSubPicture, .seq = m.pic_index, .aux = m.tile,
+          .bulk = true};
 }
 Packed envelope(const GoAheadAck& m) {
-  return {.type = MsgType::kGoAheadAck, .stream = m.stream,
-          .seq = m.pic_index};
+  return {.type = MsgType::kGoAheadAck, .seq = m.pic_index};
 }
 Packed envelope(const ExchangeMsg& m) {
-  return {.type = MsgType::kExchange, .stream = m.stream, .seq = m.pic_index,
-          .aux = m.src_tile};
+  return {.type = MsgType::kExchange, .seq = m.pic_index, .aux = m.src_tile};
 }
-Packed envelope(const EndOfStream& m) {
-  return {.type = MsgType::kEndOfStream, .stream = m.stream};
+Packed envelope(const EndOfStream&) {
+  return {.type = MsgType::kEndOfStream};
 }
 Packed envelope(const Heartbeat& m) {
-  return {.type = MsgType::kHeartbeat, .stream = m.stream, .aux = m.tile};
+  return {.type = MsgType::kHeartbeat, .aux = m.tile};
 }
 Packed envelope(const Finished& m) {
-  return {.type = MsgType::kFinished, .stream = m.stream, .aux = m.tile};
+  return {.type = MsgType::kFinished, .aux = m.tile};
 }
 Packed envelope(const DeathNotice& m) {
-  return {.type = MsgType::kDeathNotice, .stream = m.stream,
-          .seq = m.resync_pic, .aux = m.dead_tile};
+  return {.type = MsgType::kDeathNotice, .seq = m.resync_pic,
+          .aux = m.dead_tile};
 }
 Packed envelope(const SkipBroadcast& m) {
-  return {.type = MsgType::kSkipBroadcast, .stream = m.stream,
-          .seq = m.pic_index, .aux = m.tile};
-}
-Packed envelope(const StreamRequest& m) {
-  return {.type = MsgType::kStreamRequest, .stream = m.stream,
-          .aux = uint16_t(m.priority)};
-}
-Packed envelope(const StreamReply& m) {
-  return {.type = MsgType::kStreamReply, .stream = m.stream,
-          .aux = uint16_t(m.verdict)};
+  return {.type = MsgType::kSkipBroadcast, .seq = m.pic_index, .aux = m.tile};
 }
 Packed envelope(const PartitionUpdateMsg& m) {
-  return {.type = MsgType::kPartitionUpdate, .stream = m.stream,
-          .seq = m.apply_from_pic, .aux = uint16_t(m.epoch)};
+  return {.type = MsgType::kPartitionUpdate, .seq = m.apply_from_pic,
+          .aux = uint16_t(m.epoch)};
 }
 Packed envelope(const CostReportMsg& m) {
-  return {.type = MsgType::kCostReport, .stream = m.stream,
-          .seq = m.pic_index};
+  return {.type = MsgType::kCostReport, .seq = m.pic_index};
 }
 
 // --- Field lists (common/bytes.h), in wire order ---------------------------
@@ -163,23 +151,6 @@ void fields(IO& io, M& m) {
   io.u16(m.tile);
 }
 
-template <class IO, Layout<StreamRequest> M>
-void fields(IO& io, M& m) {
-  io.u16(m.width_mb);
-  io.u16(m.height_mb);
-  io.u16(m.fps);
-  io.u8(m.priority);
-  io.check(m.priority <= PriorityClass::kPremium);
-}
-
-template <class IO, Layout<StreamReply> M>
-void fields(IO& io, M& m) {
-  io.u8(m.verdict);
-  io.u8(m.level);
-  io.check(m.verdict <= AdmissionVerdict::kRenegotiate &&
-           m.level <= DegradeLevel::kFreeze);
-}
-
 // Cut lines must strictly increase from a nonzero start: malformed
 // partitions are rejected here so state machines never install an invalid
 // geometry.
@@ -277,8 +248,6 @@ std::optional<AnyMsg> decode_any_body(std::span<const uint8_t> data,
     case MsgType::kFinished: return as(Finished{});
     case MsgType::kDeathNotice: return as(DeathNotice{});
     case MsgType::kSkipBroadcast: return as(SkipBroadcast{});
-    case MsgType::kStreamRequest: return as(StreamRequest{});
-    case MsgType::kStreamReply: return as(StreamReply{});
     case MsgType::kPartitionUpdate: return as(PartitionUpdateMsg{});
     case MsgType::kCostReport: return as(CostReportMsg{});
   }
@@ -298,38 +267,8 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kFinished: return "finished";
     case MsgType::kDeathNotice: return "death-notice";
     case MsgType::kSkipBroadcast: return "skip";
-    case MsgType::kStreamRequest: return "stream-request";
-    case MsgType::kStreamReply: return "stream-reply";
     case MsgType::kPartitionUpdate: return "partition-update";
     case MsgType::kCostReport: return "cost-report";
-  }
-  return "unknown";
-}
-
-const char* priority_class_name(PriorityClass c) {
-  switch (c) {
-    case PriorityClass::kBackground: return "background";
-    case PriorityClass::kStandard: return "standard";
-    case PriorityClass::kPremium: return "premium";
-  }
-  return "unknown";
-}
-
-const char* degrade_level_name(DegradeLevel l) {
-  switch (l) {
-    case DegradeLevel::kNone: return "full";
-    case DegradeLevel::kSkipB: return "skip-B";
-    case DegradeLevel::kSkipP: return "skip-P";
-    case DegradeLevel::kFreeze: return "freeze";
-  }
-  return "unknown";
-}
-
-const char* admission_verdict_name(AdmissionVerdict v) {
-  switch (v) {
-    case AdmissionVerdict::kAccept: return "accept";
-    case AdmissionVerdict::kReject: return "reject";
-    case AdmissionVerdict::kRenegotiate: return "renegotiate";
   }
   return "unknown";
 }
@@ -370,8 +309,6 @@ Packed pack(const Heartbeat& m) { return pack_msg(m); }
 Packed pack(const Finished& m) { return pack_msg(m); }
 Packed pack(const DeathNotice& m) { return pack_msg(m); }
 Packed pack(const SkipBroadcast& m) { return pack_msg(m); }
-Packed pack(const StreamRequest& m) { return pack_msg(m); }
-Packed pack(const StreamReply& m) { return pack_msg(m); }
 Packed pack(const PartitionUpdateMsg& m) { return pack_msg(m); }
 Packed pack(const CostReportMsg& m) { return pack_msg(m); }
 
@@ -402,12 +339,6 @@ bool decode(std::span<const uint8_t> d, DeathNotice* out) {
   return decode_body(d, nullptr, out);
 }
 bool decode(std::span<const uint8_t> d, SkipBroadcast* out) {
-  return decode_body(d, nullptr, out);
-}
-bool decode(std::span<const uint8_t> d, StreamRequest* out) {
-  return decode_body(d, nullptr, out);
-}
-bool decode(std::span<const uint8_t> d, StreamReply* out) {
   return decode_body(d, nullptr, out);
 }
 bool decode(std::span<const uint8_t> d, PartitionUpdateMsg* out) {

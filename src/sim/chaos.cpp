@@ -114,7 +114,8 @@ void run_shed_leg(const ChaosSchedule& sched, ChaosReport* rep) {
     spec.priority = i == 0 ? proto::PriorityClass::kPremium
                     : i == 1 ? proto::PriorityClass::kStandard
                              : proto::PriorityClass::kBackground;
-    const proto::StreamReply r = session.attach_stream(i, sched.es, spec);
+    const proto::AdmissionController::Reply r =
+        session.attach_stream(i, sched.es, spec);
     if (r.verdict != proto::AdmissionVerdict::kReject) attached.push_back(i);
   }
 

@@ -240,7 +240,7 @@ TrafficReport run_traffic(const TrafficConfig& cfg) {
         continue;
       }
       const int id = free_ids.back();
-      const proto::StreamReply r = adm.offer(proto::to_request(spec, uint8_t(id)));
+      const AdmissionController::Reply r = adm.offer(uint8_t(id), spec);
       switch (r.verdict) {
         case AdmissionVerdict::kAccept: ++rep.cls[c].accepted; break;
         case AdmissionVerdict::kRenegotiate: ++rep.cls[c].renegotiated; break;

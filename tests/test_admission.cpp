@@ -1,24 +1,18 @@
 // Admission controller and QoS degradation ladder tests.
 //
-// Three layers pinned down here:
+// Two layers pinned down here:
 //   * the pure controller — typed verdicts against a declared-cost budget,
 //     strict priority order in the degradation ladder, a balanced ledger;
-//   * engine equivalence — the same request script through direct offer()
-//     calls and through offer_wire() pumped over a threaded net::Fabric must
-//     produce identical replies and identical Action logs (the controller is
-//     sans-io: the hosting engine cannot change a decision);
 //   * bit-exact resync — a degraded stream that reverts at the next
 //     closed-GOP I picture must emit frames identical to an never-degraded
 //     run from that picture onward.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "core/lockstep.h"
 #include "enc/encoder.h"
-#include "net/fabric.h"
 #include "proto/admission.h"
 #include "video/generator.h"
 
@@ -48,8 +42,10 @@ AdmissionController::Config config(double tenants_worth) {
 
 TEST(AdmissionOffer, AcceptWithinBudget) {
   AdmissionController adm(config(2.0));
-  const StreamReply r0 = adm.offer(to_request(sd_spec(PriorityClass::kStandard), 0));
-  const StreamReply r1 = adm.offer(to_request(sd_spec(PriorityClass::kStandard), 1));
+  const AdmissionController::Reply r0 =
+      adm.offer(0, sd_spec(PriorityClass::kStandard));
+  const AdmissionController::Reply r1 =
+      adm.offer(1, sd_spec(PriorityClass::kStandard));
   EXPECT_EQ(r0.verdict, AdmissionVerdict::kAccept);
   EXPECT_EQ(r0.level, DegradeLevel::kNone);
   EXPECT_EQ(r1.verdict, AdmissionVerdict::kAccept);
@@ -63,9 +59,10 @@ TEST(AdmissionOffer, RenegotiateAtShallowestFittingLevel) {
   // Budget for 1.7 tenants: the second same-class tenant cannot displace the
   // first, but fits at skip-B (0.5x with the default b_share).
   AdmissionController adm(config(1.7));
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kStandard), 0)).verdict,
+  ASSERT_EQ(adm.offer(0, sd_spec(PriorityClass::kStandard)).verdict,
             AdmissionVerdict::kAccept);
-  const StreamReply r = adm.offer(to_request(sd_spec(PriorityClass::kStandard), 1));
+  const AdmissionController::Reply r =
+      adm.offer(1, sd_spec(PriorityClass::kStandard));
   EXPECT_EQ(r.verdict, AdmissionVerdict::kRenegotiate);
   EXPECT_EQ(r.level, DegradeLevel::kSkipB);
   EXPECT_EQ(adm.level(1), DegradeLevel::kSkipB);
@@ -76,9 +73,10 @@ TEST(AdmissionOffer, RejectWhenNoLevelFits) {
   // Budget for 1.1 tenants: even skip-P (0.2x) does not fit a second
   // same-class tenant, and equal-priority tenants are never degraded for it.
   AdmissionController adm(config(1.1));
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kStandard), 0)).verdict,
+  ASSERT_EQ(adm.offer(0, sd_spec(PriorityClass::kStandard)).verdict,
             AdmissionVerdict::kAccept);
-  const StreamReply r = adm.offer(to_request(sd_spec(PriorityClass::kStandard), 1));
+  const AdmissionController::Reply r =
+      adm.offer(1, sd_spec(PriorityClass::kStandard));
   EXPECT_EQ(r.verdict, AdmissionVerdict::kReject);
   EXPECT_EQ(r.level, DegradeLevel::kFreeze);
   EXPECT_FALSE(adm.admitted(1));
@@ -88,20 +86,20 @@ TEST(AdmissionOffer, RejectWhenNoLevelFits) {
 
 TEST(AdmissionOffer, DuplicateLiveIdAndZeroCostAreProtocolErrors) {
   AdmissionController adm(config(8.0));
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kStandard), 3)).verdict,
+  ASSERT_EQ(adm.offer(3, sd_spec(PriorityClass::kStandard)).verdict,
             AdmissionVerdict::kAccept);
-  EXPECT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kPremium), 3)).verdict,
+  EXPECT_EQ(adm.offer(3, sd_spec(PriorityClass::kPremium)).verdict,
             AdmissionVerdict::kReject);  // id 3 is live
   EXPECT_EQ(adm.level(3), DegradeLevel::kNone);  // original tenant untouched
 
   TenantSpec zero;  // 0x0 @ 0 fps
-  EXPECT_EQ(adm.offer(to_request(zero, 4)).verdict, AdmissionVerdict::kReject);
+  EXPECT_EQ(adm.offer(4, zero).verdict, AdmissionVerdict::kReject);
   EXPECT_FALSE(adm.admitted(4));
 
   // After release the id is reusable.
   adm.release(3);
   EXPECT_FALSE(adm.admitted(3));
-  EXPECT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kStandard), 3)).verdict,
+  EXPECT_EQ(adm.offer(3, sd_spec(PriorityClass::kStandard)).verdict,
             AdmissionVerdict::kAccept);
 }
 
@@ -109,11 +107,12 @@ TEST(AdmissionOffer, HigherClassArrivalDegradesLowerClassesFirst) {
   // background + standard admitted; a premium arrival must make room by
   // walking the background tenant all the way down before touching standard.
   AdmissionController adm(config(2.1));
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kBackground), 0)).verdict,
+  ASSERT_EQ(adm.offer(0, sd_spec(PriorityClass::kBackground)).verdict,
             AdmissionVerdict::kAccept);
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kStandard), 1)).verdict,
+  ASSERT_EQ(adm.offer(1, sd_spec(PriorityClass::kStandard)).verdict,
             AdmissionVerdict::kAccept);
-  const StreamReply r = adm.offer(to_request(sd_spec(PriorityClass::kPremium), 2));
+  const AdmissionController::Reply r =
+      adm.offer(2, sd_spec(PriorityClass::kPremium));
   EXPECT_EQ(r.verdict, AdmissionVerdict::kAccept);
   EXPECT_EQ(adm.level(0), DegradeLevel::kFreeze);  // background froze...
   EXPECT_EQ(adm.level(1), DegradeLevel::kNone);    // ...standard untouched
@@ -129,18 +128,18 @@ TEST(AdmissionOffer, HigherClassArrivalDegradesLowerClassesFirst) {
 
 TEST(AdmissionOffer, LowerClassArrivalCannotDegradeHigher) {
   AdmissionController adm(config(1.1));
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kPremium), 0)).verdict,
+  ASSERT_EQ(adm.offer(0, sd_spec(PriorityClass::kPremium)).verdict,
             AdmissionVerdict::kAccept);
-  EXPECT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kBackground), 1)).verdict,
+  EXPECT_EQ(adm.offer(1, sd_spec(PriorityClass::kBackground)).verdict,
             AdmissionVerdict::kReject);
   EXPECT_EQ(adm.level(0), DegradeLevel::kNone);
 }
 
 TEST(AdmissionLadder, PressureDegradesLowestClassFirstRevertsMirror) {
   AdmissionController adm(config(4.0));
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kBackground), 0)).verdict,
+  ASSERT_EQ(adm.offer(0, sd_spec(PriorityClass::kBackground)).verdict,
             AdmissionVerdict::kAccept);
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kPremium), 1)).verdict,
+  ASSERT_EQ(adm.offer(1, sd_spec(PriorityClass::kPremium)).verdict,
             AdmissionVerdict::kAccept);
 
   // Overload signal: background absorbs every step before premium is touched.
@@ -173,7 +172,7 @@ TEST(AdmissionLadder, PressureDegradesLowestClassFirstRevertsMirror) {
 
 TEST(AdmissionLadder, DeadBandHoldsTheLadderStill) {
   AdmissionController adm(config(4.0));
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kBackground), 0)).verdict,
+  ASSERT_EQ(adm.offer(0, sd_spec(PriorityClass::kBackground)).verdict,
             AdmissionVerdict::kAccept);
   adm.on_pressure(1.2);
   ASSERT_EQ(adm.level(0), DegradeLevel::kSkipB);
@@ -185,7 +184,7 @@ TEST(AdmissionLadder, DeadBandHoldsTheLadderStill) {
 
 TEST(AdmissionLadder, ShedMatrixPerLevel) {
   AdmissionController adm(config(4.0));
-  ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kBackground), 0)).verdict,
+  ASSERT_EQ(adm.offer(0, sd_spec(PriorityClass::kBackground)).verdict,
             AdmissionVerdict::kAccept);
   const auto shed = [&](PicType t) {
     return adm.should_shed(0, t, /*closed_gop=*/false);
@@ -216,7 +215,7 @@ TEST(AdmissionLadder, ShedMatrixPerLevel) {
 TEST(AdmissionLedger, ReleaseDrainsCommittedLoad) {
   AdmissionController adm(config(3.0));
   for (uint8_t id = 0; id < 3; ++id)
-    ASSERT_EQ(adm.offer(to_request(sd_spec(PriorityClass::kStandard), id)).verdict,
+    ASSERT_EQ(adm.offer(id, sd_spec(PriorityClass::kStandard)).verdict,
               AdmissionVerdict::kAccept);
   adm.release(1);
   EXPECT_DOUBLE_EQ(adm.committed_load(), 2.0 * kCost);
@@ -225,102 +224,6 @@ TEST(AdmissionLedger, ReleaseDrainsCommittedLoad) {
   adm.release(0);
   adm.release(2);
   EXPECT_NEAR(adm.committed_load(), 0.0, 1e-9);
-}
-
-// --------------------------------------------------------------------------
-// Engine equivalence: the identical request script through direct offer()
-// and through offer_wire() bytes pumped over a threaded fabric.
-
-TEST(AdmissionWire, FabricHostedControllerMatchesDirectCalls) {
-  struct Op {
-    bool is_release = false;
-    TenantSpec spec;
-    uint8_t stream = 0;
-  };
-  std::vector<Op> script;
-  const auto offer_op = [&](PriorityClass cls, uint8_t id) {
-    script.push_back({false, sd_spec(cls), id});
-  };
-  offer_op(PriorityClass::kBackground, 0);
-  offer_op(PriorityClass::kStandard, 1);
-  offer_op(PriorityClass::kPremium, 2);   // forces degrades
-  offer_op(PriorityClass::kStandard, 3);  // renegotiate or reject
-  script.push_back({true, {}, 1});
-  offer_op(PriorityClass::kStandard, 4);
-  offer_op(PriorityClass::kStandard, 4);  // duplicate -> reject
-
-  // Direct run.
-  AdmissionController direct(config(2.1));
-  std::vector<StreamReply> direct_replies;
-  for (const Op& op : script) {
-    if (op.is_release)
-      direct.release(op.stream);
-    else
-      direct_replies.push_back(direct.offer(to_request(op.spec, op.stream)));
-  }
-
-  // Wire run: client on node 0, controller hosted on node 1. The host
-  // answers StreamRequest with offer_wire() and treats EndOfStream as a
-  // release; per-link FIFO makes the op order identical to the script.
-  AdmissionController hosted(config(2.1));
-  net::Fabric fabric(2);
-  std::thread host([&] {
-    net::Message msg;
-    while (fabric.receive(1, &msg)) {
-      const auto any = decode_any(msg.payload);
-      ASSERT_TRUE(any.has_value());
-      if (std::holds_alternative<EndOfStream>(*any)) {
-        hosted.release(std::get<EndOfStream>(*any).stream);
-        continue;
-      }
-      const Packed rep = hosted.offer_wire(msg.payload);
-      net::Message out;
-      out.type = int(rep.type);
-      out.stream = rep.stream;
-      out.payload = rep.body;
-      fabric.send(1, 0, std::move(out));
-    }
-  });
-  std::vector<StreamReply> wire_replies;
-  for (const Op& op : script) {
-    Packed p;
-    if (op.is_release) {
-      EndOfStream eos;
-      eos.stream = op.stream;
-      p = pack(eos);
-    } else {
-      p = pack(to_request(op.spec, op.stream));
-    }
-    net::Message msg;
-    msg.type = int(p.type);
-    msg.stream = p.stream;
-    msg.payload = p.body;
-    ASSERT_EQ(fabric.send(0, 1, std::move(msg)), net::SendStatus::kOk);
-    if (op.is_release) continue;
-    net::Message back;
-    ASSERT_TRUE(fabric.receive(0, &back));
-    StreamReply rep;
-    ASSERT_TRUE(decode(back.payload.span(), &rep));
-    wire_replies.push_back(rep);
-  }
-  fabric.shutdown();
-  host.join();
-
-  EXPECT_EQ(wire_replies, direct_replies);
-  EXPECT_EQ(hosted.log(), direct.log());
-  EXPECT_DOUBLE_EQ(hosted.committed_load(), direct.committed_load());
-}
-
-TEST(AdmissionWire, MalformedRequestGetsTypedReject) {
-  AdmissionController adm(config(4.0));
-  const size_t log_size = adm.log().size();
-  const uint8_t garbage[] = {0xDE, 0xAD, 0xBE};
-  const Packed rep = adm.offer_wire(mem::Bytes::copy_of(garbage));
-  EXPECT_EQ(rep.type, MsgType::kStreamReply);
-  StreamReply out;
-  ASSERT_TRUE(decode(rep.body, &out));
-  EXPECT_EQ(out.verdict, AdmissionVerdict::kReject);
-  EXPECT_EQ(adm.log().size(), log_size);  // never reached the controller
 }
 
 // --------------------------------------------------------------------------
@@ -368,7 +271,7 @@ TEST(AdmissionResync, RevertIsBitExactFromClosedGopOnward) {
   FrameMap gated;
   AdmissionController adm(config(4.0));
   TenantSpec spec = sd_spec(PriorityClass::kStandard);
-  ASSERT_EQ(adm.offer(to_request(spec, 0)).verdict, AdmissionVerdict::kAccept);
+  ASSERT_EQ(adm.offer(0, spec).verdict, AdmissionVerdict::kAccept);
   uint64_t shed_count = 0;
   {
     core::LockstepPipeline ss(geo, 2, stream_es());

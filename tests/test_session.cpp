@@ -158,7 +158,7 @@ TEST(StreamSession, DuplicateAttachOfSameIdIsRejected) {
   session.enable_admission(roomy_config());
   ASSERT_EQ(session.attach_stream(5, es, spec()).verdict,
             AdmissionVerdict::kAccept);
-  const StreamReply dup = session.attach_stream(5, es, spec());
+  const AdmissionController::Reply dup = session.attach_stream(5, es, spec());
   EXPECT_EQ(dup.verdict, AdmissionVerdict::kReject);
   EXPECT_EQ(dup.level, DegradeLevel::kFreeze);
   EXPECT_EQ(session.streams(), 1);

@@ -149,7 +149,6 @@ TEST(SocketFabric, RoundTripPreservesEveryHeaderField) {
   wire({&a, &b});
   Message m = make_msg(0, -7, 42, 100, 0x5c);
   m.aux = 7;
-  m.stream = 3;
   m.tseq = 99;
   m.crc = 0xdeadbeef;
   ASSERT_EQ(a.send(0, 1, std::move(m)), SendStatus::kOk);
@@ -159,7 +158,6 @@ TEST(SocketFabric, RoundTripPreservesEveryHeaderField) {
   EXPECT_EQ(got.type, -7);  // negative types (transport acks) survive
   EXPECT_EQ(got.seq, 42u);
   EXPECT_EQ(got.aux, 7);
-  EXPECT_EQ(got.stream, 3);
   EXPECT_EQ(got.tseq, 99u);
   EXPECT_EQ(got.crc, 0xdeadbeefu);
   ASSERT_EQ(got.payload.size(), 100u);
@@ -244,7 +242,7 @@ TEST(SocketFabric, FailedSendIsCountedAndNotTransmitted) {
 std::vector<uint8_t> forge(int src, uint32_t msg_id, uint16_t index,
                            uint16_t count, uint32_t total, uint32_t off,
                            size_t bytes) {
-  std::vector<uint8_t> d(48 + bytes, 0x5a);
+  std::vector<uint8_t> d(kDatagramHeaderBytes + bytes, 0x5a);
   auto u32 = [&](size_t at, uint32_t v) { std::memcpy(&d[at], &v, 4); };
   auto u16 = [&](size_t at, uint16_t v) { std::memcpy(&d[at], &v, 2); };
   u32(0, 0x50445746u);  // 'PDWF'
@@ -252,16 +250,15 @@ std::vector<uint8_t> forge(int src, uint32_t msg_id, uint16_t index,
   u32(8, 1);   // type
   u32(12, msg_id);  // seq: lets the test tell messages apart
   u16(16, 0);
-  d[18] = 0;  // stream
-  d[19] = 0;  // not bulk
-  u32(20, 0);
-  u32(24, 0);
-  u32(28, msg_id);
-  u16(32, index);
-  u16(34, count);
-  u32(36, total);
-  u32(40, off);
-  u32(44, crc32(std::span<const uint8_t>(d.data(), 44)));
+  d[18] = 0;  // not bulk
+  u32(19, 0);
+  u32(23, 0);
+  u32(27, msg_id);
+  u16(31, index);
+  u16(33, count);
+  u32(35, total);
+  u32(39, off);
+  u32(43, crc32(std::span<const uint8_t>(d.data(), 43)));
   return d;
 }
 

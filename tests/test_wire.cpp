@@ -80,7 +80,6 @@ TEST(WireRoundtrip, Picture) {
   EXPECT_EQ(p.type, MsgType::kPicture);
   EXPECT_EQ(p.seq, m.pic_index);
   EXPECT_EQ(p.aux, m.nsid);
-  EXPECT_EQ(p.stream, m.stream);
   EXPECT_TRUE(p.bulk);
   EXPECT_EQ(p.body.size(), picture_msg_wire_bytes(m.coded.size()));
 }
@@ -156,30 +155,6 @@ TEST(WireRoundtrip, ControlMessages) {
   EXPECT_EQ(pack(sk).seq, sk.pic_index);
 }
 
-TEST(WireRoundtrip, AdmissionMessages) {
-  StreamRequest req;
-  req.width_mb = 120;
-  req.height_mb = 68;
-  req.fps = 30;
-  req.priority = PriorityClass::kPremium;
-  req.stream = 9;
-  EXPECT_EQ(roundtrip(req), req);
-  const Packed p = pack(req);
-  EXPECT_EQ(p.type, MsgType::kStreamRequest);
-  EXPECT_EQ(p.aux, uint16_t(req.priority));
-  EXPECT_EQ(p.stream, req.stream);
-  EXPECT_FALSE(p.bulk);
-
-  StreamReply rep;
-  rep.verdict = AdmissionVerdict::kRenegotiate;
-  rep.level = DegradeLevel::kSkipP;
-  rep.stream = 9;
-  EXPECT_EQ(roundtrip(rep), rep);
-  const Packed pr = pack(rep);
-  EXPECT_EQ(pr.type, MsgType::kStreamReply);
-  EXPECT_EQ(pr.aux, uint16_t(rep.verdict));
-}
-
 PartitionUpdateMsg sample_partition_update() {
   PartitionUpdateMsg m;
   m.epoch = 3;
@@ -206,7 +181,6 @@ TEST(WireRoundtrip, PartitionUpdate) {
   EXPECT_EQ(p.type, MsgType::kPartitionUpdate);
   EXPECT_EQ(p.seq, m.apply_from_pic);
   EXPECT_EQ(p.aux, uint16_t(m.epoch));
-  EXPECT_EQ(p.stream, m.stream);
   EXPECT_FALSE(p.bulk);
   EXPECT_EQ(p.body.size(), partition_update_wire_bytes(m.col_cuts_mb.size(),
                                                        m.row_cuts_mb.size()));
@@ -246,26 +220,6 @@ TEST(WireReject, PartitionUpdateCutsMustStrictlyIncrease) {
   EXPECT_FALSE(decode(p.body, &out));
 }
 
-TEST(WireReject, AdmissionEnumRanges) {
-  // Out-of-range enum bytes in otherwise well-formed bodies must be
-  // rejected, not reinterpreted.
-  Packed p = pack(StreamRequest{45, 30, 24, PriorityClass::kStandard, 1});
-  StreamRequest req;
-  ASSERT_TRUE(decode(p.body, &req));
-  p.body.mutable_data()[p.body.size() - 1] = 3;  // priority byte past kPremium
-  EXPECT_FALSE(decode(p.body, &req));
-
-  Packed pr = pack(StreamReply{AdmissionVerdict::kAccept,
-                               DegradeLevel::kNone, 1});
-  StreamReply rep;
-  ASSERT_TRUE(decode(pr.body, &rep));
-  pr.body.mutable_data()[pr.body.size() - 2] = 7;  // verdict byte
-  EXPECT_FALSE(decode(pr.body, &rep));
-  pr = pack(StreamReply{AdmissionVerdict::kAccept, DegradeLevel::kNone, 1});
-  pr.body.mutable_data()[pr.body.size() - 1] = 9;  // level byte past kFreeze
-  EXPECT_FALSE(decode(pr.body, &rep));
-}
-
 TEST(WireRoundtrip, DecodeAnyDispatchesEveryType) {
   const auto check = [](const auto& msg) {
     const auto any = decode_any(pack(msg).body);
@@ -284,8 +238,6 @@ TEST(WireRoundtrip, DecodeAnyDispatchesEveryType) {
   check(Finished{1, 2});
   check(DeathNotice{2, 0, 30, 0});
   check(SkipBroadcast{5, 3, 0});
-  check(StreamRequest{80, 45, 30, PriorityClass::kBackground, 7});
-  check(StreamReply{AdmissionVerdict::kReject, DegradeLevel::kFreeze, 7});
   check(sample_partition_update());
   check(sample_cost_report());
 }
@@ -330,10 +282,21 @@ TEST(WireReject, WrongTypeByte) {
   EXPECT_FALSE(decode(hb.body, &ex));
 }
 
+std::vector<uint8_t> unhex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(uint8_t(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
 TEST(WireReject, UnknownTypeByte) {
   Packed p = pack(Heartbeat{1, 0});
   p.body.mutable_data()[1] = 0xFE;
   EXPECT_FALSE(decode_any(p.body).has_value());
+  // Well-formed bodies of the retired admission types 10 and 11 (a stream
+  // request and a stream reply) name no message any more.
+  for (const char* body : {"020a032d001e00180002", "020b030201"})
+    EXPECT_FALSE(decode_any(unhex(body)).has_value()) << body;
 }
 
 TEST(WireReject, ExchangeCountOverflow) {
@@ -425,7 +388,6 @@ std::vector<uint8_t> pinned_datagram_header() {
   h.header.type = 4;
   h.header.seq = 77;
   h.header.aux = 5;
-  h.header.stream = 2;
   h.header.bulk = true;
   h.header.tseq = 9;
   h.header.crc = 0xCAFEBABE;
@@ -523,13 +485,6 @@ TEST(WireLayout, BytesMatchParent) {
        "020802010003000c000000"},
       {"skip", body_of(pack(SkipBroadcast{4, 1, 0})),
        "020900040000000100"},
-      {"stream_request",
-       body_of(pack(StreamRequest{45, 30, 24, PriorityClass::kPremium, 3})),
-       "020a032d001e00180002"},
-      {"stream_reply",
-       body_of(pack(StreamReply{AdmissionVerdict::kRenegotiate,
-                                DegradeLevel::kSkipB, 3})),
-       "020b030201"},
       {"partition_update", body_of(pack(pu)),
        "020c01020000000c0000000200010005000b000400"},
       {"cost_report", body_of(pack(cr)),
@@ -540,9 +495,11 @@ TEST(WireLayout, BytesMatchParent) {
        "feff0700000000000902032d00000004002c000000010000000000000005"
        "000000deadbeef0101000000020000000300000000000000000000000100"
        "005a00000002000000000000005c0000000300020000001122"},
+      // The former 48-byte header less its stream byte (offset 18), with
+      // the header CRC recomputed over the 43 bytes ahead of it.
       {"datagram_header", pinned_datagram_header(),
-       "4657445001000000040000004d0000000500020109000000bebafeca0100"
-       "0000000001000a0000000000000025ac949f"},
+       "4657445001000000040000004d00000005000109000000bebafeca010000"
+       "00000001000a0000000000000076d2269e"},
       {"rendezvous_join",
        net::encode_rendezvous({Kind::kJoin, 1, ep, {}}),
        "5257445001000000010000000100007f409c0000"},
