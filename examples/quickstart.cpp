@@ -81,8 +81,7 @@ int main() {
               mismatches == 0 ? "PASS" : "FAIL", index - mismatches, index);
 
   // Traffic summary.
-  uint64_t total = 0;
-  for (const auto& c : stats.node_counters) total += c.sent_bytes;
+  const uint64_t total = stats.traffic_matrix.total();
   std::printf("total network traffic: %.2f MB (%.1f KB/frame)\n",
               double(total) / 1e6, double(total) / 1e3 / frames);
 

@@ -149,7 +149,6 @@ int main(int argc, char** argv) {
   const net::Endpoint ep{net::kLoopbackIp, 40000};
   const std::pair<const char*, net::RendezvousMsg> rv[] = {
       {"join", {Kind::kJoin, 1, ep, {}}},
-      {"wait", {Kind::kWait, 0, {}, {}}},
       {"map", {Kind::kMap, 0, {}, {ep, ep, ep}}},
       {"map_ack", {Kind::kMapAck, 2, {}, {}}},
       {"done", {Kind::kDone, 0, {}, {}}}};

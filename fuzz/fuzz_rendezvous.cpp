@@ -1,5 +1,5 @@
 // Fuzz target: the rendezvous datagram parser, net::decode_rendezvous —
-// what the listener and every joiner run on each JOIN/WAIT/MAP/MAP_ACK
+// what the listener and every joiner run on each JOIN/MAP/MAP_ACK/DONE
 // their socket receives. Each input is parsed as a datagram of walls of
 // several sizes. Contract: malformed input is refused by nullopt, never an
 // exception, sanitizer report, OOM or hang. The parse is exact, so an

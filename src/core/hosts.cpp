@@ -314,7 +314,7 @@ struct RootHost {
         timer(c.timer),
         ep(&f, c.topo.root(),
            with_metrics(c.opts.protocol.reliable, c.opts.metrics)),
-        node(c.topo, ro, picture_metas(c.root), c.timer.seconds()) {
+        node(c.topo, c.geo, ro, picture_metas(c.root), c.timer.seconds()) {
     node.set_metrics(c.opts.metrics);
     inst.resolve(obs::registry_or_global(c.opts.metrics), topo.root(), 0);
   }
@@ -714,7 +714,6 @@ void run_node(WallContext& ctx, net::FabricBackend& fabric, int node) {
     ro.heartbeat_timeout_s = cfg.heartbeat_timeout_s;
     ro.recovery = ctx.opts.recovery;
     ro.adaptive = ctx.opts.adaptive;
-    ro.adaptive.geo = &ctx.geo;
     RootHost host(fabric, ctx, ro);
     host.run();
     // Every decoder has reported, so what still arrives needs no answer.

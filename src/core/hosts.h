@@ -82,7 +82,7 @@ struct WallOptions {
   bool per_picture_exchange = false;
   // Registry telemetry lands in (nullptr: the process-global one).
   obs::MetricsRegistry* metrics = nullptr;
-  // Adaptive per-GOP tile rebalancing. The engine fills in `geo` itself.
+  // Adaptive per-GOP tile rebalancing over the wall's geometry.
   proto::RootNode::AdaptivePartition adaptive;
   // Faults on every node's fabric (borrowed; may be null): per message on
   // the in-process fabric, per received datagram on socket fabrics.

@@ -36,9 +36,8 @@ LockstepPipeline::LockstepPipeline(const wall::TileGeometry& geo, int k,
   proto::RootNode::Options ropts;
   ropts.stream = stream;
   ropts.adaptive = adaptive;
-  ropts.adaptive.geo = &geo_;
-  root_node_ =
-      std::make_unique<proto::RootNode>(topo_, ropts, picture_metas(root_), 0);
+  root_node_ = std::make_unique<proto::RootNode>(topo_, geo_, ropts,
+                                                 picture_metas(root_), 0);
   root_node_->set_metrics(metrics);
 
   for (int s = 0; s < k; ++s) {

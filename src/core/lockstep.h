@@ -58,9 +58,8 @@ class LockstepPipeline {
   // `k` second-level splitters (round-robin), tiles from `geo`; `es` is
   // borrowed and must outlive the pipeline. `metrics` selects the registry
   // telemetry lands in (nullptr: the process-global one). `adaptive` turns
-  // on per-GOP partition rebalancing (the engine supplies the base geometry
-  // itself; any `geo` set by the caller is ignored). `stream` tags every
-  // wire message (0 for single-stream engines).
+  // on per-GOP partition rebalancing over `geo`. `stream` tags every wire
+  // message (0 for single-stream engines).
   LockstepPipeline(const wall::TileGeometry& geo, int k,
                    std::span<const uint8_t> es,
                    obs::MetricsRegistry* metrics = nullptr,

@@ -56,8 +56,8 @@ struct ClusterStats {
   int pictures = 0;
   double wall_seconds = 0;
   double fps = 0;
-  std::vector<net::NodeCounters> node_counters;  // by node id
-  // Transport-level bytes (includes retransmits and transport acks).
+  // Transport-level bytes (includes retransmits and transport acks); a
+  // node's totals are its sent_by/received_by.
   TrafficMatrix traffic_matrix;
   // Protocol-level emissions (heartbeats and retransmits excluded) —
   // directly comparable with LockstepPipeline::accounting().

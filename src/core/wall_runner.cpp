@@ -71,11 +71,9 @@ ClusterStats run_wall(const wall::TileGeometry& geo, int k,
   // only its local view) yield the same matrix.
   stats.traffic_matrix.reset(n);
   for (int src = 0; src < n; ++src) {
-    const net::FabricBackend& f = *fabrics[size_t(src)];
-    const TrafficMatrix local = f.traffic_matrix();
+    const TrafficMatrix local = fabrics[size_t(src)]->traffic_matrix();
     for (int dst = 0; dst < n; ++dst)
       stats.traffic_matrix.at(src, dst) = local.at(src, dst);
-    stats.node_counters.push_back(f.counters(src));
   }
   for (const net::ReliableStats& s : ctx.ep_stats)
     accumulate_transport(&stats.ft.transport, s);

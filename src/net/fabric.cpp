@@ -24,8 +24,6 @@ bool Fabric::enqueue(Mailbox& mb, Message msg) {
     if (mb.credits <= 0) return false;
     --mb.credits;
   }
-  mb.counters.recv_bytes += msg.wire_bytes();
-  ++mb.counters.recv_messages;
   ++mb.deliveries;
   mb.queue.push_back(std::move(msg));
   return true;
@@ -37,7 +35,7 @@ void Fabric::release_delayed(Mailbox& mb, bool force) {
     if (force || --it->hold <= 0) {
       // A bulk message released into a node with no posted buffer is lost —
       // it arrived late, after the buffers were consumed (GM would drop it).
-      if (!enqueue(mb, std::move(it->msg))) ++mb.counters.dropped_messages;
+      enqueue(mb, std::move(it->msg));
       it = mb.delayed.erase(it);
     } else {
       ++it;
@@ -54,8 +52,6 @@ SendStatus Fabric::send(int src, int dst, Message msg) {
     Mailbox& sender = box(src);
     std::lock_guard<std::mutex> lock(sender.mu);
     if (sender.dead) return SendStatus::kSrcDead;
-    sender.counters.sent_bytes += bytes;
-    ++sender.counters.sent_messages;
   }
 
   uint64_t link_ordinal;
@@ -78,10 +74,7 @@ SendStatus Fabric::send(int src, int dst, Message msg) {
       return SendStatus::kOk;  // the message dies with the node
     }
     if (mb.dead) return SendStatus::kOk;  // silently lost; sender can't know
-    if (fate.drop) {
-      ++mb.counters.dropped_messages;
-      return SendStatus::kOk;
-    }
+    if (fate.drop) return SendStatus::kOk;
     if (fate.corrupt && injector_) {
       // Copy-on-write before flipping bytes: the sender's retransmit queue
       // pins the same block, and a retransmission must resend the *original*
@@ -98,16 +91,8 @@ SendStatus Fabric::send(int src, int dst, Message msg) {
     // keeping fault schedules independent of flow-control timing.
     if (msg.bulk && mb.credits <= 0 && fate.delay_hold == 0) {
       lock.unlock();
-      {
-        Mailbox& sender = box(src);
-        std::lock_guard<std::mutex> sl(sender.mu);
-        sender.counters.sent_bytes -= bytes;
-        --sender.counters.sent_messages;
-      }
-      {
-        std::lock_guard<std::mutex> tl(traffic_mu_);
-        traffic_.at(src, dst) -= bytes;
-      }
+      std::lock_guard<std::mutex> tl(traffic_mu_);
+      traffic_.at(src, dst) -= bytes;
       return SendStatus::kNoCredit;
     }
 
@@ -185,12 +170,6 @@ bool Fabric::is_dead(int node) const {
   const Mailbox& mb = *mailboxes_[size_t(node)];
   std::lock_guard<std::mutex> lock(mb.mu);
   return mb.dead;
-}
-
-NodeCounters Fabric::counters(int node) const {
-  const Mailbox& mb = *mailboxes_[size_t(node)];
-  std::lock_guard<std::mutex> lock(mb.mu);
-  return mb.counters;
 }
 
 TrafficMatrix Fabric::traffic_matrix() const {

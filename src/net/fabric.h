@@ -59,14 +59,6 @@ struct Message {
   static constexpr size_t kHeaderBytes = 16;
 };
 
-struct NodeCounters {
-  uint64_t sent_bytes = 0;
-  uint64_t recv_bytes = 0;
-  uint64_t sent_messages = 0;
-  uint64_t recv_messages = 0;
-  uint64_t dropped_messages = 0;  // lost to injected faults on this dst
-};
-
 enum class SendStatus {
   kOk,        // delivered (or silently dropped by a fault — sender can't tell)
   kNoCredit,  // bulk message, no posted receive buffer (flow-control overrun)
@@ -113,9 +105,8 @@ class FabricBackend {
   virtual void kill(int node) = 0;
   virtual bool is_dead(int node) const = 0;
 
-  // Per-node traffic counters and the pairwise traffic matrix (a socket
-  // backend reports its local view: its own sends and receives).
-  virtual NodeCounters counters(int node) const = 0;
+  // The pairwise traffic matrix; a node's bytes are its sent_by/received_by
+  // (a socket backend reports its local view: its own sends and receives).
   virtual TrafficMatrix traffic_matrix() const = 0;
 
   // True when nothing is queued locally — every delivered message consumed.
@@ -163,8 +154,7 @@ class Fabric final : public FabricBackend {
   void kill(int node) override;
   bool is_dead(int node) const override;
 
-  // Per-node traffic counters and the pairwise traffic matrix.
-  NodeCounters counters(int node) const override;
+  // The pairwise traffic matrix.
   TrafficMatrix traffic_matrix() const override;
 
   // True when no live node has queued or fault-delayed messages — i.e. every
@@ -189,7 +179,6 @@ class Fabric final : public FabricBackend {
     int credits = 0;
     bool dead = false;
     uint64_t deliveries = 0;  // messages ever delivered to this node
-    NodeCounters counters;
   };
 
   Mailbox& box(int node) {

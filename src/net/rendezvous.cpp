@@ -38,8 +38,9 @@ void fields(IO& io, M& m, uint32_t wall) {
   uint32_t magic = kRvMagic;
   io.u32(magic);
   io.u32(m.kind);
-  io.check(magic == kRvMagic && m.kind >= Kind::kJoin &&
-           m.kind <= Kind::kDone);
+  io.check(magic == kRvMagic &&
+           (m.kind == Kind::kJoin || m.kind == Kind::kMap ||
+            m.kind == Kind::kMapAck || m.kind == Kind::kDone));
   if (m.kind == Kind::kJoin || m.kind == Kind::kMapAck) {
     io.u32(m.node);
     io.check(uint32_t(m.node) < wall);
@@ -111,8 +112,8 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
   while (!done && clock.seconds() < cfg.timeout_s) {
     const double now = clock.seconds();
     if (have_map && now >= quiet_until) break;  // DONE lost, listener gone
-    // JOIN only when its backoff slot is up, never in reply to a WAIT (that
-    // would ping-pong with the listener until the last node joins).
+    // JOIN only when its backoff slot is up: the listener stays silent
+    // until the last node joins, so an early joiner sleeps meanwhile.
     if (now >= next_send) {
       sock.send(server, have_map ? ack : join);
       next_send = now + (have_map ? kAckResendS : backoff);
@@ -133,7 +134,7 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
       have_map = true;
       next_send = 0;
       quiet_until = clock.seconds() + kQuietWindowS;
-    }  // WAIT or noise: keep to the timers
+    }  // noise: keep to the timers
   }
   return finish(sock, cfg, self, have_map, "join");
 }
@@ -161,8 +162,7 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
   };
 
   while (clock.seconds() < cfg.timeout_s) {
-    const bool all_joined = all(joined_);
-    if (all_joined && all(acked_)) return finish(sock_, cfg, -1, true, "");
+    if (all(joined_) && all(acked_)) return finish(sock_, cfg, -1, true, "");
 
     uint8_t buf[64];
     Endpoint from;
@@ -175,10 +175,7 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
     if (msg && msg->kind == Kind::kJoin) {
       map_[size_t(msg->node)] = msg->endpoint;
       join_source_[size_t(msg->node)] = from;
-      joined_[size_t(msg->node)] = true;
-      // Not complete yet (this JOIN may have completed it; the next loop
-      // iteration pushes the map). Tell the joiner to hold on.
-      if (!all_joined) sock_.send(from, encode(Kind::kWait));
+      joined_[size_t(msg->node)] = true;  // the last JOIN starts the MAP push
     } else if (msg && msg->kind == Kind::kMapAck) {
       // Confirm every ack, duplicates included: the joiner leaves on DONE.
       acked_[size_t(msg->node)] = true;

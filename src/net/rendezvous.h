@@ -3,16 +3,16 @@
 //
 // Protocol (all datagrams, all idempotent, safe under loss/duplication):
 //   * joiner -> listener  JOIN(node, endpoint)   on its backoff timer only
-//   * listener -> joiner  WAIT                   not everyone has joined yet
 //   * listener -> joiner  MAP(node -> endpoint)  complete map, resent until
 //   * joiner -> listener  MAP_ACK(node)          ...that node acks
 //   * listener -> joiner  DONE                   the reply to every MAP_ACK
 //
 // Timers: a joiner sends JOIN when its backoff slot (20 ms, doubling to
-// 500 ms) is up, never in reply to WAIT, so an early joiner sleeps instead
-// of ping-ponging with the listener until the last node joins. The listener
-// resends MAP every 50 ms to each node that has not acked. A joiner acks
-// every MAP it receives and re-sends MAP_ACK every 10 ms until DONE.
+// 500 ms) is up. The listener does not answer a JOIN before the last node
+// has joined, so an early joiner sleeps through its backoff until the map
+// arrives. The listener resends MAP every 50 ms to each node that has not
+// acked. A joiner acks every MAP it receives and re-sends MAP_ACK every
+// 10 ms until DONE.
 //
 // The listener returns once every node has joined and acked; a joiner
 // returns on DONE. If DONE is lost after the listener returned, the joiner
@@ -52,15 +52,13 @@ struct RendezvousConfig {
 //
 // Layout (little-endian u32 fields):
 //   JOIN:    magic, kind=1, node, ip, port
-//   WAIT:    magic, kind=2
 //   MAP:     magic, kind=3, count, count x (ip, port)
 //   MAP_ACK: magic, kind=4, node
 //   DONE:    magic, kind=5
+// Kind 2 is unassigned and decodes as malformed.
 struct RendezvousMsg {
-  enum class Kind : uint32_t {
-    kJoin = 1, kWait = 2, kMap = 3, kMapAck = 4, kDone = 5
-  };
-  Kind kind = Kind::kWait;
+  enum class Kind : uint32_t { kJoin = 1, kMap = 3, kMapAck = 4, kDone = 5 };
+  Kind kind = Kind::kJoin;
   int node = 0;               // JOIN, MAP_ACK
   Endpoint endpoint;          // JOIN: the joiner's fabric endpoint
   std::vector<Endpoint> map;  // MAP: node -> fabric endpoint

@@ -79,8 +79,7 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
       cfg_(cfg),
       fault_ordinal_(size_t(nodes)),
       fenced_(size_t(nodes)),
-      traffic_(nodes),
-      counters_(size_t(nodes)) {
+      traffic_(nodes) {
   PDW_CHECK_GE(self, 0);
   PDW_CHECK_LT(self, nodes);
   PDW_CHECK(sock_.ok()) << std::strerror(sock_.error());
@@ -145,8 +144,6 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
   {
     std::lock_guard<std::mutex> lock(traffic_mu_);
     traffic_.add(self_, dst, wire_bytes);
-    counters_[size_t(self_)].sent_bytes += wire_bytes;
-    ++counters_[size_t(self_)].sent_messages;
   }
   return SendStatus::kOk;
 }
@@ -170,8 +167,6 @@ void SocketFabric::finish_message(Message msg) {
   {
     std::lock_guard<std::mutex> lock(traffic_mu_);
     traffic_.add(msg.src, self_, msg.wire_bytes());
-    counters_[size_t(self_)].recv_bytes += msg.wire_bytes();
-    ++counters_[size_t(self_)].recv_messages;
   }
   ready_.push_back(std::move(msg));
   queued_.fetch_add(1, std::memory_order_relaxed);
@@ -199,11 +194,7 @@ void SocketFabric::ingest(uint8_t* data, size_t len) {
       kill(self_);
       return;
     }
-    if (fate.drop) {
-      std::lock_guard<std::mutex> lock(traffic_mu_);
-      ++counters_[size_t(self_)].dropped_messages;
-      return;
-    }
+    if (fate.drop) return;
     // Only the fragment bytes: the header stays routable, and
     // ReliableEndpoint's payload CRC catches the damage end to end.
     if (fate.corrupt)
@@ -357,13 +348,6 @@ bool SocketFabric::is_dead(int node) const {
   PDW_CHECK_GE(node, 0);
   PDW_CHECK_LT(node, nodes_);
   return fenced_[size_t(node)].load(std::memory_order_relaxed);
-}
-
-NodeCounters SocketFabric::counters(int node) const {
-  PDW_CHECK_GE(node, 0);
-  PDW_CHECK_LT(node, nodes_);
-  std::lock_guard<std::mutex> lock(traffic_mu_);
-  return counters_[size_t(node)];
 }
 
 TrafficMatrix SocketFabric::traffic_matrix() const {

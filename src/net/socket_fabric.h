@@ -28,8 +28,8 @@
 //    fragment bytes, hold back for later delivery, or crash this node. Each
 //    process impairs what it receives, so every node of a wall gets the
 //    same injector (or one built from the same seed and rates).
-//  * Local view: counters()/traffic_matrix() report this node's own sends
-//    and receives (message-level wire bytes, comparable with the in-process
+//  * Local view: traffic_matrix() reports this node's own sends and
+//    receives (message-level wire bytes, comparable with the in-process
 //    fabric's accounting); datagram-level counts go to obs
 //    (socket_datagrams_tx/rx, socket_send_failures, socket_rx_drops,
 //    socket_peer_unreachable, labeled {node = self}).
@@ -133,7 +133,6 @@ class SocketFabric final : public FabricBackend {
   void kill(int node) override;
   bool is_dead(int node) const override;
 
-  NodeCounters counters(int node) const override;
   TrafficMatrix traffic_matrix() const override;
   bool quiescent() const override;
   void shutdown() override;
@@ -197,7 +196,7 @@ class SocketFabric final : public FabricBackend {
   uint64_t deliveries_ = 0;
   std::vector<Parked> parked_;
 
-  // Cross-thread state: a coordinator may kill()/shutdown()/read counters
+  // Cross-thread state: a coordinator may kill()/shutdown()/read traffic
   // while the node thread pumps.
   std::atomic<bool> shutdown_{false};
   std::vector<std::atomic<bool>> fenced_;
@@ -210,7 +209,6 @@ class SocketFabric final : public FabricBackend {
 
   mutable std::mutex traffic_mu_;
   TrafficMatrix traffic_;
-  std::vector<NodeCounters> counters_;
 
   std::mutex peer_err_mu_;
   std::vector<int> peer_errors_;

@@ -116,8 +116,8 @@ class AdmissionController {
     friend bool operator==(const Reply&, const Reply&) = default;
   };
 
-  // One entry of the decision log — the sequence every engine must agree
-  // on. `level` is the stream's degrade level *after* the action.
+  // One entry of the decision log, in decision order. `level` is the
+  // stream's degrade level *after* the action.
   struct Action {
     enum class Kind : uint8_t {
       kOffer,      // verdict answered to an offer()
@@ -171,7 +171,7 @@ class AdmissionController {
   bool should_shed(uint8_t stream, mpeg2::PicType type, bool closed_gop);
 
   // Telemetry-only deadline bookkeeping; never feeds decisions (wall-clock
-  // input would break engine determinism).
+  // input would make decisions nondeterministic).
   void deadline_check(uint8_t stream, bool missed);
 
   bool admitted(uint8_t stream) const;

@@ -40,8 +40,9 @@ int pick_adopter_tile(const std::vector<int>& tile_owner_node,
 
 // --- RootNode --------------------------------------------------------------
 
-RootNode::RootNode(const Topology& topo, const Options& opts,
-                   std::vector<PictureMeta> pictures, double now)
+RootNode::RootNode(const Topology& topo, const wall::TileGeometry& geo,
+                   const Options& opts, std::vector<PictureMeta> pictures,
+                   double now)
     : topo_(topo),
       opts_(opts),
       pictures_(std::move(pictures)),
@@ -49,11 +50,10 @@ RootNode::RootNode(const Topology& topo, const Options& opts,
       owner_(size_t(topo.tiles), -1) {
   for (int t = 0; t < topo_.tiles; ++t) owner_[size_t(t)] = topo_.decoder(t);
   if (opts_.adaptive.enabled) {
-    PDW_CHECK(opts_.adaptive.geo != nullptr);
-    PDW_CHECK_EQ(opts_.adaptive.geo->tiles(), topo_.tiles);
-    table_ = std::make_unique<wall::PartitionTable>(*opts_.adaptive.geo);
-    window_cost_.col.assign(size_t(opts_.adaptive.geo->mb_width()), 0);
-    window_cost_.row.assign(size_t(opts_.adaptive.geo->mb_height()), 0);
+    PDW_CHECK_EQ(geo.tiles(), topo_.tiles);
+    table_ = std::make_unique<wall::PartitionTable>(geo);
+    window_cost_.col.assign(size_t(geo.mb_width()), 0);
+    window_cost_.row.assign(size_t(geo.mb_height()), 0);
   }
 }
 
@@ -190,7 +190,7 @@ std::vector<Outgoing> RootNode::dispatch(std::span<const uint8_t> coded) {
     wall::PlannerConfig cfg;
     cfg.gain_threshold = opts_.adaptive.gain_threshold;
     cfg.min_band_mbs = opts_.adaptive.min_band_mbs;
-    cfg.overlap_px = opts_.adaptive.geo->overlap();
+    cfg.overlap_px = table_->base().overlap();
     const std::optional<wall::Partition> next = wall::plan_partition(
         table_->partition(table_->latest_epoch()), window_cost_, cfg);
     if (next) {

@@ -172,8 +172,6 @@ class RootNode {
     bool enabled = false;
     double gain_threshold = 0.05;
     int min_band_mbs = 2;
-    // Base wall geometry (epoch 0). Required when enabled.
-    const wall::TileGeometry* geo = nullptr;
   };
 
   struct Options {
@@ -197,8 +195,10 @@ class RootNode {
     std::vector<Death> deaths;
   };
 
-  RootNode(const Topology& topo, const Options& opts,
-           std::vector<PictureMeta> pictures, double now);
+  // `geo` is the wall's base geometry (epoch 0); with adaptive partitioning
+  // the partition table shares it, so it must outlive the node.
+  RootNode(const Topology& topo, const wall::TileGeometry& geo,
+           const Options& opts, std::vector<PictureMeta> pictures, double now);
 
   // Resolve and cache this node's metric instruments in `reg` (nullptr: the
   // process-global registry). Optional — machines without it skip telemetry.

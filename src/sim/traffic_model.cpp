@@ -279,7 +279,6 @@ TrafficReport run_traffic(const TrafficConfig& cfg) {
 
   rep.mean_measured_utilization =
       cfg.sim_seconds > 0 ? util_integral / cfg.sim_seconds : 0.0;
-  rep.log = adm.log();
 
   const ClassStats tot = rep.totals();
   rep.accounting_ok =

@@ -73,9 +73,6 @@ struct TrafficReport {
   uint64_t reverts = 0;
   double peak_measured_utilization = 0;
   double mean_measured_utilization = 0;  // time-weighted
-  // The full admission decision sequence — what engine-equivalence runs
-  // compare.
-  std::vector<proto::AdmissionController::Action> log;
   // Ledger invariants: every offer answered exactly once, every admitted
   // session released, committed load drained to ~0 at teardown.
   bool accounting_ok = false;

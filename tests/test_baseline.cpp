@@ -87,6 +87,11 @@ TEST_F(BaselineTest, TableOneOrderingHolds) {
   EXPECT_EQ(mb.redistribution_bytes, 0.0);
   EXPECT_EQ(hier.redistribution_bytes, 0.0);
   EXPECT_LT(slice.redistribution_bytes, seq.redistribution_bytes);
+  // On the 2x2 no-overlap wall each horizontal band keeps the half of its
+  // row that lies on its own tile and ships the other half: exactly half a
+  // frame, more than the bands exchange as remote references.
+  EXPECT_EQ(slice.redistribution_bytes, 1.5 * 640 * 480 / 2);
+  EXPECT_GT(slice.redistribution_bytes, slice.interdecoder_bytes);
 
   // The hierarchy is at least as fast as the one-level macroblock system.
   EXPECT_GE(hier.fps, mb.fps * 0.999);

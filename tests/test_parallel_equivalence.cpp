@@ -138,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ConfigParam{2, 2, 1, 0}, ConfigParam{2, 2, 2, 0},
                       ConfigParam{3, 2, 2, 0}, ConfigParam{3, 3, 3, 32},
                       ConfigParam{4, 4, 4, 0}, ConfigParam{2, 2, 1, 32},
-                      ConfigParam{4, 3, 5, 16}),
+                      ConfigParam{4, 3, 5, 16}, ConfigParam{1, 4, 1, 0}),
     [](const auto& info) {
       const ConfigParam& p = info.param;
       std::ostringstream name;

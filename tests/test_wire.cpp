@@ -503,8 +503,6 @@ TEST(WireLayout, BytesMatchParent) {
       {"rendezvous_join",
        net::encode_rendezvous({Kind::kJoin, 1, ep, {}}),
        "5257445001000000010000000100007f409c0000"},
-      {"rendezvous_wait", net::encode_rendezvous({Kind::kWait, 0, {}, {}}),
-       "5257445002000000"},
       {"rendezvous_map",
        net::encode_rendezvous({Kind::kMap, 0, {}, {ep, ep, ep}}),
        "5257445003000000030000000100007f409c00000100007f409c00000100"
